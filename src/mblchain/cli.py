@@ -394,11 +394,10 @@ DESCRIPTIONS = {
                    " distance: the N-particle contribution to exponential"
                    " clustering.",
     "lr-lightcone": "Commutator norms of evolved local observables: ballistic"
-                    " light cone for the clean chain, distance-decaying"
-                    " plateau (zero velocity) under disorder; for the XXZ"
-                    " model restricted to an energy window, with the"
-                    " window-including-the-ground-state comparison emitted"
-                    " for contrast.",
+                    " light cone for the clean chain (arrival times per"
+                    " distance), distance-decaying plateau (zero velocity)"
+                    " under disorder; for the XXZ model restricted to the"
+                    " energy window chosen by --window-kind.",
     "quasi-locality": "Error of a finite-radius conditional-expectation"
                       " approximant of the evolved number operator, within"
                       " the droplet window: decays in the radius.",

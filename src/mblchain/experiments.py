@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
+from scipy.sparse.linalg import ArpackError
+from scipy.special import stdtrit
 
 from . import oracle, xxz, xy
 from .disorder import DisorderSpec, FieldRealization, SeedPlan, constant_field, sample_field
-from .errors import ConfigurationError, DegeneracyError
+from .errors import ConfigurationError, DegeneracyError, NumericalError
 
 # substitutes for realizations hitting a degenerate spectrum get indices
 # far outside the normal range so they never collide with real ones
@@ -25,6 +26,10 @@ SUBSTITUTE_OFFSET = 1_000_003
 MAX_RESAMPLES = 5
 
 FIT_FLOOR = 1e-14
+
+# solver failures a realization can raise; run_ensemble reports them as
+# NumericalError carrying the realization index
+_NUMERICAL_FAILURES = (NumericalError, np.linalg.LinAlgError, ArpackError)
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +69,15 @@ class ExperimentConfig:
             self.disorder.require_nonnegative()
         elif self.chain_length < 2:
             raise ConfigurationError("chain experiments need chain_length >= 2")
+        if self.kind in _PAIR_KINDS:
+            lo, hi = ((-self.half_length, self.half_length)
+                      if self.kind in _XXZ_KINDS else (0, self.chain_length - 1))
+            outside = [self.probe_site + d for d in (0, *self.distances)
+                       if not lo <= self.probe_site + d <= hi]
+            if outside:
+                raise ConfigurationError(
+                    f"probed sites {outside} (probe_site + distance) outside"
+                    f" the chain [{lo}, {hi}]")
 
     def effective_boundary_weight(self) -> float:
         if self.boundary_weight is not None:
@@ -111,15 +125,24 @@ UNAVAILABLE_FIT = DecayFit(0.0, 0.0, 0.0, np.inf, 0, False, available=False)
 # fits
 
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> DecayFit:
-    res = stats.linregress(x, y)
+    """Ordinary least squares with a two-sided 95 % Student-t interval on
+    the slope (callers pass at least 3 points).  An exact fit has zero
+    slope error and R^2 = 1, also for data without any spread."""
+    xc = x - x.mean()
+    yc = y - y.mean()
+    sxx = float(xc @ xc)
+    if sxx == 0.0:
+        return UNAVAILABLE_FIT
+    sxy = float(xc @ yc)
+    slope = sxy / sxx
+    resid = yc - slope * xc
+    ssr = float(resid @ resid)
     dof = x.size - 2
-    if dof > 0:
-        halfwidth = float(stats.t.ppf(0.975, dof) * res.stderr)
-    else:
-        halfwidth = np.inf
-    return DecayFit(rate=float(res.slope), intercept=float(res.intercept),
-                    r_squared=float(res.rvalue ** 2),
-                    rate_confidence_halfwidth=halfwidth,
+    stderr = np.sqrt(ssr / dof / sxx)
+    r_squared = 1.0 if ssr == 0.0 else sxy ** 2 / (sxx * float(yc @ yc))
+    return DecayFit(rate=slope, intercept=float(y.mean() - slope * x.mean()),
+                    r_squared=r_squared,
+                    rate_confidence_halfwidth=float(stdtrit(dof, 0.975) * stderr),
                     points_used=int(x.size), floor_applied=False)
 
 
@@ -311,22 +334,31 @@ def _metric_ct_pass(config: ExperimentConfig, index: int):
     return {d: 1.0 if measured <= bound else 0.0}
 
 
-def _metric_xy_commutator(config: ExperimentConfig, index: int):
-    """Spin-side LR commutator profile: per distance, the max over the time
-    grid of the operator norm of [tau_t(sX_j), sX_k] (dense oracle chain)."""
+def _xy_commutator_profiles(config: ExperimentConfig, index: int, times):
+    """Per distance d, the norms of [tau_t(sX_j), sX_{j+d}] at the given
+    times: closed form for the chain end j = 0, else the dense 2^n chain."""
     w = _field(config, index, config.chain_length)
-    es = oracle.diagonalize_full(oracle.build_full("xy", w))
     j = config.probe_site
-    x_full = oracle.SiteObservable.of_kind("X", j).embed(config.chain_length)
+    if j == 0:
+        norms = xy.end_site_commutator_norms(xy.diagonalize(xy.build_m(w)), times)
+        return {d: norms[:, d] for d in config.distances}
+    n = config.chain_length
+    es = oracle.diagonalize_full(oracle.build_full("xy", w))
+    x_full = oracle.SiteObservable.of_kind("X", j).embed(n)
     x_tilde = es.vectors.conj().T @ x_full @ es.vectors
     out = {}
     for d in config.distances:
-        y_full = oracle.SiteObservable.of_kind("X", j + d).embed(config.chain_length)
-        best = 0.0
-        for t in config.time_grid:
-            best = max(best, _commutator_opnorm(es, x_tilde, y_full, t))
-        out[d] = best
+        y_full = oracle.SiteObservable.of_kind("X", j + d).embed(n)
+        out[d] = np.array([_commutator_opnorm(es, x_tilde, y_full, t)
+                           for t in times])
     return out
+
+
+def _metric_xy_commutator(config: ExperimentConfig, index: int):
+    """Spin-side LR commutator profile: per distance, the max over the time
+    grid of the operator norm of [tau_t(sX_j), sX_k]."""
+    profiles = _xy_commutator_profiles(config, index, config.time_grid)
+    return {d: float(norms.max(initial=0.0)) for d, norms in profiles.items()}
 
 
 def _commutator_opnorm(es, x_tilde: np.ndarray, y_full: np.ndarray,
@@ -373,22 +405,11 @@ def xy_commutator_arrival(config: ExperimentConfig, index: int = 0,
                           threshold: float = 0.1):
     """Per-distance earliest grid time with commutator norm above the
     threshold (inf if never); the ballistic light-cone diagnostic."""
-    w = _field(config, index, config.chain_length)
-    es = oracle.diagonalize_full(oracle.build_full("xy", w))
-    j = config.probe_site
-    n = config.chain_length
-    x_full = oracle.SiteObservable.of_kind("X", j).embed(n)
-    x_tilde = es.vectors.conj().T @ x_full @ es.vectors
     grid = sorted(config.time_grid)
     out = {}
-    for d in config.distances:
-        y_full = oracle.SiteObservable.of_kind("X", j + d).embed(n)
-        arrival = np.inf
-        for t in grid:
-            if _commutator_opnorm(es, x_tilde, y_full, t) > threshold:
-                arrival = t
-                break
-        out[d] = arrival
+    for d, norms in _xy_commutator_profiles(config, index, grid).items():
+        above = np.flatnonzero(norms > threshold)
+        out[d] = grid[above[0]] if above.size else np.inf
     return out
 
 
@@ -396,6 +417,10 @@ _XXZ_KINDS = frozenset({
     "droplet_localization", "quasi_locality", "xxz_commutator",
     "droplet_profile", "ct_pass", "sector_correlator",
 })
+
+# kinds reading the site pairs (probe_site, probe_site + d)
+_PAIR_KINDS = frozenset({"eigencorrelator", "dynamical_kernel",
+                         "xxz_commutator", "xy_commutator"})
 
 METRICS = {
     "sector_correlator": _metric_sector_correlator,
@@ -420,8 +445,8 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleSummary:
 
     Realizations hitting a degenerate spectrum are resampled with a
     substitute index far outside the normal range (recorded in the
-    summary); any other engine error aborts with the realization index
-    attached.
+    summary).  A solver failure aborts as NumericalError with the
+    realization index attached; any other exception propagates unchanged.
     """
     metric = METRICS[config.kind]
     results: dict[int, dict] = {}
@@ -437,8 +462,8 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleSummary:
                     raise
                 attempt = index + SUBSTITUTE_OFFSET * (retry + 1)
                 substituted.append((index, attempt))
-            except Exception as exc:
-                raise type(exc)(f"realization {index}: {exc}") from exc
+            except _NUMERICAL_FAILURES as exc:
+                raise NumericalError(f"realization {index}: {exc}") from exc
     keys = sorted({k for r in results.values() for k in r})
     table = np.full((config.realizations, len(keys)), np.nan)
     for index in range(config.realizations):

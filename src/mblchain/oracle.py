@@ -85,7 +85,10 @@ def embed_site(matrix: np.ndarray, site: int, n: int) -> np.ndarray:
 
 
 def _bond(a: np.ndarray, b: np.ndarray, j: int, n: int) -> np.ndarray:
-    return embed_site(a, j, n) @ embed_site(b, j + 1, n)
+    """a at site j times b at site j + 1: the same matrix as the product
+    of the two embeddings, built in O(4^n) instead of O(8^n)."""
+    return np.kron(np.kron(np.eye(2 ** j), np.kron(a, b)),
+                   np.eye(2 ** (n - j - 2)))
 
 
 @dataclass(frozen=True)

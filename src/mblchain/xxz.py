@@ -90,10 +90,6 @@ def neighbors(x: Config, basis: SectorBasis) -> list[Config]:
     return out
 
 
-def config_l1_distance(x: Config, y: Config) -> int:
-    return int(sum(abs(a - b) for a, b in zip(x, y)))
-
-
 def set_distance(a, b) -> int:
     """d_N(A, B): minimal l1 distance between the two configuration sets."""
     if not a or not b:
@@ -529,10 +525,6 @@ def evolve_window_observable(energies: np.ndarray, mat: np.ndarray,
     return (phases[:, None] * mat) * phases.conj()[None, :]
 
 
-def trace_norm(a: np.ndarray) -> float:
-    return float(np.linalg.svd(a, compute_uv=False).sum())
-
-
 def windowed_commutator_norms(energies, x_mat, y_mat, time_grid):
     """Per-t (operator norm, trace norm) of [tau_t(X_I), Y_I] in the window."""
     out = []
@@ -666,6 +658,3 @@ class QuasiLocalityProbe:
             for ell in ells:
                 out[ell] = max(out[ell], self._error_given_taus(ell, taus))
         return out
-
-    def max_error(self, ell: int, time_grid) -> float:
-        return self.errors_profile([ell], time_grid)[ell]

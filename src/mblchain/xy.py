@@ -156,6 +156,27 @@ def dynamical_kernel(es: EigenSystem, time_grid, j: int, k: int) -> float:
     return float(np.abs(phases @ weights).max())
 
 
+def end_site_commutator_norms(es: EigenSystem, time_grid) -> np.ndarray:
+    """T x L array of ||[tau_t(sX_0), sX_k]|| over grid times t and sites k.
+
+    Closed form for the chain end only: sX_0 = c_0 + c_0* is a single
+    Majorana, so tau_t(sX_0) = sum_m (Re U_0m A_m - Im U_0m B_m) with
+    U = exp(-2 i M t), A_m = c_m + c_m*, B_m = -i (c_m - c_m*).  sX_k is a
+    product of the 2k+1 Majoranas A_0..A_k, B_0..B_{k-1}; it commutes with
+    its own factors and anticommutes with every other Majorana, and a real
+    combination of Majoranas squares to its squared norm, so
+        ||[tau_t(sX_0), sX_k]|| = 2 sqrt((Im U_0k)^2 + sum_{m>k} |U_0m|^2).
+    Interior sites carry a Jordan-Wigner string and have no such form.
+    """
+    t = np.asarray(time_grid, dtype=float)
+    o = es.eigenvectors
+    row = (np.exp(-2j * np.outer(t, es.eigenvalues)) * o[0]) @ o.T  # U_0m(t)
+    mass = np.abs(row) ** 2
+    beyond = np.zeros_like(mass)          # beyond[t, k] = sum_{m>k} |U_0m|^2
+    beyond[:, :-1] = np.cumsum(mass[:, :0:-1], axis=1)[:, ::-1]
+    return 2.0 * np.sqrt(row.imag ** 2 + beyond)
+
+
 @dataclass(frozen=True)
 class OccupationPattern:
     """Bit vector selecting which fermionic modes are occupied."""

@@ -2,8 +2,9 @@ import os
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from mblchain import cli
+from mblchain import cli, experiments
 from mblchain.errors import ConfigurationError
 
 
@@ -37,6 +38,30 @@ def test_config_error_exit(tmp_path):
     code = cli.main(["xxz-bands", "--anisotropy", "0.5",
                      "--out-dir", str(tmp_path)])
     assert code == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("args", [
+    ["lr-lightcone", "--model", "xy", "--chain-length", "6",
+     "--distances", "2,-1"],
+    ["lr-lightcone", "--model", "xy", "--chain-length", "6",
+     "--distances", "2,9"],
+    ["xy-ecorr", "--chain-length", "10", "--distances", "1,20"],
+])
+def test_probed_site_outside_chain_exits_config(tmp_path, capsys, args):
+    assert cli.main(args + ["--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "outside the chain" in err[0]
+    assert not list(tmp_path.iterdir())
+
+
+def test_solver_failure_exits_numerical(tmp_path, monkeypatch):
+    def stalls(config, index):
+        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((3, 0)))
+
+    monkeypatch.setitem(experiments.METRICS, "eigencorrelator", stalls)
+    code = cli.main(["xy-ecorr", "--chain-length", "10", "--distances", "1,2",
+                     "--out-dir", str(tmp_path)])
+    assert code == cli.EXIT_NUMERICAL
 
 
 def test_validate_passes(capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mblchain import oracle, xxz, xy
-from mblchain.disorder import DisorderSpec, SeedPlan, sample_field
+from mblchain.disorder import DisorderSpec, SeedPlan, constant_field, sample_field
 
 PLAN = SeedPlan(31415)
 UNIFORM = DisorderSpec()
@@ -57,6 +57,20 @@ def test_heisenberg_mode_transport():
         evolved = oracle.heisenberg(full, modes[j], t)
         combo = sum(u[j, ell] * modes[ell] for ell in range(n))
         assert np.abs(evolved - combo).max() < 1e-9
+
+
+def test_end_site_commutator_closed_form():
+    n = 8
+    grid = (0.0, 0.3, 1.0, 4.0, 20.0)
+    for w in (constant_field(0.0, n),
+              sample_field(DisorderSpec(coupling=4.0), n, PLAN, 5)):
+        fast = xy.end_site_commutator_norms(xy.diagonalize(xy.build_m(w)), grid)
+        full = oracle.diagonalize_full(oracle.build_full("xy", w))
+        x = oracle.SiteObservable.of_kind("X", 0).embed(n)
+        for k in range(n):
+            y = oracle.SiteObservable.of_kind("X", k).embed(n)
+            slow = [op for op, _ in oracle.commutator_norms(full, x, y, grid)]
+            assert np.abs(fast[:, k] - slow).max() < 1e-10
 
 
 def test_eigenstate_correlation_matrix_entries():

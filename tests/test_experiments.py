@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from mblchain import experiments, xy
 from mblchain.disorder import DisorderSpec, SeedPlan
-from mblchain.errors import ConfigurationError, DegeneracyError
+from mblchain.errors import ConfigurationError, DegeneracyError, NumericalError
 
 
 def _config(**kwargs):
@@ -57,6 +58,43 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         experiments.ExperimentConfig(kind="droplet_localization", half_length=2,
                                      anisotropy=0.5)
+
+
+def test_config_rejects_probed_sites_outside_chain():
+    # chain sites 0..29; probe_site 4
+    for distances in ((1, 26), (-5,), (1, 30)):
+        with pytest.raises(ConfigurationError, match="outside the chain"):
+            _config(distances=distances)
+    with pytest.raises(ConfigurationError):
+        _config(probe_site=30, distances=())
+    with pytest.raises(ConfigurationError):
+        _config(kind="xy_commutator", chain_length=6, probe_site=0,
+                distances=(2, -1))
+    # XXZ chains are indexed over [-L, L]
+    base = dict(kind="xxz_commutator", half_length=4, probe_site=-4)
+    experiments.ExperimentConfig(distances=(1, 8), **base)
+    with pytest.raises(ConfigurationError):
+        experiments.ExperimentConfig(distances=(9,), **base)
+    _config(distances=(-4, 25))  # sites 0 and 29 are in range
+
+
+def test_solver_failure_becomes_numerical_error(monkeypatch):
+    failure = ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((3, 0)))
+
+    def stalls(config, index):
+        raise failure
+
+    monkeypatch.setitem(experiments.METRICS, "eigencorrelator", stalls)
+    with pytest.raises(NumericalError, match="realization 0") as info:
+        experiments.run_ensemble(_config())
+    assert info.value.__cause__ is failure
+
+    def broken(config, index):
+        raise KeyError("not a solver failure")
+
+    monkeypatch.setitem(experiments.METRICS, "eigencorrelator", broken)
+    with pytest.raises(KeyError, match="not a solver failure"):
+        experiments.run_ensemble(_config())
 
 
 def test_run_ensemble_single_realization_matches_direct():

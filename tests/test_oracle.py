@@ -19,6 +19,17 @@ def test_site_observable_embedding_commutes_off_site():
         oracle.SiteObservable.of_kind("nope", 0)
 
 
+def test_bond_matches_embedding_product():
+    for n in (2, 3, 5):
+        for a, b in ((oracle.SIGMA_X, oracle.SIGMA_X),
+                     (oracle.SIGMA_Y, oracle.SIGMA_Y),
+                     (oracle.SIGMA_Z, oracle.SIGMA_Z),
+                     (oracle.LOWER, oracle.RAISE)):
+            for j in range(n - 1):
+                ref = oracle.embed_site(a, j, n) @ oracle.embed_site(b, j + 1, n)
+                assert np.array_equal(oracle._bond(a, b, j, n), ref)
+
+
 def test_single_site_xy():
     w = constant_field(0.7, 1)
     h = oracle.build_full("xy", w)
