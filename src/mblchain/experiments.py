@@ -78,6 +78,13 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"probed sites {outside} (probe_site + distance) outside"
                     f" the chain [{lo}, {hi}]")
+        if self.kind in _CUT_KINDS:
+            outside = [ell for ell in self.block_sizes
+                       if not 1 <= ell <= self.chain_length - 1]
+            if outside:
+                raise ConfigurationError(
+                    f"block sizes {outside} outside 1..{self.chain_length - 1}"
+                    " (chain_length - 1)")
 
     def effective_boundary_weight(self) -> float:
         if self.boundary_weight is not None:
@@ -239,16 +246,19 @@ def _chain(config: ExperimentConfig, index: int) -> xxz.ChainSpectrum:
                              config.effective_boundary_weight(), w)
 
 
+def _distance_means(masses: np.ndarray, distances) -> dict[int, float]:
+    """Per distance d, the mean over site pairs (j, j + d) of the window
+    correlator sum_E ||N_j psi_E|| ||N_{j+d} psi_E||."""
+    q = masses.T @ masses
+    n = q.shape[0]
+    return {d: float(np.mean([q[j, j + d] for j in range(n - d)]))
+            for d in distances}
+
+
 def _metric_droplet_localization(config: ExperimentConfig, index: int):
     chain = _chain(config, index)
-    masses = chain.site_mass_profile(config.window())
-    q = masses.T @ masses
-    n = chain.n_sites
-    out = {}
-    for d in config.distances:
-        pairs = [q[j, j + d] for j in range(n - d)]
-        out[d] = float(np.mean(pairs))
-    return out
+    return _distance_means(chain.site_mass_profile(config.window()),
+                           config.distances)
 
 
 def _metric_quasi_locality(config: ExperimentConfig, index: int):
@@ -277,11 +287,10 @@ def _metric_droplet_profile(config: ExperimentConfig, index: int):
     w = _field(config, index, 2 * config.half_length + 1)
     h = xxz.build_h_sector(config.n_particles, config.half_length,
                            config.anisotropy, config.effective_boundary_weight(), w)
-    geo = xxz.droplet_geometry(h.basis)
     pairs = xxz.eigenpairs_in_window(h, config.window())
     out = {d: 0.0 for d in config.distances}
     for _, psi in pairs:
-        profile = xxz.droplet_profile(psi, geo)
+        profile = xxz.droplet_profile(psi, h.basis.droplet_distance)
         base = profile.get(0, 0.0)
         if base <= 0:
             raise DegeneracyError("window eigenvector without droplet mass")
@@ -295,21 +304,10 @@ def _metric_sector_correlator(config: ExperimentConfig, index: int):
     w = _field(config, index, 2 * config.half_length + 1)
     h = xxz.build_h_sector(config.n_particles, config.half_length,
                            config.anisotropy, config.effective_boundary_weight(), w)
-    window = config.window()
-    L = config.half_length
-    pairs = xxz.eigenpairs_in_window(h, window)
-    sites = list(range(-L, L + 1))
-    masses = np.zeros((len(pairs), len(sites)))
-    for col, site in enumerate(sites):
-        sel = xxz.s_indicator(site, h.basis)
-        for row, (_, psi) in enumerate(pairs):
-            masses[row, col] = np.sqrt((psi[sel] ** 2).sum())
-    q = masses.T @ masses
-    out = {}
-    for d in config.distances:
-        vals = [q[c, c + d] for c in range(len(sites) - d)]
-        out[d] = float(np.mean(vals))
-    return out
+    pairs = xxz.eigenpairs_in_window(h, config.window())
+    masses = xxz.window_site_masses([(h.basis, e, psi) for e, psi in pairs],
+                                    h.basis.n_sites)
+    return _distance_means(masses, config.distances)
 
 
 def ct_sample(config: ExperimentConfig, index: int):
@@ -418,9 +416,13 @@ _XXZ_KINDS = frozenset({
     "droplet_profile", "ct_pass", "sector_correlator",
 })
 
-# kinds reading the site pairs (probe_site, probe_site + d)
+# kinds reading the site pairs (probe_site, probe_site + d); quasi_locality
+# reads the probe site alone
 _PAIR_KINDS = frozenset({"eigencorrelator", "dynamical_kernel",
-                         "xxz_commutator", "xy_commutator"})
+                         "xxz_commutator", "xy_commutator", "quasi_locality"})
+
+# kinds cutting the chain into a block of each size and its complement
+_CUT_KINDS = frozenset({"entropy_sup", "quench_entropy"})
 
 METRICS = {
     "sector_correlator": _metric_sector_correlator,

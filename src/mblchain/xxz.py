@@ -16,14 +16,23 @@ nonnegative, so min spec H_N^L >= 1 - 1/Delta for N >= 1.
 Everything here is validated entrywise against the N-magnon block of the
 brute-force 2^n spin Hamiltonian in the test suite; that comparison pins
 down all boundary and degree conventions.
+
+Only V_w depends on the field.  Everything else is the sector skeleton
+returned by ``enumerate_basis(N, L)``: the configurations, their integer
+bitmasks (site s is bit s + L), the hop pairs, graph and cluster degrees,
+wall touches, the l1 distance to the droplets and the dim x sites
+occupancy matrix.  It is built once per (N, L) and cached (the 32 most
+recently used sectors of a process), so every caller shares its arrays
+and they are read-only.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
-from math import acosh, comb, sinh, tanh, cosh
+from math import acosh, sinh, tanh, cosh
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,35 +48,91 @@ _GAP_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# configuration space
+# configuration space: the sector skeleton
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectorBasis:
-    """Lexicographically ordered N-particle configurations on [-L, L]."""
+    """Lexicographically ordered N-particle configurations on [-L, L] and
+    their field-independent structure, one row per configuration."""
 
     n_particles: int
     half_length: int
     configs: tuple[Config, ...]
     index: dict[Config, int] = field(repr=False)
+    positions: np.ndarray = field(repr=False)         # occupied sites s + L
+    masks: np.ndarray = field(repr=False)             # sum of 2^(s + L)
+    occupancy: np.ndarray = field(repr=False)         # dim x sites, bool
+    hops: np.ndarray = field(repr=False)              # pairs (i, j), i < j
+    graph_degree: np.ndarray = field(repr=False)
+    cluster_degree: np.ndarray = field(repr=False)    # 2 x number of runs
+    wall_touches: np.ndarray = field(repr=False)
+    droplet_distance: np.ndarray = field(repr=False)  # 0 on droplets
+    mask_order: np.ndarray = field(repr=False)        # argsort of masks
 
     @property
     def dim(self) -> int:
         return len(self.configs)
 
     @property
+    def n_sites(self) -> int:
+        return 2 * self.half_length + 1
+
+    @property
     def sites(self) -> range:
         return range(-self.half_length, self.half_length + 1)
 
+    def locate(self, masks) -> np.ndarray:
+        """Indices of the configurations with the given bitmasks."""
+        at = np.searchsorted(self.masks, masks, sorter=self.mask_order)
+        found = self.mask_order[at % self.dim]
+        if np.any(self.masks[found] != masks):
+            raise KeyError("bitmask outside the sector")
+        return found
 
+
+@lru_cache(maxsize=32)
 def enumerate_basis(n_particles: int, half_length: int) -> SectorBasis:
     L = half_length
-    if not 1 <= n_particles <= 2 * L + 1:
+    n_sites = 2 * L + 1
+    if not 1 <= n_particles <= n_sites:
         raise ConfigurationError(
             f"particle number {n_particles} out of range for [-{L}, {L}]")
     configs = tuple(combinations(range(-L, L + 1), n_particles))
-    index = {x: i for i, x in enumerate(configs)}
-    return SectorBasis(n_particles, L, configs, index)
+    dim = len(configs)
+    pos = np.array(configs, dtype=np.int64).reshape(dim, n_particles) + L
+    rows = np.arange(dim)[:, None]
+    occupancy = np.zeros((dim, n_sites), dtype=bool)
+    occupancy[rows, pos] = True
+    # Python ints once the chain outgrows int64
+    bits = np.array([1 << p for p in range(n_sites)],
+                    dtype=np.int64 if n_sites < 63 else object)
+    masks = bits[pos].sum(axis=1)
+    order = np.argsort(masks)
+    # every hop pair once, as a particle stepping right onto a free site:
+    # p -> p + 1 adds 2^p to the mask and gives a lexicographically later
+    # configuration
+    free = (pos + 1 < n_sites) & ~occupancy[rows, np.minimum(pos + 1, n_sites - 1)]
+    src, slot = np.nonzero(free)
+    moved = masks[src] + bits[pos[src, slot]]
+    hops = np.stack([src, order[np.searchsorted(masks, moved, sorter=order)]], axis=1)
+    # x_i - i is nondecreasing and constant exactly on droplets; its median
+    # is the start of the nearest droplet
+    shifted = pos - np.arange(n_particles)
+    arrays = dict(
+        positions=pos, masks=masks, occupancy=occupancy, hops=hops,
+        graph_degree=np.bincount(hops.ravel(), minlength=dim),
+        cluster_degree=2 * (1 + (np.diff(pos, axis=1) > 1).sum(axis=1)),
+        wall_touches=(pos[:, 0] == 0).astype(np.int64) + (pos[:, -1] == n_sites - 1),
+        droplet_distance=np.abs(
+            shifted - shifted[:, [(n_particles - 1) // 2]]).sum(axis=1),
+        mask_order=order)
+    for a in arrays.values():
+        a.flags.writeable = False
+    return SectorBasis(n_particles, L, configs,
+                       {x: i for i, x in enumerate(configs)}, **arrays)
 
+
+# naive per-configuration definitions, kept as references for the skeleton
 
 def component_degree(x: Config) -> int:
     """Twice the number of maximal runs of consecutive sites (box independent)."""
@@ -119,29 +184,6 @@ def set_distance_bfs(a, b, basis: SectorBasis) -> int:
     raise ValueError("configuration graph is connected; sets must be in basis")
 
 
-@dataclass(frozen=True)
-class DropletGeometry:
-    """Droplet configurations and the per-config l1 distance to them."""
-
-    droplet_indices: np.ndarray
-    distance: np.ndarray
-
-
-def droplet_geometry(basis: SectorBasis) -> DropletGeometry:
-    n = basis.n_particles
-    droplet_idx = []
-    dist = np.empty(basis.dim, dtype=np.int64)
-    for i, x in enumerate(basis.configs):
-        # nearest droplet (a, a+1, ..., a+N-1): minimize sum |x_i - i - a|
-        c = np.array(x) - np.arange(n)
-        a = int(np.median(c))
-        d = int(np.abs(c - a).sum())
-        dist[i] = d
-        if d == 0:
-            droplet_idx.append(i)
-    return DropletGeometry(np.array(droplet_idx), dist)
-
-
 # ---------------------------------------------------------------------------
 # sector Hamiltonian
 
@@ -182,27 +224,14 @@ def build_h_sector(n_particles: int, half_length: int, anisotropy: float,
         raise ConfigurationError("XXZ requires a nonnegative field")
 
     basis = enumerate_basis(n_particles, L)
-    hop = -1.0 / (2.0 * anisotropy)
     cluster_weight = 0.5 * (1.0 - 1.0 / anisotropy)
-    wall_weight = boundary_weight - cluster_weight
-
-    rows, cols, vals = [], [], []
-    diag = np.empty(basis.dim)
-    for i, x in enumerate(basis.configs):
-        nbrs = neighbors(x, basis)
-        for y in nbrs:
-            j = basis.index[y]
-            if j > i:
-                rows.append(i)
-                cols.append(j)
-                vals.append(hop)
-        graph_degree = len(nbrs)
-        touches = int(x[0] == -L) + int(x[-1] == L)
-        diag[i] = (graph_degree / (2.0 * anisotropy)
-                   + cluster_weight * component_degree(x)
-                   + w[np.array(x) + L].sum()
-                   + wall_weight * touches)
-    upper = sp.coo_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
+    diag = (basis.graph_degree / (2.0 * anisotropy)
+            + cluster_weight * basis.cluster_degree
+            + w[basis.positions].sum(axis=1)
+            + (boundary_weight - cluster_weight) * basis.wall_touches)
+    hop = np.full(len(basis.hops), -1.0 / (2.0 * anisotropy))
+    upper = sp.coo_matrix((hop, (basis.hops[:, 0], basis.hops[:, 1])),
+                          shape=(basis.dim, basis.dim))
     matrix = (upper + upper.T + sp.diags(diag)).tocsr()
     return SectorHamiltonian(basis, anisotropy, boundary_weight,
                              field_realization, matrix)
@@ -270,7 +299,9 @@ def eigenpairs_in_window(h: SectorHamiltonian, window: EnergyWindow):
     """All (energy, eigenvector) pairs with energy in the window.
 
     Dense below DENSE_DIAG_CAP, shift-invert Lanczos around the window
-    center above it.
+    center above it.  The k eigenvalues nearest the center cover the window
+    only if the farthest of them lies at least half its width away; a
+    window they do not cover raises NumericalError.
     """
     if h.dim <= DENSE_DIAG_CAP:
         vals, vecs = _dense_eigh(h.dense())
@@ -281,6 +312,11 @@ def eigenpairs_in_window(h: SectorHamiltonian, window: EnergyWindow):
             vals, vecs = spla.eigsh(h.matrix, k=k, sigma=sigma)
         except spla.ArpackNoConvergence as exc:
             raise NumericalError(f"windowed eigensolver failed: {exc}")
+        reach = np.abs(vals - sigma).max()
+        if k < h.dim and reach < 0.5 * (window.upper - window.lower):
+            raise NumericalError(
+                f"{k} eigenpairs reach {reach:.3g} from the window center,"
+                f" less than its half-width")
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
     keep = window.contains(vals)
@@ -292,24 +328,16 @@ def eigenpairs_in_window(h: SectorHamiltonian, window: EnergyWindow):
     return [(float(e), vecs[:, i]) for i, e in enumerate(vals)]
 
 
-def droplet_profile(psi: np.ndarray, geo: DropletGeometry) -> dict[int, float]:
-    """Mass ||chi_{d=r} psi|| of the eigenvector at each droplet distance r."""
+def droplet_profile(psi: np.ndarray, distance: np.ndarray) -> dict[int, float]:
+    """Mass ||chi_{d=r} psi|| of the eigenvector at each droplet distance r,
+    with ``distance`` a basis's ``droplet_distance``."""
     psi = np.asarray(psi)
     out = {}
-    for r in range(int(geo.distance.max()) + 1):
-        sel = geo.distance == r
+    for r in range(int(distance.max()) + 1):
+        sel = distance == r
         if sel.any():
             out[r] = float(np.sqrt((np.abs(psi[sel]) ** 2).sum()))
     return out
-
-
-def s_indicator(site: int, basis: SectorBasis) -> np.ndarray:
-    """Indices of configurations occupying the given site (the support of
-    the number operator restricted to the sector)."""
-    if not -basis.half_length <= site <= basis.half_length:
-        raise IndexError(f"site {site} outside [-{basis.half_length}, {basis.half_length}]")
-    return np.array([i for i, x in enumerate(basis.configs) if site in x],
-                    dtype=np.int64)
 
 
 def _window_gap_check(energies: np.ndarray):
@@ -320,22 +348,21 @@ def _window_gap_check(energies: np.ndarray):
                 f"window spectrum has gap {gap:.2e} <= {_GAP_TOL}")
 
 
-def sector_correlator(h: SectorHamiltonian, window: EnergyWindow,
-                      j: int, k: int) -> float:
-    """Q_N(j, k; window) = sum over window eigenpairs of
-    ||chi_{S_j} psi|| * ||chi_{S_k} psi|| (trace-norm form, simple spectrum)."""
-    pairs = eigenpairs_in_window(h, window)
-    if not pairs:
-        return 0.0
-    _window_gap_check(np.array([e for e, _ in pairs]))
-    sj = s_indicator(j, h.basis)
-    sk = s_indicator(k, h.basis)
-    total = 0.0
-    for _, psi in pairs:
-        mj = np.sqrt((psi[sj] ** 2).sum())
-        mk = np.sqrt((psi[sk] ** 2).sum())
-        total += mj * mk
-    return float(total)
+def window_site_masses(states, n_sites: int) -> np.ndarray:
+    """Masses ||N_j psi|| = sqrt(psi^2 @ occupancy) of the window states
+    (basis, energy, psi), one row per state.  A degenerate window raises
+    DegeneracyError: its per-state masses depend on the eigenbasis."""
+    _window_gap_check(np.array([e for _, e, _ in states]))
+    masses = np.zeros((len(states), n_sites))
+    for row, (basis, _, psi) in enumerate(states):
+        masses[row] = np.sqrt(psi ** 2 @ basis.occupancy)
+    return masses
+
+
+def _check_site(site: int, half_length: int):
+    if not -half_length <= site <= half_length:
+        raise ConfigurationError(
+            f"site {site} outside the chain [-{half_length}, {half_length}]")
 
 
 def ct_check(h: SectorHamiltonian, energy: float, safety: float,
@@ -356,9 +383,7 @@ def ct_check(h: SectorHamiltonian, energy: float, safety: float,
     basis = h.basis
     idx_a = np.array(sorted(basis.index[x] for x in set_a))
     idx_b = np.array(sorted(basis.index[x] for x in set_b))
-    geo = droplet_geometry(basis)
-    shift = np.zeros(h.dim)
-    shift[geo.droplet_indices] = gap
+    shift = np.where(basis.droplet_distance == 0, gap, 0.0)
     op = (h.matrix + sp.diags(shift) - energy * sp.identity(h.dim)).tocsc()
     rhs = np.zeros((h.dim, idx_b.size))
     rhs[idx_b, np.arange(idx_b.size)] = 1.0
@@ -426,26 +451,12 @@ class ChainSpectrum:
         return out
 
     def site_mass_profile(self, window: EnergyWindow) -> np.ndarray:
-        """Per-state, per-site masses ||N_j psi_E|| for window eigenstates.
-
-        Returns an array of shape (n_states, n_sites); summing the outer
-        products over states yields the droplet-localization correlator
-        sum_E ||N_j psi_E|| ||N_k psi_E|| for all site pairs at once.
-        """
+        """Per-state, per-site masses ||N_j psi_E|| for window eigenstates,
+        an array of shape (n_states, n_sites) (see window_site_masses)."""
         states = self.window_states(window, include_vacuum=False)
-        _window_gap_check(np.array([e for _, e, _ in states]))
-        masses = np.zeros((len(states), self.n_sites))
-        occupancy = {}
-        for row, (n, _, psi) in enumerate(states):
-            basis = self.sectors[n].basis
-            if n not in occupancy:
-                occ = np.zeros((basis.dim, self.n_sites), dtype=bool)
-                for i, x in enumerate(basis.configs):
-                    occ[i, np.array(x) + self.half_length] = True
-                occupancy[n] = occ
-            weights = psi ** 2
-            masses[row] = np.sqrt(weights @ occupancy[n])
-        return masses
+        return window_site_masses(
+            [(self.sectors[n].basis, e, psi) for n, e, psi in states],
+            self.n_sites)
 
     def chain_correlator(self, window: EnergyWindow, j: int, k: int) -> float:
         """sum over window eigenstates of ||N_j psi_E|| ||N_k psi_E||,
@@ -457,52 +468,43 @@ class ChainSpectrum:
 
     # -- windowed observables -------------------------------------------------
 
+    def _window_blocks(self, window: EnergyWindow):
+        """Window energies and, per sector, the indices of its window states
+        and their eigenvectors as columns (the vacuum is sector 0)."""
+        states = self.window_states(window)
+        rows = defaultdict(list)
+        for idx, (n, _, _) in enumerate(states):
+            rows[n].append(idx)
+        return np.array([e for _, e, _ in states]), {
+            n: (r, np.stack([states[i][2] for i in r], axis=1))
+            for n, r in rows.items()}
+
     def window_number_operator(self, window: EnergyWindow, site: int):
         """(energies, Psi* N_site Psi) over the window eigenbasis."""
-        states = self.window_states(window)
-        energies = np.array([e for _, e, _ in states])
-        w = len(states)
-        mat = np.zeros((w, w))
-        by_sector = defaultdict(list)
-        for idx, (n, _, _) in enumerate(states):
-            by_sector[n].append(idx)
-        for n, rows in by_sector.items():
-            if n == 0:
-                continue
-            sel = s_indicator(site, self.sectors[n].basis)
-            vecs = np.stack([states[i][2] for i in rows], axis=1)
-            mat[np.ix_(rows, rows)] = vecs[sel].T @ vecs[sel]
+        _check_site(site, self.half_length)
+        energies, blocks = self._window_blocks(window)
+        mat = np.zeros((energies.size, energies.size))
+        for n, (rows, vecs) in blocks.items():
+            if n:
+                sel = self.sectors[n].basis.occupancy[:, site + self.half_length]
+                mat[np.ix_(rows, rows)] = vecs[sel].T @ vecs[sel]
         return energies, mat
 
     def window_raising_operator(self, window: EnergyWindow, site: int):
         """Psi* a_site^dagger Psi in the window eigenbasis (adds one particle
         at the site; couples adjacent sectors, vacuum included)."""
-        states = self.window_states(window)
-        energies = np.array([e for _, e, _ in states])
-        w = len(states)
-        mat = np.zeros((w, w))
-        by_sector = defaultdict(list)
-        for idx, (n, _, _) in enumerate(states):
-            by_sector[n].append(idx)
-        for n_src, src_rows in by_sector.items():
-            n_dst = n_src + 1
-            if n_dst not in by_sector:
+        _check_site(site, self.half_length)
+        bit = 1 << (site + self.half_length)
+        energies, blocks = self._window_blocks(window)
+        mat = np.zeros((energies.size, energies.size))
+        for n, (src_rows, src_vecs) in blocks.items():
+            if n + 1 not in blocks:
                 continue
-            dst_rows = by_sector[n_dst]
-            dst_basis = self.sectors[n_dst].basis
-            if n_src == 0:
-                src_vecs = np.ones((1, len(src_rows)))
-                src_configs = [()]
-            else:
-                src_basis = self.sectors[n_src].basis
-                src_vecs = np.stack([states[i][2] for i in src_rows], axis=1)
-                src_configs = src_basis.configs
-            dst_vecs = np.stack([states[i][2] for i in dst_rows], axis=1)
-            lifted = np.zeros((dst_basis.dim, len(src_rows)))
-            for i, x in enumerate(src_configs):
-                if site not in x:
-                    y = tuple(sorted(x + (site,)))
-                    lifted[dst_basis.index[y]] = src_vecs[i]
+            dst_rows, dst_vecs = blocks[n + 1]
+            src = self.sectors[n].basis.masks if n else np.zeros(1, dtype=np.int64)
+            free = (src & bit) == 0
+            lifted = np.zeros((len(dst_vecs), len(src_rows)))
+            lifted[self.sectors[n + 1].basis.locate(src[free] | bit)] = src_vecs[free]
             mat[np.ix_(dst_rows, src_rows)] = dst_vecs.T @ lifted
         return energies, mat
 
@@ -549,60 +551,52 @@ class QuasiLocalityProbe:
     """
 
     def __init__(self, chain: ChainSpectrum, site: int, window: EnergyWindow):
+        _check_site(site, chain.half_length)
         self.chain = chain
         self.site = site
         self.window = window
-        self.states = chain.window_states(window)
-        self._by_sector = defaultdict(list)
-        for idx, (n, _, _) in enumerate(self.states):
-            self._by_sector[n].append(idx)
-        self.energies = np.array([e for _, e, _ in self.states])
-        # number operator in each sector's config basis (diagonal indicator)
-        self._indicator = {0: np.zeros(1)}
-        for n, s in chain.sectors.items():
-            ind = np.zeros(s.basis.dim)
-            ind[s_indicator(site, s.basis)] = 1.0
-            self._indicator[n] = ind
+        self.energies, self._blocks = chain._window_blocks(window)
+        self._tables = {}
 
-    def _tau_t_sector(self, n: int, t: float) -> np.ndarray:
-        if n == 0:
-            return np.zeros((1, 1), dtype=complex)
-        s = self.chain.sectors[n]
-        xt = (s.vectors * self._indicator[n][:, None]).T @ s.vectors  # V^T X V
-        phases = np.exp(1j * s.energies * t)
-        g = (phases[:, None] * xt) * phases.conj()[None, :]
-        return s.vectors @ g @ s.vectors.conj().T
+    def _taus(self, t: float) -> dict[int, np.ndarray]:
+        """tau_t(X) in each sector's configuration basis."""
+        col = self.site + self.chain.half_length
+        out = {}
+        for n, s in self.chain.sectors.items():
+            # V^T X V, X = N_site diagonal on the configurations
+            xt = (s.vectors * s.basis.occupancy[:, col, None]).T @ s.vectors
+            phases = np.exp(1j * s.energies * t)
+            g = (phases[:, None] * xt) * phases.conj()[None, :]
+            out[n] = s.vectors @ g @ s.vectors.conj().T
+        return out
 
-    def _split_tables(self, ell: int):
-        """Per sector: integer labels of the inner-site pattern of each
-        configuration and the index groups sharing an outer pattern."""
-        chain = self.chain
-        L = chain.half_length
-        inner = sorted(range(max(-L, self.site - ell),
-                             min(L, self.site + ell) + 1))
-        inner_pos = {s: p for p, s in enumerate(inner)}
-        inner_set = set(inner)
-        tables = {}
-        for n, s in chain.sectors.items():
-            a_id = np.empty(s.basis.dim, dtype=np.int64)
-            groups = defaultdict(list)
-            for i, x in enumerate(s.basis.configs):
-                code = 0
-                outer = []
-                for site in x:
-                    p = inner_pos.get(site)
-                    if p is None:
-                        outer.append(site)
-                    else:
-                        code |= 1 << p
-                a_id[i] = code
-                groups[tuple(outer)].append(i)
-            tables[n] = (a_id, [np.array(g) for g in groups.values()])
-        return len(inner), tables
+    def _trace_tables(self, ell: int):
+        """Number of inner sites of S and, per sector, its configurations
+        split by inner weight.  Each class is the product of the outer and
+        the inner patterns of fixed weights, so it is listed as its
+        configurations ordered by (outer, inner) pattern together with its
+        sorted inner patterns (bits of the inner sites).  Built once per
+        radius."""
+        if ell not in self._tables:
+            L = self.chain.half_length
+            lo = max(-L, self.site - ell) + L
+            n_inner = min(L, self.site + ell) + L + 1 - lo
+            inner = (1 << n_inner) - 1
+            tables = {}
+            for n, s in self.chain.sectors.items():
+                a_id = (s.basis.masks >> lo) & inner
+                order = np.lexsort((a_id, s.basis.masks & ~(inner << lo)))
+                weight = s.basis.occupancy[order, lo:lo + n_inner].sum(axis=1)
+                tables[n] = []
+                for k in np.unique(weight):
+                    members = order[weight == k]
+                    tables[n].append((members, np.unique(a_id[members])))
+            self._tables[ell] = n_inner, tables
+        return self._tables[ell]
 
     def _error_given_taus(self, ell: int, taus: dict[int, np.ndarray]) -> float:
         chain = self.chain
-        n_inner, tables = self._split_tables(ell)
+        n_inner, tables = self._trace_tables(ell)
         if n_inner == chain.n_sites:
             return 0.0
         n_outer = chain.n_sites - n_inner
@@ -612,31 +606,29 @@ class QuasiLocalityProbe:
         # indexed by bit patterns of the inner sites
         dim_a = 1 << n_inner
         m_a = np.zeros((dim_a, dim_a), dtype=complex)
-        for n in chain.sectors:
-            tau = taus[n]
-            a_id, groups = tables[n]
-            for g in groups:
-                np.add.at(m_a, (a_id[g][:, None], a_id[g][None, :]),
-                          tau[np.ix_(g, g)])
+        for n, classes in tables.items():
+            for members, patterns in classes:
+                na = patterns.size
+                no = members.size // na
+                t4 = taus[n][np.ix_(members, members)].reshape(no, na, no, na)
+                m_a[np.ix_(patterns, patterns)] += np.trace(t4, axis1=0, axis2=2)
         m_a /= 2.0 ** n_outer
 
         # window matrices of the approximant and of tau_t(X)
-        w = len(self.states)
+        w = self.energies.size
         approx = np.zeros((w, w), dtype=complex)
         exact = np.zeros((w, w), dtype=complex)
-        for n, rows in sorted(self._by_sector.items()):
+        for n, (rows, vecs) in self._blocks.items():
             if n == 0:
                 # vacuum: the approximant keeps the traced diagonal element
                 # at the empty pattern; tau_t(X) annihilates the vacuum
                 vac = rows[0]
                 approx[vac, vac] = m_a[0, 0]
                 continue
-            vecs = np.stack([self.states[i][2] for i in rows], axis=1)
-            a_id, groups = tables[n]
-            dim = a_id.size
-            block = np.zeros((dim, dim), dtype=complex)
-            for g in groups:
-                block[np.ix_(g, g)] = m_a[np.ix_(a_id[g], a_id[g])]
+            block = np.zeros((len(vecs), len(vecs)), dtype=complex)
+            for members, patterns in tables[n]:
+                block[np.ix_(members, members)] = np.kron(
+                    np.eye(members.size // patterns.size), m_a[np.ix_(patterns, patterns)])
             approx[np.ix_(rows, rows)] = vecs.T @ block @ vecs
             exact[np.ix_(rows, rows)] = vecs.T @ taus[n] @ vecs
         diff = approx - exact
@@ -644,17 +636,14 @@ class QuasiLocalityProbe:
 
     def error_at(self, ell: int, t: float) -> float:
         """Operator norm of (X_ell(t) - tau_t(X)) restricted to the window."""
-        taus = {n: self._tau_t_sector(n, t) for n in self.chain.sectors}
-        taus[0] = self._tau_t_sector(0, t)
-        return self._error_given_taus(ell, taus)
+        return self._error_given_taus(ell, self._taus(t))
 
     def errors_profile(self, ells, time_grid) -> dict[int, float]:
         """Per truncation radius, the max over the time grid of the windowed
         error; the evolved operators are shared across radii."""
         out = {ell: 0.0 for ell in ells}
         for t in np.asarray(time_grid, dtype=float):
-            taus = {n: self._tau_t_sector(n, t) for n in self.chain.sectors}
-            taus[0] = self._tau_t_sector(0, t)
+            taus = self._taus(t)
             for ell in ells:
                 out[ell] = max(out[ell], self._error_given_taus(ell, taus))
         return out

@@ -54,6 +54,21 @@ def test_probed_site_outside_chain_exits_config(tmp_path, capsys, args):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args, message", [
+    (["xy-entropy", "--chain-length", "10", "--block-sizes", "20"],
+     "block sizes [20] outside"),
+    (["xy-quench", "--chain-length", "10", "--block-sizes", "0,4"],
+     "block sizes [0] outside"),
+    (["quasi-locality", "--half-length", "3", "--probe-site", "9"],
+     "outside the chain"),
+])
+def test_range_errors_exit_config(tmp_path, capsys, args, message):
+    assert cli.main(args + ["--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and message in err[0]
+    assert not list(tmp_path.iterdir())
+
+
 def test_solver_failure_exits_numerical(tmp_path, monkeypatch):
     def stalls(config, index):
         raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((3, 0)))

@@ -241,6 +241,38 @@ def test_chain_correlator_matches_oracle_masses():
             assert abs(got - expect[j + L, k + L]) < 1e-8
 
 
+def test_sector_correlator_metric_matches_oracle():
+    from mblchain import experiments as ex
+    # weak field, so the two-magnon droplet states fall in the window
+    delta, n_part, weak = 6.0, 2, DisorderSpec(coupling=0.2)
+    for L in (2, 3):
+        config = ex.ExperimentConfig(kind="sector_correlator", half_length=L,
+                                     n_particles=n_part, anisotropy=delta,
+                                     distances=tuple(range(2 * L + 1)),
+                                     disorder=weak, seeds=PLAN, safety=0.5)
+        fast = ex.METRICS["sector_correlator"](config, 16 + L)
+        n = 2 * L + 1
+        w = sample_field(weak, n, PLAN, 16 + L)
+        window = config.window()
+        full = oracle.diagonalize_full(oracle.build_full(
+            "xxz", w, anisotropy=delta,
+            boundary_weight=config.effective_boundary_weight()))
+        numbers = oracle.eigenstate_particle_numbers(full, n)
+        sel = ((full.energies >= window.lower) & (full.energies <= window.upper)
+               & (numbers == n_part))
+        assert sel.sum() >= 2
+        number_ops = [oracle.SiteObservable.of_kind("N", j).embed(n)
+                      for j in range(n)]
+        q = np.zeros((n, n))
+        for col in np.flatnonzero(sel):
+            psi = full.vectors[:, col]
+            m = np.array([np.linalg.norm(op @ psi) for op in number_ops])
+            q += np.outer(m, m)
+        for d in config.distances:
+            slow = np.mean([q[j, j + d] for j in range(n - d)])
+            assert abs(fast[d] - slow) < 1e-8
+
+
 def test_windowed_commutator_matches_oracle():
     L, delta, beta = 2, 6.0, 0.5
     w = sample_field(UNIFORM, 2 * L + 1, PLAN, 14)

@@ -4,7 +4,7 @@ from math import comb
 
 from mblchain import xxz
 from mblchain.disorder import DisorderSpec, SeedPlan, constant_field, sample_field
-from mblchain.errors import ConfigurationError, DegeneracyError
+from mblchain.errors import ConfigurationError, DegeneracyError, NumericalError
 
 PLAN = SeedPlan(16180)
 UNIFORM = DisorderSpec()
@@ -37,14 +37,53 @@ def test_neighbors_hard_core_and_walls():
 
 def test_droplet_geometry_distances():
     basis = xxz.enumerate_basis(3, 3)
-    geo = xxz.droplet_geometry(basis)
-    for idx in geo.droplet_indices:
+    for idx in np.flatnonzero(basis.droplet_distance == 0):
         x = basis.configs[idx]
         assert all(b - a == 1 for a, b in zip(x, x[1:]))
     i = basis.index[(-3, 0, 3)]
     # nearest droplet around the middle particle: (-1, 0, 1)
-    assert geo.distance[i] == 4
-    assert geo.distance[basis.index[(-1, 0, 1)]] == 0
+    assert basis.droplet_distance[i] == 4
+    assert basis.droplet_distance[basis.index[(-1, 0, 1)]] == 0
+
+
+@pytest.mark.parametrize("n_particles, half_length",
+                         [(1, 1), (2, 3), (3, 3), (4, 2), (5, 2)])
+def test_sector_skeleton_matches_naive_definitions(n_particles, half_length):
+    basis = xxz.enumerate_basis(n_particles, half_length)
+    L = half_length
+    edges = {(i, basis.index[y]) for i, x in enumerate(basis.configs)
+             for y in xxz.neighbors(x, basis) if basis.index[y] > i}
+    assert {tuple(p) for p in basis.hops.tolist()} == edges
+    assert len(basis.hops) == len(edges)
+    droplets = [x for x in basis.configs if x[-1] - x[0] == n_particles - 1]
+    for i, x in enumerate(basis.configs):
+        assert basis.graph_degree[i] == len(xxz.neighbors(x, basis))
+        assert basis.cluster_degree[i] == xxz.component_degree(x)
+        assert basis.wall_touches[i] == (x[0] == -L) + (x[-1] == L)
+        assert basis.droplet_distance[i] == xxz.set_distance([x], droplets)
+        assert basis.occupancy[i].tolist() == [s in x for s in basis.sites]
+        assert basis.masks[i] == sum(1 << (s + L) for s in x)
+    assert basis.locate(basis.masks).tolist() == list(range(basis.dim))
+    # the last case fills the chain: one configuration, no hops
+    if n_particles == 2 * L + 1:
+        assert basis.dim == 1 and len(basis.hops) == 0
+    arrays = (basis.positions, basis.masks, basis.occupancy, basis.hops,
+              basis.graph_degree, basis.cluster_degree, basis.wall_touches,
+              basis.droplet_distance)
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        basis.occupancy[0, 0] = True
+    assert xxz.enumerate_basis(n_particles, half_length) is basis
+
+
+def test_skeleton_masks_beyond_int64():
+    # 81 sites: bitmasks are Python ints and lookups still work
+    basis = xxz.enumerate_basis(2, 40)
+    x = (-40, 40)
+    assert basis.masks[basis.index[x]] == 1 + (1 << 80)
+    assert basis.locate([1 + (1 << 80)]).tolist() == [basis.index[x]]
+    with pytest.raises(KeyError):
+        basis.locate([1])
 
 
 def test_set_distances_agree():
@@ -168,10 +207,9 @@ def test_droplet_profile_mass_conservation():
     delta = 3.0
     w = sample_field(UNIFORM, 13, PLAN, 3)
     h = xxz.build_h_sector(3, 6, delta, xxz.min_boundary_weight(delta), w)
-    geo = xxz.droplet_geometry(h.basis)
     pairs = xxz.eigenpairs_in_window(h, xxz.spectral_window(delta, kind="I"))
     for _, psi in pairs:
-        profile = xxz.droplet_profile(psi, geo)
+        profile = xxz.droplet_profile(psi, h.basis.droplet_distance)
         total = sum(v ** 2 for v in profile.values())
         assert abs(total - 1.0) < 1e-9
 
@@ -193,6 +231,15 @@ def test_ct_check_bound_holds_and_closed_form():
         xxz.ct_check(h, 0.9, safety, a, b)  # energy above the window
 
 
+def _sector_correlator(h, window, j, k):
+    """Q_N(j, k; window) from the window site masses of one sector."""
+    pairs = xxz.eigenpairs_in_window(h, window)
+    masses = xxz.window_site_masses([(h.basis, e, psi) for e, psi in pairs],
+                                    h.basis.n_sites)
+    L = h.basis.half_length
+    return float(masses[:, j + L] @ masses[:, k + L])
+
+
 def test_sector_correlator_degeneracy_guard():
     import scipy.sparse as sp
     # a fabricated sector operator with an exactly repeated window level
@@ -203,7 +250,7 @@ def test_sector_correlator_degeneracy_guard():
         basis, delta, 0.25, w, sp.csr_matrix(np.diag([0.6, 0.6, 2.0])))
     window = xxz.spectral_window(delta, kind="I")
     with pytest.raises(DegeneracyError):
-        xxz.sector_correlator(degenerate, window, 0, 1)
+        _sector_correlator(degenerate, window, 0, 1)
 
 
 def test_sector_correlator_disordered():
@@ -211,9 +258,28 @@ def test_sector_correlator_disordered():
     w = sample_field(UNIFORM, 11, PLAN, 5)
     h = xxz.build_h_sector(2, 5, delta, xxz.min_boundary_weight(delta), w)
     window = xxz.spectral_window(delta, 0.5)
-    q00 = xxz.sector_correlator(h, window, 0, 0)
-    q04 = xxz.sector_correlator(h, window, 0, 4)
+    q00 = _sector_correlator(h, window, 0, 0)
+    q04 = _sector_correlator(h, window, 0, 4)
     assert q00 >= q04 >= 0.0
+
+
+def test_windowed_eigenpairs_above_dense_cap(monkeypatch):
+    # force shift-invert Lanczos at dim 465 (k = 400 eigenpairs)
+    delta = 3.0
+    w = sample_field(UNIFORM, 31, PLAN, 8)
+    h = xxz.build_h_sector(2, 15, delta, xxz.min_boundary_weight(delta), w)
+    narrow = xxz.EnergyWindow(1.0, 1.4)
+    dense = xxz.eigenpairs_in_window(h, narrow)
+    monkeypatch.setattr(xxz, "DENSE_DIAG_CAP", 100)
+    sparse = xxz.eigenpairs_in_window(h, narrow)
+    assert dense and len(sparse) == len(dense)
+    for (e_d, psi_d), (e_s, psi_s) in zip(dense, sparse):
+        assert abs(e_d - e_s) < 1e-10
+        assert abs(abs(psi_d @ psi_s) - 1.0) < 1e-8
+    # the 400 eigenvalues nearest the centre cannot cover a window holding
+    # all 465
+    with pytest.raises(NumericalError):
+        xxz.eigenpairs_in_window(h, xxz.EnergyWindow(0.0, 100.0))
 
 
 def test_chain_spectrum_window_states_and_vacuum():
@@ -241,3 +307,18 @@ def test_window_number_operator_projection_identity():
     # evolution at t=0 is the identity
     frozen = xxz.evolve_window_observable(energies, mat, 0.0)
     assert np.abs(frozen - mat).max() < 1e-14
+
+
+def test_window_observables_reject_sites_outside_chain():
+    delta = 6.0
+    w = sample_field(UNIFORM, 5, PLAN, 7)
+    chain = xxz.ChainSpectrum(2, delta, xxz.min_boundary_weight(delta), w)
+    window = xxz.spectral_window(delta, 0.5)
+    for site in (-3, 3):
+        with pytest.raises(ConfigurationError):
+            chain.window_number_operator(window, site)
+        for kind in ("number", "sigma_x"):
+            with pytest.raises(ConfigurationError):
+                chain.window_observable(window, kind, site)
+        with pytest.raises(ConfigurationError):
+            xxz.QuasiLocalityProbe(chain, site, window)
