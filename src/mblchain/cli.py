@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import experiments, oracle, xxz, xy
-from .disorder import DisorderSpec, SeedPlan, constant_field, sample_field
+from .disorder import DisorderSpec, SeedPlan, sample_field
 from .errors import ConfigurationError, DegeneracyError, NumericalError
 
 EXIT_OK = 0
@@ -255,11 +255,7 @@ def cmd_xy_aniso(settings):
     if n < 2:
         raise ConfigurationError("chain_length >= 2 required")
     spec = _disorder(settings)
-    plan = SeedPlan(settings["seed"])
-    if spec.kind == "constant":
-        w = constant_field(spec.coupling * spec.support_min, n)
-    else:
-        w = sample_field(spec, n, plan, 0)
+    w = sample_field(spec, n, SeedPlan(settings["seed"]), 0)
     block = xy.build_block_m(w, settings["gamma"])
     es = xy.diagonalize(block.dense())
     vals = es.eigenvalues
@@ -344,11 +340,7 @@ def cmd_quasi_locality(settings):
 def cmd_ising(settings):
     n = settings["chain_length"] or 10
     spec = _disorder(settings)
-    plan = SeedPlan(settings["seed"])
-    if spec.kind == "constant":
-        w = constant_field(spec.coupling * spec.support_min, n)
-    else:
-        w = sample_field(spec, n, plan, 0)
+    w = sample_field(spec, n, SeedPlan(settings["seed"]), 0)
     formula, _ = oracle.ising_exact(w)
     meta = {"chain_length": n}
     if n <= 12:

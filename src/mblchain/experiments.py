@@ -78,6 +78,13 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"probed sites {outside} (probe_site + distance) outside"
                     f" the chain [{lo}, {hi}]")
+        if self.kind in _DISTANCE_KINDS:
+            outside = [d for d in self.distances
+                       if not 0 <= d <= 2 * self.half_length]
+            if outside:
+                raise ConfigurationError(
+                    f"distances {outside} outside 0..{2 * self.half_length}"
+                    " (2 * half_length)")
         if self.kind in _CUT_KINDS:
             outside = [ell for ell in self.block_sizes
                        if not 1 <= ell <= self.chain_length - 1]
@@ -184,10 +191,6 @@ def fit_log_slope(sizes, values, base2: bool = False) -> DecayFit:
 # per-realization metrics (each returns {key: value})
 
 def _field(config: ExperimentConfig, index: int, length: int) -> FieldRealization:
-    if config.disorder.kind == "constant":
-        f = constant_field(config.disorder.coupling * config.disorder.support_min,
-                           length)
-        return replace(f, realization_index=index)
     return sample_field(config.disorder, length, config.seeds, index)
 
 
@@ -420,6 +423,9 @@ _XXZ_KINDS = frozenset({
 # reads the probe site alone
 _PAIR_KINDS = frozenset({"eigencorrelator", "dynamical_kernel",
                          "xxz_commutator", "xy_commutator", "quasi_locality"})
+
+# kinds averaging over every site pair (j, j + d) of the chain
+_DISTANCE_KINDS = frozenset({"droplet_localization", "sector_correlator"})
 
 # kinds cutting the chain into a block of each size and its complement
 _CUT_KINDS = frozenset({"entropy_sup", "quench_entropy"})

@@ -458,14 +458,6 @@ class ChainSpectrum:
             [(self.sectors[n].basis, e, psi) for n, e, psi in states],
             self.n_sites)
 
-    def chain_correlator(self, window: EnergyWindow, j: int, k: int) -> float:
-        """sum over window eigenstates of ||N_j psi_E|| ||N_k psi_E||,
-        decomposed over magnon sectors."""
-        masses = self.site_mass_profile(window)
-        ja = j + self.half_length
-        ka = k + self.half_length
-        return float((masses[:, ja] * masses[:, ka]).sum())
-
     # -- windowed observables -------------------------------------------------
 
     def _window_blocks(self, window: EnergyWindow):
@@ -548,6 +540,16 @@ class QuasiLocalityProbe:
     over the complement of S = [site - ell, site + ell], tensored with the
     identity.  This is one admissible witness of quasi-locality; measured
     rates are specific to it.
+
+    X = N_site is a projector, so in each sector tau_t(X) = C C^dagger with
+    C = V e^{iEt} V[occ, :]^T, the columns of e^{iHt} at the configurations
+    that occupy the site; no dim x dim evolved operator is formed.  A class
+    of configurations with fixed inner weight is ordered by (outer pattern
+    o, inner pattern a), so C on it is c[o, a, k], and the partial trace
+    over the outer sites, sum_{o, k} c[o, a, k] conj(c[o, b, k]), is one
+    product c c^dagger with (o, k) merged into the column index.  On the
+    window, tau_t(X) is the window number operator conjugated by the
+    window phases.
     """
 
     def __init__(self, chain: ChainSpectrum, site: int, window: EnergyWindow):
@@ -555,20 +557,18 @@ class QuasiLocalityProbe:
         self.chain = chain
         self.site = site
         self.window = window
-        self.energies, self._blocks = chain._window_blocks(window)
+        self.energies, self._number = chain.window_number_operator(window, site)
+        self._blocks = chain._window_blocks(window)[1]
         self._tables = {}
 
-    def _taus(self, t: float) -> dict[int, np.ndarray]:
-        """tau_t(X) in each sector's configuration basis."""
+    def _evolved(self, t: float):
+        """Per sector the factor C of tau_t(X) = C C^dagger, and tau_t(X) on
+        the window."""
         col = self.site + self.chain.half_length
-        out = {}
-        for n, s in self.chain.sectors.items():
-            # V^T X V, X = N_site diagonal on the configurations
-            xt = (s.vectors * s.basis.occupancy[:, col, None]).T @ s.vectors
-            phases = np.exp(1j * s.energies * t)
-            g = (phases[:, None] * xt) * phases.conj()[None, :]
-            out[n] = s.vectors @ g @ s.vectors.conj().T
-        return out
+        factors = {n: (s.vectors * np.exp(1j * s.energies * t))
+                   @ s.vectors[s.basis.occupancy[:, col]].T
+                   for n, s in self.chain.sectors.items()}
+        return factors, evolve_window_observable(self.energies, self._number, t)
 
     def _trace_tables(self, ell: int):
         """Number of inner sites of S and, per sector, its configurations
@@ -594,7 +594,8 @@ class QuasiLocalityProbe:
             self._tables[ell] = n_inner, tables
         return self._tables[ell]
 
-    def _error_given_taus(self, ell: int, taus: dict[int, np.ndarray]) -> float:
+    def _error(self, ell: int, factors: dict[int, np.ndarray],
+               exact: np.ndarray) -> float:
         chain = self.chain
         n_inner, tables = self._trace_tables(ell)
         if n_inner == chain.n_sites:
@@ -609,41 +610,38 @@ class QuasiLocalityProbe:
         for n, classes in tables.items():
             for members, patterns in classes:
                 na = patterns.size
-                no = members.size // na
-                t4 = taus[n][np.ix_(members, members)].reshape(no, na, no, na)
-                m_a[np.ix_(patterns, patterns)] += np.trace(t4, axis1=0, axis2=2)
+                c = factors[n][members].reshape(members.size // na, na, -1)
+                c = c.swapaxes(0, 1).reshape(na, -1)
+                m_a[np.ix_(patterns, patterns)] += c @ c.conj().T
         m_a /= 2.0 ** n_outer
 
-        # window matrices of the approximant and of tau_t(X)
+        # the approximant on the window: m_a acts on the inner index of
+        # every class
         w = self.energies.size
         approx = np.zeros((w, w), dtype=complex)
-        exact = np.zeros((w, w), dtype=complex)
         for n, (rows, vecs) in self._blocks.items():
             if n == 0:
                 # vacuum: the approximant keeps the traced diagonal element
                 # at the empty pattern; tau_t(X) annihilates the vacuum
-                vac = rows[0]
-                approx[vac, vac] = m_a[0, 0]
+                approx[rows[0], rows[0]] = m_a[0, 0]
                 continue
-            block = np.zeros((len(vecs), len(vecs)), dtype=complex)
             for members, patterns in tables[n]:
-                block[np.ix_(members, members)] = np.kron(
-                    np.eye(members.size // patterns.size), m_a[np.ix_(patterns, patterns)])
-            approx[np.ix_(rows, rows)] = vecs.T @ block @ vecs
-            exact[np.ix_(rows, rows)] = vecs.T @ taus[n] @ vecs
-        diff = approx - exact
-        return float(np.linalg.norm(diff, 2)) if w else 0.0
+                v = vecs[members]
+                mv = (m_a[np.ix_(patterns, patterns)]
+                      @ v.reshape(-1, patterns.size, len(rows)))
+                approx[np.ix_(rows, rows)] += v.T @ mv.reshape(members.size, -1)
+        return float(np.linalg.norm(approx - exact, 2)) if w else 0.0
 
     def error_at(self, ell: int, t: float) -> float:
         """Operator norm of (X_ell(t) - tau_t(X)) restricted to the window."""
-        return self._error_given_taus(ell, self._taus(t))
+        return self._error(ell, *self._evolved(t))
 
     def errors_profile(self, ells, time_grid) -> dict[int, float]:
         """Per truncation radius, the max over the time grid of the windowed
         error; the evolved operators are shared across radii."""
         out = {ell: 0.0 for ell in ells}
         for t in np.asarray(time_grid, dtype=float):
-            taus = self._taus(t)
+            evolved = self._evolved(t)
             for ell in ells:
-                out[ell] = max(out[ell], self._error_given_taus(ell, taus))
+                out[ell] = max(out[ell], self._error(ell, *evolved))
         return out

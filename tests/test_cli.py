@@ -61,6 +61,12 @@ def test_probed_site_outside_chain_exits_config(tmp_path, capsys, args):
      "block sizes [0] outside"),
     (["quasi-locality", "--half-length", "3", "--probe-site", "9"],
      "outside the chain"),
+    (["xxz-cluster", "--half-length", "2", "--n-particles", "2",
+      "--anisotropy", "6.0", "--distances", "1,-3"],
+     "distances [-3] outside"),
+    (["xxz-droploc", "--half-length", "2", "--anisotropy", "6.0",
+      "--distances", "1,9"],
+     "distances [9] outside"),
 ])
 def test_range_errors_exit_config(tmp_path, capsys, args, message):
     assert cli.main(args + ["--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG

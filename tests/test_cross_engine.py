@@ -235,10 +235,11 @@ def test_chain_correlator_matches_oracle_masses():
         psi = full.vectors[:, col]
         m = np.array([np.linalg.norm(op @ psi) for op in number_ops])
         expect += np.outer(m, m)
+    masses = chain.site_mass_profile(window)
+    got = masses.T @ masses
     for j in range(-L, L + 1):
         for k in range(j, L + 1):
-            got = chain.chain_correlator(window, j, k)
-            assert abs(got - expect[j + L, k + L]) < 1e-8
+            assert abs(got[j + L, k + L] - expect[j + L, k + L]) < 1e-8
 
 
 def test_sector_correlator_metric_matches_oracle():
@@ -296,21 +297,35 @@ def test_windowed_commutator_matches_oracle():
 
 
 def test_quasi_locality_probe_matches_oracle():
-    L, delta, beta = 2, 6.0, 0.5
-    w = sample_field(UNIFORM, 2 * L + 1, PLAN, 15)
-    chain = xxz.ChainSpectrum(L, delta, beta, w)
-    window = xxz.spectral_window(delta, 0.5)
-    probe = xxz.QuasiLocalityProbe(chain, 0, window)
+    delta, beta, grid = 6.0, 0.5, (0.8, 4.0)
+    cases = [
+        (2, 0, "I_delta", UNIFORM),
+        (3, 2, "I_0_delta", UNIFORM),     # the vacuum lies in the window
+        # a field above the window edge leaves the vacuum alone in it
+        (3, 1, "I_0_delta", DisorderSpec(support_min=1.0, support_max=2.0)),
+        (3, -1, "I_delta", UNIFORM),
+    ]
+    for L, site, kind, spec in cases:
+        w = sample_field(spec, 2 * L + 1, PLAN, 15)
+        chain = xxz.ChainSpectrum(L, delta, beta, w)
+        window = xxz.spectral_window(delta, 0.5, kind)
+        states = chain.window_states(window)
+        assert (states[0][0] == 0) == (kind == "I_0_delta")
+        assert (len(states) == 1) == (spec is not UNIFORM)
+        probe = xxz.QuasiLocalityProbe(chain, site, window)
 
-    n = 2 * L + 1
-    full = oracle.diagonalize_full(
-        oracle.build_full("xxz", w, anisotropy=delta, boundary_weight=beta))
-    x = oracle.SiteObservable.of_kind("N", 0)
-    for ell in (0, 1):
-        for t in (0.8, 4.0):
-            fast = probe.error_at(ell, t)
+        n = 2 * L + 1
+        full = oracle.diagonalize_full(
+            oracle.build_full("xxz", w, anisotropy=delta, boundary_weight=beta))
+        x = oracle.SiteObservable.of_kind("N", site)
+        ells = range(2 * L)
+        for ell in ells:
             slow = oracle.quasi_locality_error(
-                full, x, ell, [t], (window.lower, window.upper), n, offset=L)[0]
-            assert abs(fast - slow) < 1e-8
-    # whole-chain truncation is exact
-    assert probe.error_at(2 * L, 1.3) == 0.0
+                full, x, ell, grid, (window.lower, window.upper), n, offset=L)
+            for t, s in zip(grid, slow):
+                assert abs(probe.error_at(ell, t) - s) < 1e-8
+        profile = probe.errors_profile(ells, grid)
+        for ell in ells:
+            assert profile[ell] == max(probe.error_at(ell, t) for t in grid)
+        # whole-chain truncation is exact
+        assert probe.error_at(2 * L, 1.3) == 0.0
