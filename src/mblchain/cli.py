@@ -291,7 +291,8 @@ def cmd_xxz_ct(settings):
     rows = []
     passes = 0
     for index in range(config.realizations):
-        d, measured, bound = experiments.ct_sample(config, index)
+        with experiments.realization_failures(index):
+            d, measured, bound = experiments.ct_sample(config, index)
         ok = measured <= bound
         passes += int(ok)
         rows.append((d, measured, bound, int(ok)))

@@ -10,6 +10,7 @@ log-slopes with standard regression confidence intervals.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,9 +28,15 @@ MAX_RESAMPLES = 5
 
 FIT_FLOOR = 1e-14
 
-# solver failures a realization can raise; run_ensemble reports them as
-# NumericalError carrying the realization index
-_NUMERICAL_FAILURES = (NumericalError, np.linalg.LinAlgError, ArpackError)
+
+@contextmanager
+def realization_failures(index: int):
+    """Report a solver failure of realization ``index`` as NumericalError
+    carrying the index, chained from the original."""
+    try:
+        yield
+    except (NumericalError, np.linalg.LinAlgError, ArpackError) as exc:
+        raise NumericalError(f"realization {index}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -463,15 +470,14 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleSummary:
         attempt = index
         for retry in range(MAX_RESAMPLES + 1):
             try:
-                results[index] = metric(config, attempt)
+                with realization_failures(index):
+                    results[index] = metric(config, attempt)
                 break
             except DegeneracyError:
                 if retry == MAX_RESAMPLES:
                     raise
                 attempt = index + SUBSTITUTE_OFFSET * (retry + 1)
                 substituted.append((index, attempt))
-            except _NUMERICAL_FAILURES as exc:
-                raise NumericalError(f"realization {index}: {exc}") from exc
     keys = sorted({k for r in results.values() for k in r})
     table = np.full((config.realizations, len(keys)), np.nan)
     for index in range(config.realizations):

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import acosh, sinh, tanh, cosh
+import os
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,8 +44,12 @@ from .errors import ConfigurationError, DegeneracyError, NumericalError
 
 Config = tuple[int, ...]
 
-DENSE_DIAG_CAP = 20_000
+# dense eigh at dimension n holds 5 n^2 doubles (matrix, LAPACK's copy, 2 n^2
+# syevd workspace, eigenvectors); at the cap that is half the physical memory
+DENSE_DIAG_CAP = int((os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+                      / (2 * 5 * 8)) ** 0.5)
 _GAP_TOL = 1e-12
+_CT_TOL = 1e-12  # largest certified error of a Combes-Thomas block
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +378,16 @@ def ct_check(h: SectorHamiltonian, energy: float, safety: float,
         (H + (1 - 1/Delta) P_droplet - E)^{-1}
     bound:    (16 Delta / (safety (Delta-1)))
               * (1 + safety (Delta-1) / 8)^{-d_N(A, B)}
+
+    The argument's premise (Elgart-Klein-Stolz) is that the shifted operator
+    K is positive definite with min spec K >= floor = safety (1 - 1/Delta)
+    for admissible E; the tests check that floor by Lanczos.  So K needs no
+    factorization: conjugate gradients solve K x = e_y for each y in B to
+    working precision (a few more iterations keep the exponentially small
+    entries accurate), and the floor certifies them: every entry is off by
+    at most |r| / floor and the block norm by at most |R|_F / floor.
+    NumericalError if a solve does not converge, the certified error exceeds
+    _CT_TOL, or it reaches the bound (pass/fail undecided).
     """
     delta_aniso = h.anisotropy
     gap = 1.0 - 1.0 / delta_aniso
@@ -384,18 +399,28 @@ def ct_check(h: SectorHamiltonian, energy: float, safety: float,
     idx_a = np.array(sorted(basis.index[x] for x in set_a))
     idx_b = np.array(sorted(basis.index[x] for x in set_b))
     shift = np.where(basis.droplet_distance == 0, gap, 0.0)
-    op = (h.matrix + sp.diags(shift) - energy * sp.identity(h.dim)).tocsc()
+    op = (h.matrix + sp.diags(shift - energy)).tocsr()
+    floor = safety * gap
     rhs = np.zeros((h.dim, idx_b.size))
     rhs[idx_b, np.arange(idx_b.size)] = 1.0
-    try:
-        block = spla.splu(op).solve(rhs)[idx_a, :]
-    except RuntimeError as exc:
-        raise NumericalError(f"shifted operator could not be factorized: {exc}")
-    measured = float(np.linalg.norm(block, 2))
+    sol = np.empty_like(rhs)
+    for col in range(idx_b.size):
+        sol[:, col], info = spla.cg(op, rhs[:, col], rtol=np.finfo(float).eps,
+                                    atol=0.0)
+        if info != 0:
+            raise NumericalError(f"conjugate gradients did not converge (info {info})")
+    error = float(np.linalg.norm(rhs - op @ sol)) / floor
+    if error > _CT_TOL:
+        raise NumericalError(f"certified resolvent error {error:.2e} > {_CT_TOL}")
+    measured = float(np.linalg.norm(sol[idx_a, :], 2))
     d = set_distance(set_a, set_b)
     rate_base = 1.0 + safety * (delta_aniso - 1.0) / 8.0
     prefactor = 16.0 * delta_aniso / (safety * (delta_aniso - 1.0))
-    return measured, prefactor * rate_base ** (-d)
+    bound = prefactor * rate_base ** (-d)
+    if abs(bound - measured) <= error:
+        raise NumericalError(f"bound {bound:.3e} within the certified error"
+                             f" {error:.1e} of the measured norm")
+    return measured, bound
 
 
 # ---------------------------------------------------------------------------

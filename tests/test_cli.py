@@ -85,6 +85,22 @@ def test_solver_failure_exits_numerical(tmp_path, monkeypatch):
     assert code == cli.EXIT_NUMERICAL
 
 
+def test_ct_solver_failure_exits_numerical(tmp_path, capsys, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def stalls(op, rhs, **kwargs):
+        return np.zeros_like(rhs), 500
+
+    monkeypatch.setattr(spla, "cg", stalls)
+    code = cli.main(["xxz-ct", "--half-length", "3", "--n-particles", "2",
+                     "--realizations", "2", "--out-dir", str(tmp_path)])
+    assert code == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "realization 0" in err[0] and "did not converge" in err[0]
+    assert not list(tmp_path.iterdir())
+
+
 def test_validate_passes(capsys):
     assert cli.main(["validate"]) == cli.EXIT_OK
     out = capsys.readouterr().out

@@ -192,6 +192,14 @@ def test_xxz_sector_blocks_match_oracle():
             assert np.abs(sector - block).max() < 1e-10
 
 
+def _state_index(config, L):
+    """Computational index of a sector configuration in the 2^n basis."""
+    idx = 0
+    for j in range(2 * L + 1):
+        idx = 2 * idx + (1 if (j - L) in config else 0)
+    return idx
+
+
 def test_xxz_sector_matrix_entrywise():
     # entrywise block extraction pins down every convention
     L, n_part, delta, beta = 2, 2, 2.5, 0.6
@@ -199,15 +207,39 @@ def test_xxz_sector_matrix_entrywise():
     h = xxz.build_h_sector(n_part, L, delta, beta, w)
     full = oracle.build_full("xxz", w, anisotropy=delta, boundary_weight=beta)
     n = 2 * L + 1
-    # basis states of the sector as computational indices
-    def state_index(config):
-        idx = 0
-        for j in range(n):
-            idx = 2 * idx + (1 if (j - L) in config else 0)
-        return idx
-    rows = [state_index(x) for x in h.basis.configs]
+    rows = [_state_index(x, L) for x in h.basis.configs]
     block = full.matrix[np.ix_(rows, rows)].real
     assert np.abs(h.dense() - block).max() < 1e-12
+
+
+def test_ct_check_matches_oracle_inverse():
+    # every entry, and one block norm, of the inverse of the shifted sector
+    # block of the 2^n Hamiltonian, up to the top admissible energy
+    L, delta, safety = 3, 2.0, 0.5
+    beta = xxz.min_boundary_weight(delta)
+    gap = 1.0 - 1.0 / delta
+    w = sample_field(UNIFORM, 2 * L + 1, PLAN, 17)
+    full = oracle.build_full("xxz", w, anisotropy=delta, boundary_weight=beta)
+    for n_part in (2, 3):
+        h = xxz.build_h_sector(n_part, L, delta, beta, w)
+        configs = h.basis.configs
+        rows = [_state_index(x, L) for x in configs]
+        droplet = [x[-1] - x[0] == n_part - 1 for x in configs]
+        for energy in (0.0, 0.4, (2.0 - safety) * gap):
+            shifted = (full.matrix[np.ix_(rows, rows)].real
+                       + np.diag(np.where(droplet, gap, 0.0))
+                       - energy * np.eye(len(rows)))
+            inverse = np.linalg.inv(shifted)
+            for i, a in enumerate(configs):
+                for j, b in enumerate(configs):
+                    measured, _ = xxz.ct_check(h, energy, safety, [a], [b])
+                    assert abs(measured - abs(inverse[i, j])) < 1e-10
+            # |A| = 3, |B| = 4, overlapping: the operator norm of a block
+            # with several O(1) entries
+            measured, _ = xxz.ct_check(h, energy, safety, configs[:3],
+                                       configs[1:5])
+            expect = np.linalg.norm(inverse[:3, 1:5], 2)
+            assert abs(measured - expect) < 1e-10
 
 
 def test_chain_spectrum_matches_oracle():

@@ -231,6 +231,52 @@ def test_ct_check_bound_holds_and_closed_form():
         xxz.ct_check(h, 0.9, safety, a, b)  # energy above the window
 
 
+def test_ct_shifted_operator_floor_on_c08_cells():
+    # the premise certifying ct_check: min spec of the shifted operator is
+    # at least safety (1 - 1/Delta) at the top of the admissible energies
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+    safety = 0.5
+    for delta in (2.0, 4.0):
+        gap = 1.0 - 1.0 / delta
+        for n_part in (1, 2, 3, 4):
+            plan = SeedPlan(int(108_000 + 10 * delta + n_part))
+            w = sample_field(UNIFORM, 25, plan, 0)
+            h = xxz.build_h_sector(n_part, 12, delta,
+                                   xxz.min_boundary_weight(delta), w)
+            shift = np.where(h.basis.droplet_distance == 0, gap, 0.0)
+            op = h.matrix + sp.diags(shift - (2.0 - safety) * gap)
+            lowest = spla.eigsh(op, k=1, which="SA",
+                                return_eigenvectors=False)[0]
+            assert lowest >= safety * gap
+
+
+def test_ct_check_certificate_rejects_inexact_solves(monkeypatch):
+    import scipy.sparse.linalg as spla
+    delta, safety = 2.0, 0.5
+    w = sample_field(UNIFORM, 9, PLAN, 7)
+    h = xxz.build_h_sector(2, 4, delta, xxz.min_boundary_weight(delta), w)
+    a, b = [(-4, -3)], [(2, 4)]
+    cg = spla.cg
+
+    def off_by(eps):
+        def solve(op, rhs, **kwargs):
+            x, info = cg(op, rhs, **kwargs)
+            return x + eps, info
+        return solve
+
+    # a converged-looking but wrong solution: the residual exposes it
+    monkeypatch.setattr(spla, "cg", off_by(1e-9))
+    with pytest.raises(NumericalError, match="certified resolvent error"):
+        xxz.ct_check(h, 0.5, safety, a, b)
+    # an error within a (loosened) tolerance that still covers the bound
+    # leaves pass/fail undecided
+    monkeypatch.setattr(xxz, "_CT_TOL", 1e6)
+    monkeypatch.setattr(spla, "cg", off_by(10.0))
+    with pytest.raises(NumericalError, match="within the certified error"):
+        xxz.ct_check(h, 0.5, safety, a, b)
+
+
 def _sector_correlator(h, window, j, k):
     """Q_N(j, k; window) from the window site masses of one sector."""
     pairs = xxz.eigenpairs_in_window(h, window)
@@ -280,6 +326,16 @@ def test_windowed_eigenpairs_above_dense_cap(monkeypatch):
     # all 465
     with pytest.raises(NumericalError):
         xxz.eigenpairs_in_window(h, xxz.EnergyWindow(0.0, 100.0))
+
+
+def test_dense_cap_fits_physical_memory():
+    import os
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    # a dense eigh at the cap: matrix, LAPACK's copy, the syevd workspace
+    # (2 n^2) and the eigenvectors, in doubles
+    assert 5 * 8 * xxz.DENSE_DIAG_CAP ** 2 <= physical
+    # the largest windowed sector of the acceptance suite (c09) stays dense
+    assert xxz.DENSE_DIAG_CAP >= comb(25, 3)
 
 
 def test_chain_spectrum_window_states_and_vacuum():
