@@ -17,6 +17,8 @@ import hashlib
 import os
 import sys
 import time
+from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
@@ -43,10 +45,8 @@ _SCHEMA = {
     "sup_samples": (int, 200),
     "anisotropy": (float, 2.0),
     "gamma": (float, 0.0),
-    "coupling": (float, 1.0),
     "boundary_weight": (float, None),
     "safety": (float, 0.5),
-    "field_value": (float, 0.0),
     "window_kind": (str, "I_delta"),
     "model": (str, "xy"),
     "disorder_kind": (str, "uniform"),
@@ -116,26 +116,11 @@ def _disorder(settings: dict) -> DisorderSpec:
 
 
 def build_experiment_config(kind: str, settings: dict) -> experiments.ExperimentConfig:
-    return experiments.ExperimentConfig(
-        kind=kind,
-        chain_length=settings["chain_length"],
-        half_length=settings["half_length"],
-        disorder=_disorder(settings),
-        seeds=SeedPlan(settings["seed"]),
-        realizations=settings["realizations"],
-        distances=tuple(settings["distances"]),
-        block_sizes=tuple(settings["block_sizes"]),
-        time_grid=tuple(settings["time_grid"]),
-        probe_site=settings["probe_site"],
-        anisotropy=settings["anisotropy"],
-        gamma=settings["gamma"],
-        coupling=settings["coupling"],
-        boundary_weight=settings["boundary_weight"],
-        window_kind=settings["window_kind"],
-        safety=settings["safety"],
-        n_particles=settings["n_particles"],
-        sup_samples=settings["sup_samples"],
-    )
+    # every other field is read from the setting of the same name
+    named = {f.name: settings[f.name] for f in fields(experiments.ExperimentConfig)
+             if f.name not in ("kind", "disorder", "seeds")}
+    return experiments.ExperimentConfig(kind=kind, disorder=_disorder(settings),
+                                        seeds=SeedPlan(settings["seed"]), **named)
 
 
 # ---------------------------------------------------------------------------
@@ -208,46 +193,33 @@ def _fit_meta(prefix: str, fit: experiments.DecayFit) -> dict:
     }
 
 
-def _summary_rows(summary: experiments.EnsembleSummary):
-    return [(k, m, s, x) for k, m, s, x in summary.as_rows()]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _run_decay_command(kind: str, name: str, settings: dict,
-                       key_label: str) -> tuple[list, list, dict]:
-    config = build_experiment_config(kind, settings)
-    summary = experiments.run_ensemble(config)
-    fit = experiments.fit_exponential_decay(summary.keys, summary.mean)
-    meta = _fit_meta("decay", fit)
+_FITS = {"decay": experiments.fit_exponential_decay,
+         "log_slope": experiments.fit_log_slope}
+
+# ensemble subcommands: experiment kind, key column label, fit (its name is
+# also the prefix of its meta keys) and the summary statistic it is fitted to
+ENSEMBLES = {
+    "xy-ecorr": ("eigencorrelator", "distance", "decay", "mean"),
+    "xy-kernel": ("dynamical_kernel", "distance", "decay", "mean"),
+    "xy-entropy": ("entropy_sup", "block_size", "log_slope", "mean"),
+    "xy-quench": ("quench_entropy", "block_size", "log_slope", "mean"),
+    "xxz-profile": ("droplet_profile", "droplet_distance", "decay", "max_value"),
+    "xxz-droploc": ("droplet_localization", "distance", "decay", "mean"),
+    "xxz-cluster": ("sector_correlator", "distance", "decay", "mean"),
+    "quasi-locality": ("quasi_locality", "truncation_radius", "decay", "mean"),
+}
+
+
+def _run_ensemble_command(row, settings) -> tuple[list, list, dict]:
+    kind, key_label, fit_name, statistic = row
+    summary = experiments.run_ensemble(build_experiment_config(kind, settings))
+    fit = _FITS[fit_name](summary.keys, getattr(summary, statistic))
+    meta = _fit_meta(fit_name, fit)
     meta["substituted_realizations"] = len(summary.substituted)
-    return ([key_label, "mean", "stderr", "max"], _summary_rows(summary), meta)
-
-
-def cmd_xy_ecorr(settings):
-    return _run_decay_command("eigencorrelator", "xy-ecorr", settings, "distance")
-
-
-def cmd_xy_kernel(settings):
-    return _run_decay_command("dynamical_kernel", "xy-kernel", settings, "distance")
-
-
-def cmd_xy_entropy(settings):
-    config = build_experiment_config("entropy_sup", settings)
-    summary, fit = experiments.scan_area_law(config)
-    meta = _fit_meta("log_slope", fit)
-    meta["substituted_realizations"] = len(summary.substituted)
-    return (["block_size", "mean", "stderr", "max"], _summary_rows(summary), meta)
-
-
-def cmd_xy_quench(settings):
-    config = build_experiment_config("quench_entropy", settings)
-    summary = experiments.run_ensemble(config)
-    fit = experiments.fit_log_slope(summary.keys, summary.mean)
-    meta = _fit_meta("log_slope", fit)
-    meta["substituted_realizations"] = len(summary.substituted)
-    return (["block_size", "mean", "stderr", "max"], _summary_rows(summary), meta)
+    return [key_label, "mean", "stderr", "max"], summary.as_rows(), meta
 
 
 def cmd_xy_aniso(settings):
@@ -276,16 +248,6 @@ def cmd_xxz_bands(settings):
             {"band_limit": limit, "anisotropy": delta})
 
 
-def cmd_xxz_profile(settings):
-    config = build_experiment_config("droplet_profile", settings)
-    summary = experiments.run_ensemble(config)
-    fit = experiments.fit_exponential_decay(summary.keys, summary.max_value)
-    meta = _fit_meta("decay", fit)
-    meta["substituted_realizations"] = len(summary.substituted)
-    return (["droplet_distance", "mean", "stderr", "max"],
-            _summary_rows(summary), meta)
-
-
 def cmd_xxz_ct(settings):
     config = build_experiment_config("ct_pass", settings)
     rows = []
@@ -302,40 +264,22 @@ def cmd_xxz_ct(settings):
     return (["distance", "measured", "bound", "pass"], rows, meta)
 
 
-def cmd_xxz_droploc(settings):
-    return _run_decay_command("droplet_localization", "xxz-droploc", settings,
-                              "distance")
-
-
-def cmd_xxz_cluster(settings):
-    return _run_decay_command("sector_correlator", "xxz-cluster", settings,
-                              "distance")
-
-
 def cmd_lr_lightcone(settings):
-    if settings["model"] == "xxz":
-        return _run_decay_command("xxz_commutator", "lr-lightcone", settings,
-                                  "distance")
-    config = build_experiment_config("xy_commutator", settings)
-    summary = experiments.run_ensemble(config)
-    fit = experiments.fit_exponential_decay(summary.keys, summary.mean)
-    meta = _fit_meta("decay", fit)
-    if config.disorder.kind == "constant":
-        arrivals = experiments.xy_commutator_arrival(config)
-        for d, t in sorted(arrivals.items()):
+    kind = "xxz_commutator" if settings["model"] == "xxz" else "xy_commutator"
+    columns, rows, meta = _run_ensemble_command(
+        (kind, "distance", "decay", "mean"), settings)
+    if kind == "xy_commutator" and settings["disorder_kind"] == "constant":
+        config = build_experiment_config(kind, settings)
+        for d, t in sorted(experiments.xy_commutator_arrival(config).items()):
             meta[f"arrival_time_d{d}"] = t
-    return (["distance", "mean", "stderr", "max"], _summary_rows(summary), meta)
+    return columns, rows, meta
 
 
 def cmd_quasi_locality(settings):
-    config = build_experiment_config("quasi_locality", settings)
-    summary = experiments.run_ensemble(config)
-    fit = experiments.fit_exponential_decay(summary.keys, summary.mean)
-    meta = _fit_meta("decay", fit)
-    meta["substituted_realizations"] = len(summary.substituted)
+    columns, rows, meta = _run_ensemble_command(ENSEMBLES["quasi-locality"],
+                                                settings)
     meta["approximant"] = "conditional expectation of the evolved observable"
-    return (["truncation_radius", "mean", "stderr", "max"],
-            _summary_rows(summary), meta)
+    return columns, rows, meta
 
 
 def cmd_ising(settings):
@@ -399,6 +343,7 @@ DESCRIPTIONS = {
     "validate": "Cross-engine equivalence suite: free-fermion identities,"
                 " sector-block extraction, and closed forms, all checked"
                 " against brute-force dense computations.",
+    "describe": "What each subcommand measures.",
 }
 
 
@@ -499,18 +444,13 @@ class _ValidationFailure(Exception):
 
 
 COMMANDS = {
-    "xy-ecorr": cmd_xy_ecorr,
-    "xy-kernel": cmd_xy_kernel,
-    "xy-entropy": cmd_xy_entropy,
-    "xy-quench": cmd_xy_quench,
+    **{name: partial(_run_ensemble_command, row)
+       for name, row in ENSEMBLES.items()},
+    "quasi-locality": cmd_quasi_locality,  # its table row plus the approximant
+    "lr-lightcone": cmd_lr_lightcone,
     "xy-aniso": cmd_xy_aniso,
     "xxz-bands": cmd_xxz_bands,
-    "xxz-profile": cmd_xxz_profile,
     "xxz-ct": cmd_xxz_ct,
-    "xxz-droploc": cmd_xxz_droploc,
-    "xxz-cluster": cmd_xxz_cluster,
-    "lr-lightcone": cmd_lr_lightcone,
-    "quasi-locality": cmd_quasi_locality,
     "ising": cmd_ising,
     "validate": cmd_validate,
     "describe": cmd_describe,
@@ -524,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
                     " spin chains")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name, help=DESCRIPTIONS.get(name, name))
+        p = sub.add_parser(name, help=DESCRIPTIONS[name])
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out-dir", dest="out_dir",
                        help="output directory (default: env MBLCHAIN_OUT or .)")

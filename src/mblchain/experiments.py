@@ -55,8 +55,6 @@ class ExperimentConfig:
     time_grid: tuple[float, ...] = (0.5, 2.0, 10.0, 50.0)
     probe_site: int = 0
     anisotropy: float = 2.0
-    gamma: float = 0.0
-    coupling: float = 1.0
     boundary_weight: float | None = None
     window_kind: str = "I_delta"
     safety: float = 0.5
@@ -99,6 +97,11 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"block sizes {outside} outside 1..{self.chain_length - 1}"
                     " (chain_length - 1)")
+        keys = "block_sizes" if self.kind in _BLOCK_KINDS else "distances"
+        if self.kind != "ct_pass" and not getattr(self, keys):
+            raise ConfigurationError(f"{self.kind} needs a nonempty {keys} list")
+        if self.kind in _TIME_KINDS and not self.time_grid:
+            raise ConfigurationError(f"{self.kind} needs a nonempty time_grid")
 
     def effective_boundary_weight(self) -> float:
         if self.boundary_weight is not None:
@@ -437,6 +440,13 @@ _DISTANCE_KINDS = frozenset({"droplet_localization", "sector_correlator"})
 # kinds cutting the chain into a block of each size and its complement
 _CUT_KINDS = frozenset({"entropy_sup", "quench_entropy"})
 
+# kinds keyed by block size (quasi_locality: the truncation radius), not
+# by distance; ct_pass draws its own keys
+_BLOCK_KINDS = _CUT_KINDS | {"quasi_locality"}
+
+_TIME_KINDS = frozenset({"dynamical_kernel", "quench_entropy", "quasi_locality",
+                         "xxz_commutator", "xy_commutator"})
+
 METRICS = {
     "sector_correlator": _metric_sector_correlator,
     "eigencorrelator": _metric_eigencorrelator,
@@ -499,8 +509,6 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleSummary:
 
 def scan_area_law(config: ExperimentConfig, base2: bool = False):
     """Entropy statistics against block size plus the fitted log-slope."""
-    if not config.block_sizes:
-        raise ConfigurationError("area-law scan needs block sizes")
     summary = run_ensemble(config)
     fit = fit_log_slope(summary.keys, summary.mean, base2=base2)
     return summary, fit

@@ -32,7 +32,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from math import acosh, sinh, tanh, cosh
+from math import acosh, comb, sinh, tanh, cosh
 import os
 
 import numpy as np
@@ -293,9 +293,16 @@ def spectral_window(anisotropy: float, safety: float = 0.0,
 # ---------------------------------------------------------------------------
 # spectra and correlators
 
-def _dense_eigh(matrix: np.ndarray):
+def _require_dense(dim: int):
+    if dim > DENSE_DIAG_CAP:
+        raise ConfigurationError(f"dense diagonalization at dim {dim} is above"
+                                 f" DENSE_DIAG_CAP = {DENSE_DIAG_CAP}")
+
+
+def _dense_eigh(h: SectorHamiltonian):
+    _require_dense(h.dim)
     try:
-        return np.linalg.eigh(matrix)
+        return np.linalg.eigh(h.dense())
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense eigensolver failed: {exc}")
 
@@ -309,7 +316,7 @@ def eigenpairs_in_window(h: SectorHamiltonian, window: EnergyWindow):
     window they do not cover raises NumericalError.
     """
     if h.dim <= DENSE_DIAG_CAP:
-        vals, vecs = _dense_eigh(h.dense())
+        vals, vecs = _dense_eigh(h)
     else:
         sigma = 0.5 * (window.lower + window.upper)
         k = min(h.dim - 2, 400)
@@ -439,7 +446,7 @@ class ChainSpectrum:
 
     Sector-wise diagonalization gives the exact full spectrum at a small
     fraction of the 2^n dense cost; the test suite checks it against the
-    brute-force engine.
+    brute-force engine.  A sector above DENSE_DIAG_CAP is a ConfigurationError.
     """
 
     def __init__(self, half_length: int, anisotropy: float,
@@ -449,10 +456,11 @@ class ChainSpectrum:
         self.boundary_weight = boundary_weight
         self.field = field_realization
         self.sectors: dict[int, _SectorSpectrum] = {}
+        _require_dense(comb(2 * half_length + 1, half_length))  # largest sector
         for n in range(1, 2 * half_length + 2):
             h = build_h_sector(n, half_length, anisotropy, boundary_weight,
                                field_realization)
-            vals, vecs = _dense_eigh(h.dense())
+            vals, vecs = _dense_eigh(h)
             self.sectors[n] = _SectorSpectrum(h.basis, vals, vecs)
 
     @property

@@ -332,7 +332,6 @@ class SupStrategy:
 
     samples: int = 200
     exhaustive_limit: int = 14
-    include_heuristic: bool = True
 
 
 def _straddling_pattern(es: EigenSystem, ell: int) -> OccupationPattern:
@@ -372,8 +371,7 @@ def sample_eigenstate_entropy_sup(es: EigenSystem, ell: int,
             rng = np.random.default_rng(0)
         patterns = [OccupationPattern(rng.integers(0, 2, size=L))
                     for _ in range(strategy.samples)]
-        if strategy.include_heuristic:
-            patterns.append(_straddling_pattern(es, ell))
+        patterns.append(_straddling_pattern(es, ell))
     for pattern in patterns:
         best = max(best, eigenstate_block_entropy(es, pattern, ell))
     return best

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from mblchain import cli, experiments
+from mblchain import cli, experiments, xxz
+from mblchain.disorder import DisorderSpec, SeedPlan, sample_field
 from mblchain.errors import ConfigurationError
 
 
@@ -67,12 +68,62 @@ def test_probed_site_outside_chain_exits_config(tmp_path, capsys, args):
     (["xxz-droploc", "--half-length", "2", "--anisotropy", "6.0",
       "--distances", "1,9"],
      "distances [9] outside"),
+    (["xy-quench", "--chain-length", "10"],
+     "quench_entropy needs a nonempty block_sizes list"),
+    (["xy-ecorr", "--chain-length", "10"],
+     "eigencorrelator needs a nonempty distances list"),
+    (["xxz-droploc", "--half-length", "2", "--anisotropy", "6.0"],
+     "droplet_localization needs a nonempty distances list"),
+    (["quasi-locality", "--half-length", "2", "--anisotropy", "6.0"],
+     "quasi_locality needs a nonempty block_sizes list"),
+    (["xy-kernel", "--chain-length", "10", "--distances", "1,2",
+      "--time-grid", ","],
+     "dynamical_kernel needs a nonempty time_grid"),
+    (["quasi-locality", "--half-length", "2", "--anisotropy", "6.0",
+      "--block-sizes", "0,1", "--time-grid", ","],
+     "quasi_locality needs a nonempty time_grid"),
+    (["xy-quench", "--chain-length", "10", "--block-sizes", "2,4",
+      "--time-grid", ","],
+     "quench_entropy needs a nonempty time_grid"),
+    (["lr-lightcone", "--model", "xy", "--chain-length", "6",
+      "--distances", "2", "--time-grid", ","],
+     "xy_commutator needs a nonempty time_grid"),
 ])
 def test_range_errors_exit_config(tmp_path, capsys, args, message):
     assert cli.main(args + ["--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and message in err[0]
     assert not list(tmp_path.iterdir())
+
+
+def test_removed_settings_exit_config(tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["xy-ecorr", "--chain-length", "10", "--distances", "1",
+            "--out-dir", str(out)]
+    assert cli.main(args + ["--coupling", "4"]) == cli.EXIT_CONFIG
+    assert "unrecognized arguments: --coupling 4" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("field_value = 1\n")
+    assert cli.main(args + ["--config", str(cfg)]) == cli.EXIT_CONFIG
+    assert "unknown key 'field_value'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dense_cap_exits_config(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(xxz, "DENSE_DIAG_CAP", 20)
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(a))
+    w = sample_field(DisorderSpec(), 7, SeedPlan(1), 0)
+    # sectors of dims 7, 21, 35, ...: the cap falls before the first eigh
+    with pytest.raises(ConfigurationError, match="dim 35 is above"):
+        xxz.ChainSpectrum(3, 6.0, 0.5, w)
+    assert not calls
+    code = cli.main(["xxz-droploc", "--half-length", "3", "--anisotropy", "6.0",
+                     "--distances", "1,2", "--out-dir", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "DENSE_DIAG_CAP = 20" in err[0]
+    assert not list(tmp_path.iterdir()) and not calls
 
 
 def test_solver_failure_exits_numerical(tmp_path, monkeypatch):
@@ -112,6 +163,71 @@ def test_describe_lists_commands(capsys):
     out = capsys.readouterr().out
     for name in ("xy-entropy", "xxz-droploc", "lr-lightcone"):
         assert name in out
+
+
+# every ensemble subcommand at tiny size: (name, table row, arguments)
+_ENSEMBLE_CASES = [
+    ("xy-ecorr", ("eigencorrelator", "distance", "decay", "mean"),
+     ["--chain-length", "12", "--distances", "1,2,4", "--probe-site", "2"]),
+    ("xy-kernel", ("dynamical_kernel", "distance", "decay", "mean"),
+     ["--chain-length", "12", "--distances", "1,2,4", "--probe-site", "2",
+      "--time-grid", "0.5,2.0"]),
+    ("xy-entropy", ("entropy_sup", "block_size", "log_slope", "mean"),
+     ["--chain-length", "12", "--block-sizes", "2,4,6", "--sup-samples", "10"]),
+    ("xy-quench", ("quench_entropy", "block_size", "log_slope", "mean"),
+     ["--chain-length", "12", "--block-sizes", "2,4,6", "--time-grid",
+      "0.5,2.0"]),
+    ("xxz-profile", ("droplet_profile", "droplet_distance", "decay",
+                     "max_value"),
+     ["--half-length", "3", "--n-particles", "2", "--anisotropy", "3.0",
+      "--distances", "0,1,2,3", "--disorder-coupling", "0.1"]),
+    ("xxz-droploc", ("droplet_localization", "distance", "decay", "mean"),
+     ["--half-length", "2", "--anisotropy", "6.0", "--distances", "1,2,3"]),
+    ("xxz-cluster", ("sector_correlator", "distance", "decay", "mean"),
+     ["--half-length", "2", "--n-particles", "2", "--anisotropy", "6.0",
+      "--distances", "0,1,2", "--disorder-coupling", "0.1"]),
+    ("quasi-locality", ("quasi_locality", "truncation_radius", "decay", "mean"),
+     ["--half-length", "3", "--anisotropy", "6.0", "--block-sizes", "0,1,2",
+      "--time-grid", "0.5,5.0"]),
+    ("lr-lightcone", ("xy_commutator", "distance", "decay", "mean"),
+     ["--model", "xy", "--chain-length", "6", "--distances", "1,2,4",
+      "--disorder-coupling", "4.0"]),
+    ("lr-lightcone", ("xxz_commutator", "distance", "decay", "mean"),
+     ["--model", "xxz", "--half-length", "2", "--anisotropy", "6.0",
+      "--distances", "1,2,3", "--probe-site", "-2", "--window-kind",
+      "I_0_delta"]),
+]
+
+_FITS = {"decay": experiments.fit_exponential_decay,
+         "log_slope": experiments.fit_log_slope}
+
+
+@pytest.mark.parametrize("name, row, args", _ENSEMBLE_CASES,
+                         ids=[f"{n}-{r[0]}" for n, r, _ in _ENSEMBLE_CASES])
+def test_ensemble_subcommand_layout(tmp_path, name, row, args):
+    args = [name, *args, "--realizations", "3", "--seed", "4"]
+    assert cli.main(args + ["--out-dir", str(tmp_path)]) == cli.EXIT_OK
+    kind, label, fit_name, statistic = row
+    settings = cli.merge_settings(cli.build_parser().parse_args(args))
+    summary = experiments.run_ensemble(cli.build_experiment_config(kind, settings))
+    fit = _FITS[fit_name](summary.keys, getattr(summary, statistic))
+    lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+    data = [line for line in lines if not line.startswith("#")]
+    meta = dict(line[2:].split(" = ", 1) for line in lines
+                if line.startswith("# ") and " = " in line)
+    assert data[0] == f"{label},mean,stderr,max"
+    assert data[1:] == [",".join(repr(v) for v in r) for r in summary.as_rows()]
+    assert fit.available
+    for key, value in cli._fit_meta(fit_name, fit).items():
+        assert meta[key] == cli._format_value(value), key
+    assert meta["substituted_realizations"] == "0"
+
+
+def test_command_registry_is_described():
+    assert set(cli.COMMANDS) == set(cli.DESCRIPTIONS)
+    # the layout test above covers every table row
+    assert set(cli.ENSEMBLES) == {name for name, _, _ in _ENSEMBLE_CASES
+                                  if name != "lr-lightcone"}
 
 
 def test_bands_outputs_and_reproducibility(tmp_path):
