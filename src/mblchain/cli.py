@@ -265,7 +265,10 @@ def cmd_xxz_ct(settings):
 
 
 def cmd_lr_lightcone(settings):
-    kind = "xxz_commutator" if settings["model"] == "xxz" else "xy_commutator"
+    kind = {"xy": "xy_commutator", "xxz": "xxz_commutator"}.get(settings["model"])
+    if kind is None:
+        raise ConfigurationError(
+            f"unknown lr-lightcone model {settings['model']!r} (xy or xxz)")
     columns, rows, meta = _run_ensemble_command(
         (kind, "distance", "decay", "mean"), settings)
     if kind == "xy_commutator" and settings["disorder_kind"] == "constant":

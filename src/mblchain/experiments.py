@@ -90,6 +90,9 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"distances {outside} outside 0..{2 * self.half_length}"
                     " (2 * half_length)")
+        if self.kind == "droplet_profile" and min(self.distances, default=0) < 0:
+            raise ConfigurationError(
+                f"droplet distances {[d for d in self.distances if d < 0]} below 0")
         if self.kind in _CUT_KINDS:
             outside = [ell for ell in self.block_sizes
                        if not 1 <= ell <= self.chain_length - 1]
@@ -284,10 +287,10 @@ def _metric_xxz_commutator(config: ExperimentConfig, index: int):
     chain = _chain(config, index)
     window = config.window()
     j = config.probe_site
-    energies, x_mat = chain.window_observable(window, "sigma_x", j)
+    energies, x_mat = chain.window_sigma_x(window, j)
     out = {}
     for d in config.distances:
-        _, y_mat = chain.window_observable(window, "sigma_x", j + d)
+        _, y_mat = chain.window_sigma_x(window, j + d)
         norms = xxz.windowed_commutator_norms(energies, x_mat, y_mat,
                                               config.time_grid)
         out[d] = max(tr for _, tr in norms)
@@ -300,16 +303,12 @@ def _metric_droplet_profile(config: ExperimentConfig, index: int):
     w = _field(config, index, 2 * config.half_length + 1)
     h = xxz.build_h_sector(config.n_particles, config.half_length,
                            config.anisotropy, config.effective_boundary_weight(), w)
-    pairs = xxz.eigenpairs_in_window(h, config.window())
-    out = {d: 0.0 for d in config.distances}
-    for _, psi in pairs:
-        profile = xxz.droplet_profile(psi, h.basis.droplet_distance)
-        base = profile.get(0, 0.0)
-        if base <= 0:
-            raise DegeneracyError("window eigenvector without droplet mass")
-        for d in config.distances:
-            out[d] = max(out[d], profile.get(d, 0.0) / base)
-    return out
+    _, vectors = xxz.eigenpairs_in_window(h, config.window())
+    profile = xxz.droplet_profile(vectors, h.basis.droplet_distance)
+    if np.any(profile[:, 0] <= 0):
+        raise DegeneracyError("window eigenvector without droplet mass")
+    top = (profile / profile[:, [0]]).max(axis=0, initial=0.0)
+    return {d: float(top[d]) if d < top.size else 0.0 for d in config.distances}
 
 
 def _metric_sector_correlator(config: ExperimentConfig, index: int):
@@ -317,8 +316,8 @@ def _metric_sector_correlator(config: ExperimentConfig, index: int):
     w = _field(config, index, 2 * config.half_length + 1)
     h = xxz.build_h_sector(config.n_particles, config.half_length,
                            config.anisotropy, config.effective_boundary_weight(), w)
-    pairs = xxz.eigenpairs_in_window(h, config.window())
-    masses = xxz.window_site_masses([(h.basis, e, psi) for e, psi in pairs],
+    energies, vectors = xxz.eigenpairs_in_window(h, config.window())
+    masses = xxz.window_site_masses([(h.basis, energies, vectors)],
                                     h.basis.n_sites)
     return _distance_means(masses, config.distances)
 
@@ -347,7 +346,8 @@ def _metric_ct_pass(config: ExperimentConfig, index: int):
 
 def _xy_commutator_profiles(config: ExperimentConfig, index: int, times):
     """Per distance d, the norms of [tau_t(sX_j), sX_{j+d}] at the given
-    times: closed form for the chain end j = 0, else the dense 2^n chain."""
+    times: closed form for the chain end j = 0, else in the eigenbasis of the
+    dense 2^n chain, where tau_t(X) = D X D^dagger with D = diag(e^{iEt})."""
     w = _field(config, index, config.chain_length)
     j = config.probe_site
     if j == 0:
@@ -355,13 +355,22 @@ def _xy_commutator_profiles(config: ExperimentConfig, index: int, times):
         return {d: norms[:, d] for d in config.distances}
     n = config.chain_length
     es = oracle.diagonalize_full(oracle.build_full("xy", w))
-    x_full = oracle.SiteObservable.of_kind("X", j).embed(n)
-    x_tilde = es.vectors.conj().T @ x_full @ es.vectors
+    v = es.vectors
+
+    def in_eigenbasis(site):
+        return v.conj().T @ oracle.SiteObservable.of_kind("X", site).embed(n) @ v
+
+    x_tilde = in_eigenbasis(j)
     out = {}
     for d in config.distances:
-        y_full = oracle.SiteObservable.of_kind("X", j + d).embed(n)
-        out[d] = np.array([_commutator_opnorm(es, x_tilde, y_full, t)
-                           for t in times])
+        y_tilde = in_eigenbasis(j + d)
+        norms = []
+        for t in times:
+            xt = xxz.evolve_window_observable(es.energies, x_tilde, t)
+            # the commutator of two Hermitian operators is anti-Hermitian
+            norms.append(np.abs(np.linalg.eigvalsh(
+                1j * (xt @ y_tilde - y_tilde @ xt))).max())
+        out[d] = np.array(norms)
     return out
 
 
@@ -370,46 +379,6 @@ def _metric_xy_commutator(config: ExperimentConfig, index: int):
     grid of the operator norm of [tau_t(sX_j), sX_k]."""
     profiles = _xy_commutator_profiles(config, index, config.time_grid)
     return {d: float(norms.max(initial=0.0)) for d, norms in profiles.items()}
-
-
-def _commutator_opnorm(es, x_tilde: np.ndarray, y_full: np.ndarray,
-                       t: float, iterations: int = 60,
-                       tol: float = 1e-5) -> float:
-    """Operator norm of [tau_t(X), Y] by power iteration on C* C, applying
-    tau_t(X) through its spectral factorization instead of forming it."""
-    phases = np.exp(1j * es.energies * t)
-    v = es.vectors
-    vh = v.conj().T
-
-    def apply_a(u):
-        return v @ (phases * (x_tilde @ (phases.conj() * (vh @ u))))
-
-    def apply_a_dag(u):
-        return v @ (phases * (x_tilde.conj().T @ (phases.conj() * (vh @ u))))
-
-    def apply_c(u):
-        return apply_a(y_full @ u) - y_full @ apply_a(u)
-
-    def apply_c_dag(u):
-        return apply_a_dag(y_full.conj().T @ u) - y_full.conj().T @ apply_a_dag(u)
-
-    rng = np.random.default_rng(12345)
-    u = rng.standard_normal(v.shape[0]) + 1j * rng.standard_normal(v.shape[0])
-    u /= np.linalg.norm(u)
-    estimate = 0.0
-    for _ in range(iterations):
-        cu = apply_c(u)
-        nrm = np.linalg.norm(cu)
-        if nrm < 1e-300:
-            return 0.0
-        w = apply_c_dag(cu)
-        new = float(np.sqrt(np.linalg.norm(w)))
-        u = w / np.linalg.norm(w)
-        if abs(new - estimate) < tol * max(new, 1.0):
-            estimate = new
-            break
-        estimate = new
-    return estimate
 
 
 def xy_commutator_arrival(config: ExperimentConfig, index: int = 0,

@@ -96,8 +96,6 @@ class FullHamiltonian:
     model: str
     matrix: np.ndarray
     field: FieldRealization
-    site_offset: int = 0
-    parameters: dict | None = None
 
     @property
     def n_sites(self) -> int:
@@ -129,22 +127,18 @@ def build_full(model: str, field_realization: FieldRealization,
     _check_cap(n, cap)
     dim = 2 ** n
     h = np.zeros((dim, dim))
-    params: dict = {}
 
     if model == "xy":
         for j in range(n - 1):
             h -= _bond(SIGMA_X, SIGMA_X, j, n).real + _bond(SIGMA_Y, SIGMA_Y, j, n).real
         for j in range(n):
             h -= w[j] * embed_site(SIGMA_Z, j, n)
-        offset = 0
     elif model == "aniso":
         for j in range(n - 1):
             h -= ((1 + gamma) * _bond(SIGMA_X, SIGMA_X, j, n).real
                   + (1 - gamma) * _bond(SIGMA_Y, SIGMA_Y, j, n).real)
         for j in range(n):
             h -= coupling * w[j] * embed_site(SIGMA_Z, j, n)
-        offset = 0
-        params = {"gamma": gamma, "coupling": coupling}
     elif model == "ising":
         if np.any(w < 0):
             raise ConfigurationError("Ising model requires a nonnegative field")
@@ -154,7 +148,6 @@ def build_full(model: str, field_realization: FieldRealization,
         for j in range(n):
             h += w[j] * embed_site(NUMBER, j, n)
         h += 0.5 * (embed_site(NUMBER, 0, n) + embed_site(NUMBER, n - 1, n))
-        offset = 0
     elif model == "xxz":
         if anisotropy <= 1:
             raise ConfigurationError("Ising phase requires anisotropy > 1")
@@ -174,14 +167,12 @@ def build_full(model: str, field_realization: FieldRealization,
             h += w[j] * embed_site(NUMBER, j, n)
         h += boundary_weight * (embed_site(NUMBER, 0, n)
                                 + embed_site(NUMBER, n - 1, n))
-        offset = (n - 1) // 2
-        params = {"anisotropy": anisotropy, "boundary_weight": boundary_weight}
     else:
         raise ConfigurationError(f"unknown model {model!r}")
 
     if np.abs(h - h.conj().T).max() > 1e-12:
         raise NumericalError("assembled Hamiltonian is not Hermitian")
-    return FullHamiltonian(model, h, field_realization, offset, params)
+    return FullHamiltonian(model, h, field_realization)
 
 
 def jordan_wigner_modes(n: int, cap: int = DEFAULT_CAP) -> list[np.ndarray]:

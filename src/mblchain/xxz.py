@@ -28,7 +28,6 @@ and they are read-only.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -137,29 +136,6 @@ def enumerate_basis(n_particles: int, half_length: int) -> SectorBasis:
                        {x: i for i, x in enumerate(configs)}, **arrays)
 
 
-# naive per-configuration definitions, kept as references for the skeleton
-
-def component_degree(x: Config) -> int:
-    """Twice the number of maximal runs of consecutive sites (box independent)."""
-    runs = 1 + sum(1 for a, b in zip(x, x[1:]) if b - a > 1)
-    return 2 * runs
-
-
-def neighbors(x: Config, basis: SectorBasis) -> list[Config]:
-    """Single-particle moves by +-1 respecting hard core and box bounds."""
-    L = basis.half_length
-    occupied = set(x)
-    out = []
-    for i, xi in enumerate(x):
-        for step in (-1, 1):
-            target = xi + step
-            if -L <= target <= L and target not in occupied:
-                y = list(x)
-                y[i] = target
-                out.append(tuple(sorted(y)))
-    return out
-
-
 def set_distance(a, b) -> int:
     """d_N(A, B): minimal l1 distance between the two configuration sets."""
     if not a or not b:
@@ -168,25 +144,6 @@ def set_distance(a, b) -> int:
     xb = np.array(sorted(b))
     # pairwise |x - y| summed over particle slots
     return int(np.abs(xa[:, None, :] - xb[None, :, :]).sum(axis=2).min())
-
-
-def set_distance_bfs(a, b, basis: SectorBasis) -> int:
-    """Same distance via breadth-first search on the configuration graph
-    (hop distance equals l1 distance on this space)."""
-    targets = set(b)
-    seen = set(a)
-    frontier = deque((x, 0) for x in a)
-    if targets & seen:
-        return 0
-    while frontier:
-        x, d = frontier.popleft()
-        for y in neighbors(x, basis):
-            if y in targets:
-                return d + 1
-            if y not in seen:
-                seen.add(y)
-                frontier.append((y, d + 1))
-    raise ValueError("configuration graph is connected; sets must be in basis")
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +265,8 @@ def _dense_eigh(h: SectorHamiltonian):
 
 
 def eigenpairs_in_window(h: SectorHamiltonian, window: EnergyWindow):
-    """All (energy, eigenvector) pairs with energy in the window.
+    """The window energies of the sector, ascending, and their eigenvectors
+    as the columns of a matrix.
 
     Dense below DENSE_DIAG_CAP, shift-invert Lanczos around the window
     center above it.  The k eigenvalues nearest the center cover the window
@@ -337,19 +295,15 @@ def eigenpairs_in_window(h: SectorHamiltonian, window: EnergyWindow):
         ortho = np.abs(vecs.T @ vecs - np.eye(vals.size)).max()
         if ortho > 1e-9:
             raise NumericalError(f"window eigenvectors not orthonormal: {ortho:.2e}")
-    return [(float(e), vecs[:, i]) for i, e in enumerate(vals)]
+    return vals, vecs
 
 
-def droplet_profile(psi: np.ndarray, distance: np.ndarray) -> dict[int, float]:
-    """Mass ||chi_{d=r} psi|| of the eigenvector at each droplet distance r,
-    with ``distance`` a basis's ``droplet_distance``."""
-    psi = np.asarray(psi)
-    out = {}
-    for r in range(int(distance.max()) + 1):
-        sel = distance == r
-        if sel.any():
-            out[r] = float(np.sqrt((np.abs(psi[sel]) ** 2).sum()))
-    return out
+def droplet_profile(vectors: np.ndarray, distance: np.ndarray) -> np.ndarray:
+    """Masses ||chi_{d=r} psi|| of the columns psi of ``vectors`` at every
+    droplet distance r = 0 .. max(distance), one row per column, with
+    ``distance`` a basis's ``droplet_distance``."""
+    shells = distance[:, None] == np.arange(distance.max() + 1)
+    return np.sqrt((vectors ** 2).T @ shells)
 
 
 def _window_gap_check(energies: np.ndarray):
@@ -360,15 +314,14 @@ def _window_gap_check(energies: np.ndarray):
                 f"window spectrum has gap {gap:.2e} <= {_GAP_TOL}")
 
 
-def window_site_masses(states, n_sites: int) -> np.ndarray:
-    """Masses ||N_j psi|| = sqrt(psi^2 @ occupancy) of the window states
-    (basis, energy, psi), one row per state.  A degenerate window raises
-    DegeneracyError: its per-state masses depend on the eigenbasis."""
-    _window_gap_check(np.array([e for _, e, _ in states]))
-    masses = np.zeros((len(states), n_sites))
-    for row, (basis, _, psi) in enumerate(states):
-        masses[row] = np.sqrt(psi ** 2 @ basis.occupancy)
-    return masses
+def window_site_masses(blocks, n_sites: int) -> np.ndarray:
+    """Masses ||N_j psi|| = sqrt(psi^2 @ occupancy) of the window states,
+    one row per state, from per-sector blocks (basis, energies, vectors).
+    A degenerate window raises DegeneracyError: its per-state masses
+    depend on the eigenbasis."""
+    _window_gap_check(np.concatenate([np.zeros(0)] + [e for _, e, _ in blocks]))
+    return np.concatenate([np.zeros((0, n_sites))]
+                          + [np.sqrt((v ** 2).T @ b.occupancy) for b, _, v in blocks])
 
 
 def _check_site(site: int, half_length: int):
@@ -456,6 +409,7 @@ class ChainSpectrum:
         self.boundary_weight = boundary_weight
         self.field = field_realization
         self.sectors: dict[int, _SectorSpectrum] = {}
+        self._windows = {}
         _require_dense(comb(2 * half_length + 1, half_length))  # largest sector
         for n in range(1, 2 * half_length + 2):
             h = build_h_sector(n, half_length, anisotropy, boundary_weight,
@@ -472,76 +426,70 @@ class ChainSpectrum:
         return np.sort(np.concatenate(
             [[0.0]] + [s.energies for s in self.sectors.values()]))
 
-    def window_states(self, window: EnergyWindow, include_vacuum: bool = True):
-        """(sector, energy, eigenvector) for all states in the window; the
-        vacuum appears as sector 0 with a trivial vector."""
-        out = []
-        if include_vacuum and window.contains([0.0])[0]:
-            out.append((0, 0.0, np.ones(1)))
-        for n, s in self.sectors.items():
-            for i in np.flatnonzero(window.contains(s.energies)):
-                out.append((n, float(s.energies[i]), s.vectors[:, i]))
-        return out
+    def window_blocks(self, window: EnergyWindow):
+        """Window energies and, per sector with window states, the slice of
+        those states in the energies and their eigenvectors as columns; the
+        vacuum is sector 0 with the vector (1).  Built once per window and
+        shared by every caller, so the arrays are read-only."""
+        if window not in self._windows:
+            spectra = [(0, np.zeros(1), np.ones((1, 1)))] + [
+                (n, s.energies, s.vectors) for n, s in self.sectors.items()]
+            parts, blocks, start = [np.zeros(0)], {}, 0
+            for n, energies, vectors in spectra:
+                keep = window.contains(energies)
+                if keep.any():
+                    # row-major, so the window products round the same way
+                    # whatever layout eigh returns
+                    vecs = np.ascontiguousarray(vectors[:, keep])
+                    vecs.flags.writeable = False
+                    blocks[n] = slice(start, start + keep.sum()), vecs
+                    parts.append(energies[keep])
+                    start += keep.sum()
+            energies = np.concatenate(parts)
+            energies.flags.writeable = False
+            self._windows[window] = energies, blocks
+        return self._windows[window]
 
     def site_mass_profile(self, window: EnergyWindow) -> np.ndarray:
         """Per-state, per-site masses ||N_j psi_E|| for window eigenstates,
         an array of shape (n_states, n_sites) (see window_site_masses)."""
-        states = self.window_states(window, include_vacuum=False)
+        energies, blocks = self.window_blocks(window)
         return window_site_masses(
-            [(self.sectors[n].basis, e, psi) for n, e, psi in states],
-            self.n_sites)
+            [(self.sectors[n].basis, energies[rows], vecs)
+             for n, (rows, vecs) in blocks.items() if n], self.n_sites)
 
     # -- windowed observables -------------------------------------------------
-
-    def _window_blocks(self, window: EnergyWindow):
-        """Window energies and, per sector, the indices of its window states
-        and their eigenvectors as columns (the vacuum is sector 0)."""
-        states = self.window_states(window)
-        rows = defaultdict(list)
-        for idx, (n, _, _) in enumerate(states):
-            rows[n].append(idx)
-        return np.array([e for _, e, _ in states]), {
-            n: (r, np.stack([states[i][2] for i in r], axis=1))
-            for n, r in rows.items()}
 
     def window_number_operator(self, window: EnergyWindow, site: int):
         """(energies, Psi* N_site Psi) over the window eigenbasis."""
         _check_site(site, self.half_length)
-        energies, blocks = self._window_blocks(window)
+        energies, blocks = self.window_blocks(window)
         mat = np.zeros((energies.size, energies.size))
         for n, (rows, vecs) in blocks.items():
             if n:
                 sel = self.sectors[n].basis.occupancy[:, site + self.half_length]
-                mat[np.ix_(rows, rows)] = vecs[sel].T @ vecs[sel]
+                mat[rows, rows] = vecs[sel].T @ vecs[sel]
         return energies, mat
 
-    def window_raising_operator(self, window: EnergyWindow, site: int):
-        """Psi* a_site^dagger Psi in the window eigenbasis (adds one particle
-        at the site; couples adjacent sectors, vacuum included)."""
+    def window_sigma_x(self, window: EnergyWindow, site: int):
+        """(energies, Psi* sigma^x_site Psi) over the window eigenbasis, the
+        both-sided window restriction P sigma^x P.  sigma^x = a^dagger + a
+        adds or removes one particle at the site, so it couples adjacent
+        sectors, vacuum included."""
         _check_site(site, self.half_length)
         bit = 1 << (site + self.half_length)
-        energies, blocks = self._window_blocks(window)
-        mat = np.zeros((energies.size, energies.size))
+        energies, blocks = self.window_blocks(window)
+        raising = np.zeros((energies.size, energies.size))
         for n, (src_rows, src_vecs) in blocks.items():
             if n + 1 not in blocks:
                 continue
             dst_rows, dst_vecs = blocks[n + 1]
             src = self.sectors[n].basis.masks if n else np.zeros(1, dtype=np.int64)
             free = (src & bit) == 0
-            lifted = np.zeros((len(dst_vecs), len(src_rows)))
+            lifted = np.zeros((len(dst_vecs), src_vecs.shape[1]))
             lifted[self.sectors[n + 1].basis.locate(src[free] | bit)] = src_vecs[free]
-            mat[np.ix_(dst_rows, src_rows)] = dst_vecs.T @ lifted
-        return energies, mat
-
-    def window_observable(self, window: EnergyWindow, kind: str, site: int):
-        """Both-sided window restriction X_I = P X P of a one-site observable,
-        as a matrix over the window eigenbasis, plus the window energies."""
-        if kind == "number":
-            return self.window_number_operator(window, site)
-        if kind == "sigma_x":
-            energies, raising = self.window_raising_operator(window, site)
-            return energies, raising + raising.T
-        raise ConfigurationError(f"unknown observable kind {kind!r}")
+            raising[dst_rows, src_rows] = dst_vecs.T @ lifted
+        return energies, raising + raising.T
 
 
 def evolve_window_observable(energies: np.ndarray, mat: np.ndarray,
@@ -591,7 +539,7 @@ class QuasiLocalityProbe:
         self.site = site
         self.window = window
         self.energies, self._number = chain.window_number_operator(window, site)
-        self._blocks = chain._window_blocks(window)[1]
+        self._blocks = chain.window_blocks(window)[1]
         self._tables = {}
 
     def _evolved(self, t: float):
@@ -656,13 +604,13 @@ class QuasiLocalityProbe:
             if n == 0:
                 # vacuum: the approximant keeps the traced diagonal element
                 # at the empty pattern; tau_t(X) annihilates the vacuum
-                approx[rows[0], rows[0]] = m_a[0, 0]
+                approx[rows, rows] = m_a[0, 0]
                 continue
             for members, patterns in tables[n]:
                 v = vecs[members]
                 mv = (m_a[np.ix_(patterns, patterns)]
-                      @ v.reshape(-1, patterns.size, len(rows)))
-                approx[np.ix_(rows, rows)] += v.T @ mv.reshape(members.size, -1)
+                      @ v.reshape(-1, patterns.size, v.shape[1]))
+                approx[rows, rows] += v.T @ mv.reshape(members.size, -1)
         return float(np.linalg.norm(approx - exact, 2)) if w else 0.0
 
     def error_at(self, ell: int, t: float) -> float:

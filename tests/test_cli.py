@@ -88,6 +88,12 @@ def test_probed_site_outside_chain_exits_config(tmp_path, capsys, args):
     (["lr-lightcone", "--model", "xy", "--chain-length", "6",
       "--distances", "2", "--time-grid", ","],
      "xy_commutator needs a nonempty time_grid"),
+    (["lr-lightcone", "--model", "foo", "--chain-length", "6",
+      "--distances", "2,4"],
+     "unknown lr-lightcone model 'foo'"),
+    (["xxz-profile", "--half-length", "3", "--n-particles", "2",
+      "--anisotropy", "3.0", "--distances=-1,0,1,2"],
+     "droplet distances [-1] below 0"),
 ])
 def test_range_errors_exit_config(tmp_path, capsys, args, message):
     assert cli.main(args + ["--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG

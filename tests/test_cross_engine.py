@@ -242,6 +242,27 @@ def test_ct_check_matches_oracle_inverse():
             assert abs(measured - expect) < 1e-10
 
 
+@pytest.mark.parametrize("probe_site", [1, 3])
+@pytest.mark.parametrize("spec", [
+    DisorderSpec(kind="constant", support_min=0.0, support_max=0.0),
+    DisorderSpec(coupling=4.0)])
+def test_interior_xy_commutator_matches_oracle(probe_site, spec):
+    from mblchain import experiments as ex
+    n, grid = 8, (0.5, 2.0, 10.0)
+    config = ex.ExperimentConfig(kind="xy_commutator", chain_length=n,
+                                 disorder=spec, seeds=PLAN, probe_site=probe_site,
+                                 distances=tuple(range(1, n - probe_site)),
+                                 time_grid=grid)
+    fast = ex._xy_commutator_profiles(config, 3, grid)
+    w = sample_field(spec, n, PLAN, 3)
+    full = oracle.diagonalize_full(oracle.build_full("xy", w))
+    x = oracle.SiteObservable.of_kind("X", probe_site).embed(n)
+    for d in config.distances:
+        y = oracle.SiteObservable.of_kind("X", probe_site + d).embed(n)
+        slow = [op for op, _ in oracle.commutator_norms(full, x, y, grid)]
+        assert np.abs(fast[d] - slow).max() < 1e-10
+
+
 def test_chain_spectrum_matches_oracle():
     L, delta, beta = 2, 4.0, 0.5
     w = sample_field(UNIFORM, 2 * L + 1, PLAN, 12)
@@ -311,8 +332,8 @@ def test_windowed_commutator_matches_oracle():
     w = sample_field(UNIFORM, 2 * L + 1, PLAN, 14)
     chain = xxz.ChainSpectrum(L, delta, beta, w)
     window = xxz.spectral_window(delta, 0.5)
-    energies, x_mat = chain.window_observable(window, "sigma_x", -1)
-    _, y_mat = chain.window_observable(window, "sigma_x", 2)
+    energies, x_mat = chain.window_sigma_x(window, -1)
+    _, y_mat = chain.window_sigma_x(window, 2)
     grid = (0.0, 0.7, 3.0)
     fast = xxz.windowed_commutator_norms(energies, x_mat, y_mat, grid)
 
@@ -341,9 +362,9 @@ def test_quasi_locality_probe_matches_oracle():
         w = sample_field(spec, 2 * L + 1, PLAN, 15)
         chain = xxz.ChainSpectrum(L, delta, beta, w)
         window = xxz.spectral_window(delta, 0.5, kind)
-        states = chain.window_states(window)
-        assert (states[0][0] == 0) == (kind == "I_0_delta")
-        assert (len(states) == 1) == (spec is not UNIFORM)
+        energies, blocks = chain.window_blocks(window)
+        assert (0 in blocks) == (kind == "I_0_delta")
+        assert (energies.size == 1) == (spec is not UNIFORM)
         probe = xxz.QuasiLocalityProbe(chain, site, window)
 
         n = 2 * L + 1

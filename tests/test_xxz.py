@@ -1,6 +1,8 @@
+from collections import deque
+from math import comb
+
 import numpy as np
 import pytest
-from math import comb
 
 from mblchain import xxz
 from mblchain.disorder import DisorderSpec, SeedPlan, constant_field, sample_field
@@ -8,6 +10,48 @@ from mblchain.errors import ConfigurationError, DegeneracyError, NumericalError
 
 PLAN = SeedPlan(16180)
 UNIFORM = DisorderSpec()
+
+
+# naive per-configuration definitions, the references for the sector skeleton
+
+def component_degree(x) -> int:
+    """Twice the number of maximal runs of consecutive sites (box independent)."""
+    runs = 1 + sum(1 for a, b in zip(x, x[1:]) if b - a > 1)
+    return 2 * runs
+
+
+def neighbors(x, basis) -> list:
+    """Single-particle moves by +-1 respecting hard core and box bounds."""
+    L = basis.half_length
+    occupied = set(x)
+    out = []
+    for i, xi in enumerate(x):
+        for step in (-1, 1):
+            target = xi + step
+            if -L <= target <= L and target not in occupied:
+                y = list(x)
+                y[i] = target
+                out.append(tuple(sorted(y)))
+    return out
+
+
+def set_distance_bfs(a, b, basis) -> int:
+    """d_N(A, B) via breadth-first search on the configuration graph (hop
+    distance equals l1 distance on this space)."""
+    targets = set(b)
+    seen = set(a)
+    frontier = deque((x, 0) for x in a)
+    if targets & seen:
+        return 0
+    while frontier:
+        x, d = frontier.popleft()
+        for y in neighbors(x, basis):
+            if y in targets:
+                return d + 1
+            if y not in seen:
+                seen.add(y)
+                frontier.append((y, d + 1))
+    raise ValueError("configuration graph is connected; sets must be in basis")
 
 
 def test_basis_enumeration():
@@ -21,14 +65,14 @@ def test_basis_enumeration():
 
 
 def test_component_degree():
-    assert xxz.component_degree((0, 1, 2)) == 2
-    assert xxz.component_degree((0, 2, 4)) == 6
-    assert xxz.component_degree((-3, -2, 1, 2, 5)) == 6
+    assert component_degree((0, 1, 2)) == 2
+    assert component_degree((0, 2, 4)) == 6
+    assert component_degree((-3, -2, 1, 2, 5)) == 6
 
 
 def test_neighbors_hard_core_and_walls():
     basis = xxz.enumerate_basis(2, 2)
-    nbrs = xxz.neighbors((-2, -1), basis)
+    nbrs = neighbors((-2, -1), basis)
     # left particle blocked by wall and by the right particle;
     # right particle can only move right
     assert set(nbrs) == {(-2, 0)}
@@ -52,13 +96,13 @@ def test_sector_skeleton_matches_naive_definitions(n_particles, half_length):
     basis = xxz.enumerate_basis(n_particles, half_length)
     L = half_length
     edges = {(i, basis.index[y]) for i, x in enumerate(basis.configs)
-             for y in xxz.neighbors(x, basis) if basis.index[y] > i}
+             for y in neighbors(x, basis) if basis.index[y] > i}
     assert {tuple(p) for p in basis.hops.tolist()} == edges
     assert len(basis.hops) == len(edges)
     droplets = [x for x in basis.configs if x[-1] - x[0] == n_particles - 1]
     for i, x in enumerate(basis.configs):
-        assert basis.graph_degree[i] == len(xxz.neighbors(x, basis))
-        assert basis.cluster_degree[i] == xxz.component_degree(x)
+        assert basis.graph_degree[i] == len(neighbors(x, basis))
+        assert basis.cluster_degree[i] == component_degree(x)
         assert basis.wall_touches[i] == (x[0] == -L) + (x[-1] == L)
         assert basis.droplet_distance[i] == xxz.set_distance([x], droplets)
         assert basis.occupancy[i].tolist() == [s in x for s in basis.sites]
@@ -91,7 +135,7 @@ def test_set_distances_agree():
     a = [(-3, -2), (-3, 0)]
     b = [(2, 3), (1, 3)]
     direct = xxz.set_distance(a, b)
-    bfs = xxz.set_distance_bfs(a, b, basis)
+    bfs = set_distance_bfs(a, b, basis)
     assert direct == bfs
     assert xxz.set_distance(a, a) == 0
 
@@ -195,9 +239,9 @@ def test_eigenpairs_in_window_orthonormal():
     w = sample_field(DisorderSpec(coupling=0.05), 13, PLAN, 2)
     h = xxz.build_h_sector(2, 6, delta, xxz.min_boundary_weight(delta), w)
     window = xxz.spectral_window(delta, 0.5)
-    pairs = xxz.eigenpairs_in_window(h, window)
-    assert pairs
-    for e, psi in pairs:
+    energies, vectors = xxz.eigenpairs_in_window(h, window)
+    assert energies.size
+    for e, psi in zip(energies, vectors.T):
         assert window.contains([e])[0]
         assert abs(np.linalg.norm(psi) - 1) < 1e-9
         assert np.linalg.norm(h.matrix @ psi - e * psi) < 1e-8
@@ -205,13 +249,19 @@ def test_eigenpairs_in_window_orthonormal():
 
 def test_droplet_profile_mass_conservation():
     delta = 3.0
-    w = sample_field(UNIFORM, 13, PLAN, 3)
+    # weak field, so the three-particle droplet states fall in the window
+    w = sample_field(DisorderSpec(coupling=0.05), 13, PLAN, 3)
     h = xxz.build_h_sector(3, 6, delta, xxz.min_boundary_weight(delta), w)
-    pairs = xxz.eigenpairs_in_window(h, xxz.spectral_window(delta, kind="I"))
-    for _, psi in pairs:
-        profile = xxz.droplet_profile(psi, h.basis.droplet_distance)
-        total = sum(v ** 2 for v in profile.values())
+    _, vectors = xxz.eigenpairs_in_window(h, xxz.spectral_window(delta, kind="I"))
+    assert vectors.shape[1]
+    distance = h.basis.droplet_distance
+    for psi, profile in zip(vectors.T, xxz.droplet_profile(vectors, distance)):
+        total = sum(v ** 2 for v in profile)
         assert abs(total - 1.0) < 1e-9
+        # the per-shell sums, in another order
+        shells = [np.sqrt((psi[distance == r] ** 2).sum())
+                  for r in range(distance.max() + 1)]
+        assert np.abs(profile - shells).max() < 1e-14
 
 
 def test_ct_check_bound_holds_and_closed_form():
@@ -279,8 +329,8 @@ def test_ct_check_certificate_rejects_inexact_solves(monkeypatch):
 
 def _sector_correlator(h, window, j, k):
     """Q_N(j, k; window) from the window site masses of one sector."""
-    pairs = xxz.eigenpairs_in_window(h, window)
-    masses = xxz.window_site_masses([(h.basis, e, psi) for e, psi in pairs],
+    energies, vectors = xxz.eigenpairs_in_window(h, window)
+    masses = xxz.window_site_masses([(h.basis, energies, vectors)],
                                     h.basis.n_sites)
     L = h.basis.half_length
     return float(masses[:, j + L] @ masses[:, k + L])
@@ -315,11 +365,11 @@ def test_windowed_eigenpairs_above_dense_cap(monkeypatch):
     w = sample_field(UNIFORM, 31, PLAN, 8)
     h = xxz.build_h_sector(2, 15, delta, xxz.min_boundary_weight(delta), w)
     narrow = xxz.EnergyWindow(1.0, 1.4)
-    dense = xxz.eigenpairs_in_window(h, narrow)
+    e_dense, v_dense = xxz.eigenpairs_in_window(h, narrow)
     monkeypatch.setattr(xxz, "DENSE_DIAG_CAP", 100)
-    sparse = xxz.eigenpairs_in_window(h, narrow)
-    assert dense and len(sparse) == len(dense)
-    for (e_d, psi_d), (e_s, psi_s) in zip(dense, sparse):
+    e_sparse, v_sparse = xxz.eigenpairs_in_window(h, narrow)
+    assert e_dense.size and e_sparse.size == e_dense.size
+    for e_d, psi_d, e_s, psi_s in zip(e_dense, v_dense.T, e_sparse, v_sparse.T):
         assert abs(e_d - e_s) < 1e-10
         assert abs(abs(psi_d @ psi_s) - 1.0) < 1e-8
     # the 400 eigenvalues nearest the centre cannot cover a window holding
@@ -338,16 +388,20 @@ def test_dense_cap_fits_physical_memory():
     assert xxz.DENSE_DIAG_CAP >= comb(25, 3)
 
 
-def test_chain_spectrum_window_states_and_vacuum():
+def test_chain_spectrum_window_blocks_and_vacuum():
     delta = 6.0
     w = sample_field(UNIFORM, 5, PLAN, 6)
     chain = xxz.ChainSpectrum(2, delta, xxz.min_boundary_weight(delta), w)
     assert chain.all_energies().size == 2 ** 5
     w0 = xxz.spectral_window(delta, 0.5, "I_0_delta")
-    states = chain.window_states(w0)
-    assert states[0][0] == 0 and states[0][1] == 0.0
+    energies, blocks = chain.window_blocks(w0)
+    # the vacuum comes first, as sector 0
+    assert blocks[0][0] == slice(0, 1) and energies[0] == 0.0
+    # built once per window; the shared arrays are read-only
+    assert chain.window_blocks(w0)[0] is energies
+    assert not energies.flags.writeable and not blocks[1][1].flags.writeable
     wd = xxz.spectral_window(delta, 0.5)
-    assert all(n > 0 for n, _, _ in chain.window_states(wd))
+    assert all(n > 0 for n in chain.window_blocks(wd)[1])
 
 
 def test_window_number_operator_projection_identity():
@@ -373,8 +427,39 @@ def test_window_observables_reject_sites_outside_chain():
     for site in (-3, 3):
         with pytest.raises(ConfigurationError):
             chain.window_number_operator(window, site)
-        for kind in ("number", "sigma_x"):
-            with pytest.raises(ConfigurationError):
-                chain.window_observable(window, kind, site)
+        with pytest.raises(ConfigurationError):
+            chain.window_sigma_x(window, site)
         with pytest.raises(ConfigurationError):
             xxz.QuasiLocalityProbe(chain, site, window)
+
+
+@pytest.mark.parametrize("half_length", [2, 3])
+@pytest.mark.parametrize("kind", ["I", "I_delta", "I_0_delta"])
+@pytest.mark.parametrize("clean", [False, True])
+def test_sector_and_chain_window_paths_agree(half_length, kind, clean):
+    delta = 3.0
+    n_sites = 2 * half_length + 1
+    w = (constant_field(0.0, n_sites) if clean
+         else sample_field(UNIFORM, n_sites, PLAN, 9))
+    beta = xxz.min_boundary_weight(delta)
+    chain = xxz.ChainSpectrum(half_length, delta, beta, w)
+    window = xxz.spectral_window(delta, 0.5, kind)
+    energies, blocks = chain.window_blocks(window)
+    sector_blocks = []
+    for n in range(1, n_sites + 1):
+        h = xxz.build_h_sector(n, half_length, delta, beta, w)
+        e_sector, v_sector = xxz.eigenpairs_in_window(h, window)
+        rows, v_chain = blocks.get(n, (slice(0, 0), np.zeros((h.dim, 0))))
+        assert e_sector.size == energies[rows].size
+        assert np.abs(e_sector - energies[rows]).max(initial=0.0) < 1e-12
+        # the window projector does not depend on the eigenbasis
+        assert np.abs(v_sector @ v_sector.T - v_chain @ v_chain.T).max() < 1e-10
+        sector_blocks.append((h.basis, e_sector, v_sector))
+    try:
+        masses = chain.site_mass_profile(window)
+    except DegeneracyError:
+        with pytest.raises(DegeneracyError):
+            xxz.window_site_masses(sector_blocks, n_sites)
+    else:
+        assert np.abs(xxz.window_site_masses(sector_blocks, n_sites)
+                      - masses).max(initial=0.0) < 1e-10
