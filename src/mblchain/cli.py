@@ -1,10 +1,12 @@
 """Command-line front end: config parsing, experiment dispatch, outputs.
 
 Configs are flat key=value text files; any key can be overridden on the
-command line.  Every run writes a comma-separated table with a '#'
-metadata preamble, a whitespace-separated .dat twin for plotting tools,
-and a manifest with the echoed config and sha256 checksums of the data
-files.  Data files are byte-identical under a fixed seed.
+command line.  Each subcommand accepts only the settings it reads
+(SETTINGS), as flags and as config keys.  Every run writes a
+comma-separated table with a '#' metadata preamble, a whitespace-separated
+.dat twin for plotting tools, and a manifest with the echoed settings and
+sha256 checksums of the data files.  Data files are byte-identical under
+a fixed seed.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 validation-suite failure.
@@ -17,7 +19,6 @@ import hashlib
 import os
 import sys
 import time
-from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -93,16 +94,20 @@ def load_config_file(path: str) -> dict:
 
 
 def merge_settings(args: argparse.Namespace) -> dict:
-    settings = {key: default for key, (_, default) in _SCHEMA.items()}
+    settings = {key: _SCHEMA[key][1]
+                for key in (*SETTINGS[args.command], "out_dir")}
     if getattr(args, "config", None):
-        settings.update(load_config_file(args.config))
-    for key in _SCHEMA:
+        values = load_config_file(args.config)
+        unread = [key for key in values if key not in settings]
+        if unread:
+            raise ConfigurationError(
+                f"{args.config}: {args.command} does not read"
+                f" {', '.join(map(repr, unread))}")
+        settings.update(values)
+    for key in settings:
         override = getattr(args, key, None)
-        if override is not None:
-            settings[key] = (_convert(key, override)
-                             if isinstance(override, str) and
-                             _SCHEMA[key][0] in ("int_list", "float_list")
-                             else override)
+        if override is not None:  # flags parse like config values
+            settings[key] = _convert(key, override)
     return settings
 
 
@@ -116,11 +121,11 @@ def _disorder(settings: dict) -> DisorderSpec:
 
 
 def build_experiment_config(kind: str, settings: dict) -> experiments.ExperimentConfig:
-    # every other field is read from the setting of the same name
-    named = {f.name: settings[f.name] for f in fields(experiments.ExperimentConfig)
-             if f.name not in ("kind", "disorder", "seeds")}
-    return experiments.ExperimentConfig(kind=kind, disorder=_disorder(settings),
-                                        seeds=SeedPlan(settings["seed"]), **named)
+    # every field the kind reads comes from the setting of the same name
+    named = {key: settings[key] for key in experiments.READS[kind]}
+    return experiments.ExperimentConfig(
+        kind=kind, disorder=_disorder(settings), seeds=SeedPlan(settings["seed"]),
+        realizations=settings["realizations"], **named)
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +151,8 @@ def write_outputs(out_dir: str, name: str, columns, rows, meta: dict,
     started = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
     preamble = ["# units: natural (coupling 1); entropies in nats unless noted",
                 f"# artifact_version = {ARTIFACT_VERSION}"]
-    for key in sorted(settings):
-        if key == "out_dir":  # where files land must not change their bytes
-            continue
+    # out_dir is not echoed: where files land must not change their bytes
+    for key in sorted(SETTINGS[name]):
         preamble.append(f"# {key} = {_format_value(settings[key])}")
     for key in sorted(meta):
         preamble.append(f"# {key} = {_format_value(meta[key])}")
@@ -171,9 +175,7 @@ def write_outputs(out_dir: str, name: str, columns, rows, meta: dict,
         fh.write(f"artifact_version = {ARTIFACT_VERSION}\n")
         fh.write(f"command = {name}\n")
         fh.write(f"written = {started}\n")
-        for key in sorted(settings):
-            if key == "out_dir":
-                continue
+        for key in sorted(SETTINGS[name]):
             fh.write(f"config.{key} = {_format_value(settings[key])}\n")
         for path in (csv_path, dat_path):
             fh.write(f"sha256 {os.path.basename(path)} = {_sha256(path)}\n")
@@ -226,40 +228,37 @@ def cmd_xy_aniso(settings):
     n = settings["chain_length"]
     if n < 2:
         raise ConfigurationError("chain_length >= 2 required")
-    spec = _disorder(settings)
-    w = sample_field(spec, n, SeedPlan(settings["seed"]), 0)
+    w = sample_field(_disorder(settings), n, SeedPlan(settings["seed"]), 0)
     block = xy.build_block_m(w, settings["gamma"])
     es = xy.diagonalize(block.dense())
     vals = es.eigenvalues
     symmetry = float(np.abs(np.sort(vals) + np.sort(-vals)[::-1]).max())
-    meta = {"spectrum_symmetry_defect": symmetry, "gamma": settings["gamma"]}
+    meta = {"spectrum_symmetry_defect": symmetry}
     rows = [(i, float(v)) for i, v in enumerate(vals)]
     return (["index", "eigenvalue"], rows, meta)
 
 
 def cmd_xxz_bands(settings):
+    if settings["n_max"] < 1:
+        raise ConfigurationError("n_max >= 1 required")
     delta = settings["anisotropy"]
     rows = []
     for n in range(1, settings["n_max"] + 1):
         band = xxz.droplet_band(n, delta)
         rows.append((n, band.lower, band.upper))
     limit = float(np.sqrt(1.0 - 1.0 / delta ** 2))
-    return (["n_particles", "lower", "upper"], rows,
-            {"band_limit": limit, "anisotropy": delta})
+    return (["n_particles", "lower", "upper"], rows, {"band_limit": limit})
 
 
 def cmd_xxz_ct(settings):
     config = build_experiment_config("ct_pass", settings)
     rows = []
-    passes = 0
     for index in range(config.realizations):
         with experiments.realization_failures(index):
             d, measured, bound = experiments.ct_sample(config, index)
-        ok = measured <= bound
-        passes += int(ok)
-        rows.append((d, measured, bound, int(ok)))
+        rows.append((d, measured, bound, int(measured <= bound)))
     rows.sort(key=lambda r: r[0])
-    meta = {"pass_fraction": passes / config.realizations,
+    meta = {"pass_fraction": sum(r[3] for r in rows) / config.realizations,
             "samples": config.realizations}
     return (["distance", "measured", "bound", "pass"], rows, meta)
 
@@ -286,11 +285,11 @@ def cmd_quasi_locality(settings):
 
 
 def cmd_ising(settings):
-    n = settings["chain_length"] or 10
-    spec = _disorder(settings)
-    w = sample_field(spec, n, SeedPlan(settings["seed"]), 0)
+    # the length used is the one echoed
+    n = settings["chain_length"] = settings["chain_length"] or 10
+    w = sample_field(_disorder(settings), n, SeedPlan(settings["seed"]), 0)
     formula, _ = oracle.ising_exact(w)
-    meta = {"chain_length": n}
+    meta = {}
     if n <= 12:
         es = oracle.diagonalize_full(oracle.build_full("ising", w))
         meta["spectrum_max_deviation"] = float(
@@ -460,6 +459,25 @@ COMMANDS = {
 }
 
 
+# the settings each subcommand reads: its flags, its admissible config keys
+# and its config echo (out_dir is always admissible and never echoed)
+_FIELD = frozenset({"seed", "disorder_kind", "disorder_min", "disorder_max",
+                    "disorder_coupling"})
+_ENSEMBLE = _FIELD | {"realizations"}
+_READS = experiments.READS
+SETTINGS = {
+    **{name: _READS[row[0]] | _ENSEMBLE for name, row in ENSEMBLES.items()},
+    "xxz-ct": _READS["ct_pass"] | _ENSEMBLE,
+    "lr-lightcone": (_READS["xy_commutator"] | _READS["xxz_commutator"]
+                     | _ENSEMBLE | {"model"}),
+    "xy-aniso": _FIELD | {"chain_length", "gamma"},
+    "xxz-bands": frozenset({"anisotropy", "n_max"}),
+    "ising": _FIELD | {"chain_length", "block_sizes"},
+    "validate": frozenset(),
+    "describe": frozenset(),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mblchain",
@@ -471,14 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out-dir", dest="out_dir",
                        help="output directory (default: env MBLCHAIN_OUT or .)")
-        for key, (kind, _) in _SCHEMA.items():
-            if key == "out_dir":
-                continue
-            flag = "--" + key.replace("_", "-")
-            if kind in (int, float):
-                p.add_argument(flag, dest=key, type=kind, default=None)
-            else:
-                p.add_argument(flag, dest=key, type=str, default=None)
+        for key in sorted(SETTINGS[name]):
+            p.add_argument("--" + key.replace("_", "-"), dest=key)
     return parser
 
 

@@ -104,11 +104,9 @@ class SeedPlan:
 
 @dataclass(frozen=True)
 class FieldRealization:
-    """One sampled disorder vector with its seed provenance."""
+    """One sampled disorder vector."""
 
     values: np.ndarray
-    seed: int
-    realization_index: int
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -119,8 +117,7 @@ class FieldRealization:
 
 def constant_field(value: float, length: int) -> FieldRealization:
     """Deterministic field w_j = value, outside any seed plan."""
-    return FieldRealization(np.full(length, float(value)), seed=0,
-                            realization_index=0)
+    return FieldRealization(np.full(length, float(value)))
 
 
 def sample_field(spec: DisorderSpec, length: int, plan: SeedPlan,
@@ -128,8 +125,7 @@ def sample_field(spec: DisorderSpec, length: int, plan: SeedPlan,
     """Sample one field realization; pure in (spec, length, plan, index)."""
     if length < 1:
         raise ConfigurationError("length must be >= 1")
-    stream = plan.stream_seed(index)
-    rng = np.random.Generator(np.random.Philox(key=stream))
+    rng = plan.generator(index)
     if spec.kind == "constant":
         values = np.full(length, spec.support_min)
     elif spec.kind == "uniform":
@@ -139,5 +135,4 @@ def sample_field(spec: DisorderSpec, length: int, plan: SeedPlan,
         edges = np.linspace(spec.support_min, spec.support_max, masses.size + 1)
         bins = rng.choice(masses.size, size=length, p=masses / masses.sum())
         values = rng.uniform(edges[bins], edges[bins + 1])
-    return FieldRealization(spec.coupling * values, seed=stream,
-                            realization_index=index)
+    return FieldRealization(spec.coupling * values)

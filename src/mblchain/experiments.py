@@ -66,7 +66,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown experiment kind {self.kind!r}")
         if self.realizations < 1:
             raise ConfigurationError("need at least one realization")
-        if self.kind in _XXZ_KINDS:
+        reads = READS[self.kind]
+        if "half_length" in reads:
             if self.half_length < 1:
                 raise ConfigurationError("XXZ experiments need half_length >= 1")
             if self.anisotropy <= 1:
@@ -74,10 +75,12 @@ class ExperimentConfig:
             self.disorder.require_nonnegative()
         elif self.chain_length < 2:
             raise ConfigurationError("chain experiments need chain_length >= 2")
-        if self.kind in _PAIR_KINDS:
+        if "probe_site" in reads:
             lo, hi = ((-self.half_length, self.half_length)
-                      if self.kind in _XXZ_KINDS else (0, self.chain_length - 1))
-            outside = [self.probe_site + d for d in (0, *self.distances)
+                      if "half_length" in reads else (0, self.chain_length - 1))
+            # quasi_locality reads the probe site alone
+            pairs = (0, *self.distances) if "distances" in reads else (0,)
+            outside = [self.probe_site + d for d in pairs
                        if not lo <= self.probe_site + d <= hi]
             if outside:
                 raise ConfigurationError(
@@ -93,18 +96,20 @@ class ExperimentConfig:
         if self.kind == "droplet_profile" and min(self.distances, default=0) < 0:
             raise ConfigurationError(
                 f"droplet distances {[d for d in self.distances if d < 0]} below 0")
-        if self.kind in _CUT_KINDS:
+        if "block_sizes" in reads and "chain_length" in reads:
             outside = [ell for ell in self.block_sizes
                        if not 1 <= ell <= self.chain_length - 1]
             if outside:
                 raise ConfigurationError(
                     f"block sizes {outside} outside 1..{self.chain_length - 1}"
                     " (chain_length - 1)")
-        keys = "block_sizes" if self.kind in _BLOCK_KINDS else "distances"
-        if self.kind != "ct_pass" and not getattr(self, keys):
-            raise ConfigurationError(f"{self.kind} needs a nonempty {keys} list")
-        if self.kind in _TIME_KINDS and not self.time_grid:
+        for keys in ("distances", "block_sizes"):
+            if keys in reads and not getattr(self, keys):
+                raise ConfigurationError(f"{self.kind} needs a nonempty {keys} list")
+        if "time_grid" in reads and not self.time_grid:
             raise ConfigurationError(f"{self.kind} needs a nonempty time_grid")
+        if "sup_samples" in reads and self.sup_samples < 1:
+            raise ConfigurationError(f"{self.kind} needs sup_samples >= 1")
 
     def effective_boundary_weight(self) -> float:
         if self.boundary_weight is not None:
@@ -138,14 +143,13 @@ class DecayFit:
     r_squared: float
     rate_confidence_halfwidth: float
     points_used: int
-    floor_applied: bool
     available: bool = True
 
     def ci_contains_zero(self) -> bool:
         return abs(self.rate) <= self.rate_confidence_halfwidth
 
 
-UNAVAILABLE_FIT = DecayFit(0.0, 0.0, 0.0, np.inf, 0, False, available=False)
+UNAVAILABLE_FIT = DecayFit(0.0, 0.0, 0.0, np.inf, 0, available=False)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +174,7 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> DecayFit:
     return DecayFit(rate=slope, intercept=float(y.mean() - slope * x.mean()),
                     r_squared=r_squared,
                     rate_confidence_halfwidth=float(stdtrit(dof, 0.975) * stderr),
-                    points_used=int(x.size), floor_applied=False)
+                    points_used=int(x.size))
 
 
 def fit_exponential_decay(distances, means, floor: float = FIT_FLOOR) -> DecayFit:
@@ -182,12 +186,11 @@ def fit_exponential_decay(distances, means, floor: float = FIT_FLOOR) -> DecayFi
     """
     d = np.asarray(distances, dtype=float)
     m = np.asarray(means, dtype=float)
-    floored = bool((m < floor).any())
     keep = m > 10.0 * floor
     if keep.sum() < 3:
         return UNAVAILABLE_FIT
     fit = _linear_fit(d[keep], np.log(np.maximum(m[keep], floor)))
-    return replace(fit, rate=-fit.rate, floor_applied=floored)
+    return replace(fit, rate=-fit.rate)
 
 
 def fit_log_slope(sizes, values, base2: bool = False) -> DecayFit:
@@ -256,6 +259,12 @@ def _metric_quench_entropy(config: ExperimentConfig, index: int):
     return out
 
 
+def _sector(config: ExperimentConfig, index: int) -> xxz.SectorHamiltonian:
+    w = _field(config, index, 2 * config.half_length + 1)
+    return xxz.build_h_sector(config.n_particles, config.half_length,
+                              config.anisotropy, config.effective_boundary_weight(), w)
+
+
 def _chain(config: ExperimentConfig, index: int) -> xxz.ChainSpectrum:
     w = _field(config, index, 2 * config.half_length + 1)
     return xxz.ChainSpectrum(config.half_length, config.anisotropy,
@@ -300,9 +309,7 @@ def _metric_xxz_commutator(config: ExperimentConfig, index: int):
 def _metric_droplet_profile(config: ExperimentConfig, index: int):
     """Max over window eigenvectors of mass(r) / mass(0): eigenvector decay
     away from the droplet configurations."""
-    w = _field(config, index, 2 * config.half_length + 1)
-    h = xxz.build_h_sector(config.n_particles, config.half_length,
-                           config.anisotropy, config.effective_boundary_weight(), w)
+    h = _sector(config, index)
     _, vectors = xxz.eigenpairs_in_window(h, config.window())
     profile = xxz.droplet_profile(vectors, h.basis.droplet_distance)
     if np.any(profile[:, 0] <= 0):
@@ -313,9 +320,7 @@ def _metric_droplet_profile(config: ExperimentConfig, index: int):
 
 def _metric_sector_correlator(config: ExperimentConfig, index: int):
     """Per-distance mean of the N-particle window correlator Q_N(j, k)."""
-    w = _field(config, index, 2 * config.half_length + 1)
-    h = xxz.build_h_sector(config.n_particles, config.half_length,
-                           config.anisotropy, config.effective_boundary_weight(), w)
+    h = _sector(config, index)
     energies, vectors = xxz.eigenpairs_in_window(h, config.window())
     masses = xxz.window_site_masses([(h.basis, energies, vectors)],
                                     h.basis.n_sites)
@@ -325,9 +330,7 @@ def _metric_sector_correlator(config: ExperimentConfig, index: int):
 def ct_sample(config: ExperimentConfig, index: int):
     """One random resolvent-decay check: sample a field, two configurations
     and an admissible energy; return (distance, measured, bound)."""
-    w = _field(config, index, 2 * config.half_length + 1)
-    h = xxz.build_h_sector(config.n_particles, config.half_length,
-                           config.anisotropy, config.effective_boundary_weight(), w)
+    h = _sector(config, index)
     rng = config.seeds.generator(index, tag=3)
     sites = np.arange(-config.half_length, config.half_length + 1)
     x = tuple(sorted(rng.choice(sites, size=config.n_particles, replace=False)))
@@ -361,17 +364,9 @@ def _xy_commutator_profiles(config: ExperimentConfig, index: int, times):
         return v.conj().T @ oracle.SiteObservable.of_kind("X", site).embed(n) @ v
 
     x_tilde = in_eigenbasis(j)
-    out = {}
-    for d in config.distances:
-        y_tilde = in_eigenbasis(j + d)
-        norms = []
-        for t in times:
-            xt = xxz.evolve_window_observable(es.energies, x_tilde, t)
-            # the commutator of two Hermitian operators is anti-Hermitian
-            norms.append(np.abs(np.linalg.eigvalsh(
-                1j * (xt @ y_tilde - y_tilde @ xt))).max())
-        out[d] = np.array(norms)
-    return out
+    return {d: np.array([op for op, _ in xxz.windowed_commutator_norms(
+                es.energies, x_tilde, in_eigenbasis(j + d), times)])
+            for d in config.distances}
 
 
 def _metric_xy_commutator(config: ExperimentConfig, index: int):
@@ -393,28 +388,29 @@ def xy_commutator_arrival(config: ExperimentConfig, index: int = 0,
     return out
 
 
-_XXZ_KINDS = frozenset({
-    "droplet_localization", "quasi_locality", "xxz_commutator",
-    "droplet_profile", "ct_pass", "sector_correlator",
-})
-
-# kinds reading the site pairs (probe_site, probe_site + d); quasi_locality
-# reads the probe site alone
-_PAIR_KINDS = frozenset({"eigencorrelator", "dynamical_kernel",
-                         "xxz_commutator", "xy_commutator", "quasi_locality"})
+# per kind, the ExperimentConfig fields its realizations read besides the
+# disorder and the seeds.  Reading half_length makes a kind an XXZ kind,
+# probe_site a kind of site pairs (probe_site, probe_site + d), and
+# block_sizes with chain_length a kind that cuts the chain; each key list
+# and time grid a kind reads must be nonempty
+_XXZ_WINDOW = "half_length anisotropy boundary_weight window_kind safety "
+READS = {kind: frozenset(names.split()) for kind, names in {
+    "eigencorrelator": "chain_length probe_site distances",
+    "dynamical_kernel": "chain_length probe_site distances time_grid",
+    "entropy_sup": "chain_length block_sizes sup_samples",
+    "quench_entropy": "chain_length block_sizes time_grid",
+    "xy_commutator": "chain_length probe_site distances time_grid",
+    "droplet_localization": _XXZ_WINDOW + "distances",
+    "sector_correlator": _XXZ_WINDOW + "n_particles distances",
+    "droplet_profile": _XXZ_WINDOW + "n_particles distances",
+    "quasi_locality": _XXZ_WINDOW + "probe_site block_sizes time_grid",
+    "xxz_commutator": _XXZ_WINDOW + "probe_site distances time_grid",
+    # a resolvent at energies sampled below (2 - safety) * gap: no window
+    "ct_pass": "half_length anisotropy boundary_weight safety n_particles",
+}.items()}
 
 # kinds averaging over every site pair (j, j + d) of the chain
 _DISTANCE_KINDS = frozenset({"droplet_localization", "sector_correlator"})
-
-# kinds cutting the chain into a block of each size and its complement
-_CUT_KINDS = frozenset({"entropy_sup", "quench_entropy"})
-
-# kinds keyed by block size (quasi_locality: the truncation radius), not
-# by distance; ct_pass draws its own keys
-_BLOCK_KINDS = _CUT_KINDS | {"quasi_locality"}
-
-_TIME_KINDS = frozenset({"dynamical_kernel", "quench_entropy", "quasi_locality",
-                         "xxz_commutator", "xy_commutator"})
 
 METRICS = {
     "sector_correlator": _metric_sector_correlator,

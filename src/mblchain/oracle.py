@@ -62,12 +62,11 @@ class SiteObservable:
 
     matrix: np.ndarray
     site: int
-    kind: str = "custom"
 
     @classmethod
     def of_kind(cls, kind: str, site: int) -> "SiteObservable":
         try:
-            return cls(_KIND_MATRICES[kind], site, kind)
+            return cls(_KIND_MATRICES[kind], site)
         except KeyError:
             raise ConfigurationError(f"unknown observable kind {kind!r}")
 
@@ -495,4 +494,4 @@ VANISHING_CORRELATION_CASES = (
 def corner_observable(kind: str, site: int) -> SiteObservable:
     if kind not in CORNER_KINDS:
         raise ConfigurationError(f"unknown corner kind {kind!r}")
-    return SiteObservable(CORNER_KINDS[kind], site, kind)
+    return SiteObservable(CORNER_KINDS[kind], site)

@@ -153,8 +153,6 @@ def set_distance(a, b) -> int:
 class SectorHamiltonian:
     basis: SectorBasis
     anisotropy: float
-    boundary_weight: float
-    field: FieldRealization
     matrix: sp.csr_matrix = field(repr=False)
 
     @property
@@ -195,8 +193,7 @@ def build_h_sector(n_particles: int, half_length: int, anisotropy: float,
     upper = sp.coo_matrix((hop, (basis.hops[:, 0], basis.hops[:, 1])),
                           shape=(basis.dim, basis.dim))
     matrix = (upper + upper.T + sp.diags(diag)).tocsr()
-    return SectorHamiltonian(basis, anisotropy, boundary_weight,
-                             field_realization, matrix)
+    return SectorHamiltonian(basis, anisotropy, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +203,6 @@ def build_h_sector(n_particles: int, half_length: int, anisotropy: float,
 class EnergyWindow:
     lower: float
     upper: float
-    kind: str = "custom"
 
     def __post_init__(self):
         if self.lower > self.upper:
@@ -227,7 +223,7 @@ def droplet_band(n_particles: int, anisotropy: float) -> EnergyWindow:
     nr = n_particles * rho
     lo = tanh(rho) * (cosh(nr) - 1.0) / sinh(nr)
     hi = tanh(rho) * (cosh(nr) + 1.0) / sinh(nr)
-    return EnergyWindow(lo, hi, kind="band")
+    return EnergyWindow(lo, hi)
 
 
 def spectral_window(anisotropy: float, safety: float = 0.0,
@@ -237,13 +233,13 @@ def spectral_window(anisotropy: float, safety: float = 0.0,
         raise ConfigurationError("anisotropy must be > 1")
     gap = 1.0 - 1.0 / anisotropy
     if kind == "I":
-        return EnergyWindow(gap, 2.0 * gap, kind)
+        return EnergyWindow(gap, 2.0 * gap)
     if safety <= 0:
         raise ConfigurationError("safety distance must be positive")
     if kind == "I_delta":
-        return EnergyWindow(gap, (2.0 - safety) * gap, kind)
+        return EnergyWindow(gap, (2.0 - safety) * gap)
     if kind == "I_0_delta":
-        return EnergyWindow(0.0, (2.0 - safety) * gap, kind)
+        return EnergyWindow(0.0, (2.0 - safety) * gap)
     raise ConfigurationError(f"unknown window kind {kind!r}")
 
 
@@ -405,9 +401,6 @@ class ChainSpectrum:
     def __init__(self, half_length: int, anisotropy: float,
                  boundary_weight: float, field_realization: FieldRealization):
         self.half_length = half_length
-        self.anisotropy = anisotropy
-        self.boundary_weight = boundary_weight
-        self.field = field_realization
         self.sectors: dict[int, _SectorSpectrum] = {}
         self._windows = {}
         _require_dense(comb(2 * half_length + 1, half_length))  # largest sector
@@ -501,13 +494,16 @@ def evolve_window_observable(energies: np.ndarray, mat: np.ndarray,
 
 
 def windowed_commutator_norms(energies, x_mat, y_mat, time_grid):
-    """Per-t (operator norm, trace norm) of [tau_t(X_I), Y_I] in the window."""
+    """Per-t (operator norm, trace norm) of [tau_t(X), Y], with X and Y
+    Hermitian matrices in the eigenbasis of the given energies (in the XXZ
+    chain, the window eigenbasis).  The commutator of two Hermitian operators
+    is anti-Hermitian, so its singular values are the |eigenvalues| of
+    i [tau_t(X), Y]."""
     out = []
     for t in np.asarray(time_grid, dtype=float):
         xt = evolve_window_observable(energies, x_mat, t)
-        c = xt @ y_mat - y_mat @ xt
-        svals = np.linalg.svd(c, compute_uv=False)
-        out.append((float(svals.max(initial=0.0)), float(svals.sum())))
+        lam = np.abs(np.linalg.eigvalsh(1j * (xt @ y_mat - y_mat @ xt)))
+        out.append((float(lam.max(initial=0.0)), float(lam.sum())))
     return out
 
 

@@ -94,6 +94,13 @@ def test_probed_site_outside_chain_exits_config(tmp_path, capsys, args):
     (["xxz-profile", "--half-length", "3", "--n-particles", "2",
       "--anisotropy", "3.0", "--distances=-1,0,1,2"],
      "droplet distances [-1] below 0"),
+    (["xy-entropy", "--chain-length", "10", "--block-sizes", "2",
+      "--sup-samples", "-5"],
+     "entropy_sup needs sup_samples >= 1"),
+    (["xy-entropy", "--chain-length", "10", "--block-sizes", "2",
+      "--sup-samples", "0"],
+     "entropy_sup needs sup_samples >= 1"),
+    (["xxz-bands", "--n-max", "0"], "n_max >= 1 required"),
 ])
 def test_range_errors_exit_config(tmp_path, capsys, args, message):
     assert cli.main(args + ["--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
@@ -112,6 +119,26 @@ def test_removed_settings_exit_config(tmp_path, capsys):
     cfg.write_text("field_value = 1\n")
     assert cli.main(args + ["--config", str(cfg)]) == cli.EXIT_CONFIG
     assert "unknown key 'field_value'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [["--gamma", "0.5"], ["--n-particles", "7"],
+                                   ["--model", "xxz", "--window-kind", "I"]])
+def test_unread_flag_exits_config(tmp_path, capsys, extra):
+    args = ["xy-ecorr", "--chain-length", "10", "--distances", "1,2"]
+    assert cli.main(args + extra + ["--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_unread_config_key_exits_config(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("chain_length = 10\ndistances = 1,2\ngamma = 0.5\n")
+    code = cli.main(["xy-ecorr", "--config", str(cfg), "--out-dir", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "xy-ecorr does not read 'gamma'" in err[0]
     assert not out.exists()
 
 
@@ -219,18 +246,48 @@ def test_ensemble_subcommand_layout(tmp_path, name, row, args):
     fit = _FITS[fit_name](summary.keys, getattr(summary, statistic))
     lines = (tmp_path / f"{name}.csv").read_text().splitlines()
     data = [line for line in lines if not line.startswith("#")]
-    meta = dict(line[2:].split(" = ", 1) for line in lines
-                if line.startswith("# ") and " = " in line)
+    meta = _preamble(tmp_path, name)
     assert data[0] == f"{label},mean,stderr,max"
     assert data[1:] == [",".join(repr(v) for v in r) for r in summary.as_rows()]
     assert fit.available
-    for key, value in cli._fit_meta(fit_name, fit).items():
+    fit_meta = cli._fit_meta(fit_name, fit)
+    for key, value in fit_meta.items():
         assert meta[key] == cli._format_value(value), key
     assert meta["substituted_realizations"] == "0"
+    not_settings = {"artifact_version", "substituted_realizations",
+                    "approximant", *fit_meta}
+    assert set(meta) - not_settings == cli.SETTINGS[name]
+
+
+def _preamble(out_dir, name) -> dict:
+    """The '# key = value' lines of a CSV preamble, each key once; the
+    manifest echoes exactly the accepted settings."""
+    lines = (out_dir / f"{name}.csv").read_text().splitlines()
+    pairs = [line[2:].split(" = ", 1) for line in lines
+             if line.startswith("# ") and " = " in line]
+    assert len({key for key, _ in pairs}) == len(pairs)
+    manifest = (out_dir / f"{name}.manifest").read_text().splitlines()
+    assert {line.split(" = ")[0][len("config."):] for line in manifest
+            if line.startswith("config.")} == cli.SETTINGS[name]
+    return dict(pairs)
+
+
+@pytest.mark.parametrize("args", [
+    ["xy-aniso", "--chain-length", "8", "--gamma", "0.5"],
+    ["xxz-bands", "--anisotropy", "3.0", "--n-max", "4"],
+    ["ising", "--block-sizes", "2,4,8"],
+])
+def test_other_subcommands_echo_each_setting_once(tmp_path, args):
+    name = args[0]
+    assert cli.main(args + ["--out-dir", str(tmp_path)]) == cli.EXIT_OK
+    meta = _preamble(tmp_path, name)
+    assert cli.SETTINGS[name] <= set(meta)
+    if name == "ising":  # the chain length used, not the unset default
+        assert meta["chain_length"] == "10"
 
 
 def test_command_registry_is_described():
-    assert set(cli.COMMANDS) == set(cli.DESCRIPTIONS)
+    assert set(cli.COMMANDS) == set(cli.DESCRIPTIONS) == set(cli.SETTINGS)
     # the layout test above covers every table row
     assert set(cli.ENSEMBLES) == {name for name, _, _ in _ENSEMBLE_CASES
                                   if name != "lr-lightcone"}

@@ -115,9 +115,9 @@ def test_quench_evolution_against_schroedinger():
 
     # product of subsystem eigenstates on the spin side
     full_left = oracle.diagonalize_full(
-        oracle.build_full("xy", type(w)(w.values[:ell], 0, 0)))
+        oracle.build_full("xy", type(w)(w.values[:ell])))
     full_right = oracle.diagonalize_full(
-        oracle.build_full("xy", type(w)(w.values[ell:], 0, 0)))
+        oracle.build_full("xy", type(w)(w.values[ell:])))
     e_a = xy.eigenstate_energy(left, pat_a,
                                -float(w.values[:ell].sum()))
     e_b = xy.eigenstate_energy(right, pat_b,

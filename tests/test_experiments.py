@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -187,3 +189,39 @@ def test_xy_commutator_arrival_monotone_clean():
         time_grid=tuple(np.linspace(0.05, 3.0, 30)))
     arrivals = experiments.xy_commutator_arrival(config)
     assert arrivals[2] <= arrivals[5]
+
+
+# one small value for every field a kind may read, and a different valid
+# one (chain_length above 14, so entropy_sup samples patterns)
+_READ_VALUES = dict(chain_length=16, half_length=2, distances=(1, 2),
+                    block_sizes=(1, 2), time_grid=(0.5, 2.0), probe_site=0,
+                    anisotropy=6.0, boundary_weight=None, window_kind="I_delta",
+                    safety=0.5, n_particles=2, sup_samples=5, realizations=1)
+_OTHER_VALUES = dict(chain_length=17, half_length=3, distances=(1,),
+                     block_sizes=(1,), time_grid=(1.0,), probe_site=1,
+                     anisotropy=3.0, boundary_weight=0.9,
+                     window_kind="I", safety=0.25, n_particles=1,
+                     sup_samples=9, realizations=2)
+
+
+@pytest.mark.parametrize("kind", sorted(experiments.READS))
+def test_unread_fields_do_not_change_metrics(kind):
+    """A field outside READS[kind] leaves the realization unchanged, so the
+    CLI, which passes only READS[kind], reaches every field a kind reads."""
+    assert set(experiments.READS) == set(experiments.METRICS)
+    assert experiments.READS[kind] <= set(_READ_VALUES)
+    base = experiments.ExperimentConfig(
+        kind=kind, disorder=DisorderSpec(coupling=0.5), seeds=SeedPlan(3),
+        **_READ_VALUES)
+
+    def realization(config):
+        # ct_pass keeps only pass or fail of its sample: compare the sample too
+        sample = experiments.ct_sample(config, 0) if kind == "ct_pass" else None
+        return experiments.METRICS[kind](config, 0), sample
+
+    expected = realization(base)
+    assert expected[0]
+    for name, value in _OTHER_VALUES.items():
+        if name in experiments.READS[kind]:
+            continue
+        assert realization(replace(base, **{name: value})) == expected, name

@@ -340,10 +340,9 @@ def test_sector_correlator_degeneracy_guard():
     import scipy.sparse as sp
     # a fabricated sector operator with an exactly repeated window level
     delta = 2.0
-    w = constant_field(0.0, 3)
     basis = xxz.enumerate_basis(1, 1)
     degenerate = xxz.SectorHamiltonian(
-        basis, delta, 0.25, w, sp.csr_matrix(np.diag([0.6, 0.6, 2.0])))
+        basis, delta, sp.csr_matrix(np.diag([0.6, 0.6, 2.0])))
     window = xxz.spectral_window(delta, kind="I")
     with pytest.raises(DegeneracyError):
         _sector_correlator(degenerate, window, 0, 1)
