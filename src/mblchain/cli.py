@@ -2,14 +2,15 @@
 
 Configs are flat key=value text files; any key can be overridden on the
 command line.  Each subcommand accepts only the settings it reads
-(SETTINGS), as flags and as config keys.  Every run writes a
+(SETTINGS; lr-lightcone those of the chosen --model), as flags and as
+config keys.  Every run writes a
 comma-separated table with a '#' metadata preamble, a whitespace-separated
 .dat twin for plotting tools, and a manifest with the echoed settings and
 sha256 checksums of the data files.  Data files are byte-identical under
 a fixed seed.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 validation-suite failure.
+Exit codes: 0 success, 2 configuration error (parse errors included, one
+stderr line), 3 numerical failure, 4 validation-suite failure.
 """
 
 from __future__ import annotations
@@ -94,21 +95,23 @@ def load_config_file(path: str) -> dict:
 
 
 def merge_settings(args: argparse.Namespace) -> dict:
-    settings = {key: _SCHEMA[key][1]
-                for key in (*SETTINGS[args.command], "out_dir")}
-    if getattr(args, "config", None):
-        values = load_config_file(args.config)
-        unread = [key for key in values if key not in settings]
-        if unread:
-            raise ConfigurationError(
-                f"{args.config}: {args.command} does not read"
-                f" {', '.join(map(repr, unread))}")
-        settings.update(values)
-    for key in settings:
+    config = load_config_file(args.config) if getattr(args, "config", None) else {}
+    given = dict(config)
+    for key in (*SETTINGS[args.command], "out_dir"):
         override = getattr(args, key, None)
         if override is not None:  # flags parse like config values
-            settings[key] = _convert(key, override)
-    return settings
+            given[key] = _convert(key, override)
+    reads, reader = SETTINGS[args.command], args.command
+    if args.command == "lr-lightcone":  # only the chosen model's settings
+        model = given.get("model", _SCHEMA["model"][1])
+        reads = _lightcone_reads(_lightcone_kind(model))
+        reader = f"lr-lightcone --model {model}"
+    unread = sorted(key for key in given if key not in reads | {"out_dir"})
+    if unread:
+        where = f"{args.config}: " if set(unread) & set(config) else ""
+        raise ConfigurationError(
+            f"{where}{reader} does not read {', '.join(map(repr, unread))}")
+    return {**{key: _SCHEMA[key][1] for key in (*reads, "out_dir")}, **given}
 
 
 def _disorder(settings: dict) -> DisorderSpec:
@@ -151,8 +154,10 @@ def write_outputs(out_dir: str, name: str, columns, rows, meta: dict,
     started = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
     preamble = ["# units: natural (coupling 1); entropies in nats unless noted",
                 f"# artifact_version = {ARTIFACT_VERSION}"]
-    # out_dir is not echoed: where files land must not change their bytes
-    for key in sorted(SETTINGS[name]):
+    # the settings read; out_dir is not echoed: where files land must not
+    # change their bytes
+    echoed = sorted(key for key in settings if key != "out_dir")
+    for key in echoed:
         preamble.append(f"# {key} = {_format_value(settings[key])}")
     for key in sorted(meta):
         preamble.append(f"# {key} = {_format_value(meta[key])}")
@@ -175,7 +180,7 @@ def write_outputs(out_dir: str, name: str, columns, rows, meta: dict,
         fh.write(f"artifact_version = {ARTIFACT_VERSION}\n")
         fh.write(f"command = {name}\n")
         fh.write(f"written = {started}\n")
-        for key in sorted(SETTINGS[name]):
+        for key in echoed:
             fh.write(f"config.{key} = {_format_value(settings[key])}\n")
         for path in (csv_path, dat_path):
             fh.write(f"sha256 {os.path.basename(path)} = {_sha256(path)}\n")
@@ -263,11 +268,16 @@ def cmd_xxz_ct(settings):
     return (["distance", "measured", "bound", "pass"], rows, meta)
 
 
-def cmd_lr_lightcone(settings):
-    kind = {"xy": "xy_commutator", "xxz": "xxz_commutator"}.get(settings["model"])
+def _lightcone_kind(model: str) -> str:
+    kind = {"xy": "xy_commutator", "xxz": "xxz_commutator"}.get(model)
     if kind is None:
         raise ConfigurationError(
-            f"unknown lr-lightcone model {settings['model']!r} (xy or xxz)")
+            f"unknown lr-lightcone model {model!r} (xy or xxz)")
+    return kind
+
+
+def cmd_lr_lightcone(settings):
+    kind = _lightcone_kind(settings["model"])
     columns, rows, meta = _run_ensemble_command(
         (kind, "distance", "decay", "mean"), settings)
     if kind == "xy_commutator" and settings["disorder_kind"] == "constant":
@@ -285,7 +295,7 @@ def cmd_quasi_locality(settings):
 
 
 def cmd_ising(settings):
-    # the length used is the one echoed
+    # the length and block sizes used are the ones echoed
     n = settings["chain_length"] = settings["chain_length"] or 10
     w = sample_field(_disorder(settings), n, SeedPlan(settings["seed"]), 0)
     formula, _ = oracle.ising_exact(w)
@@ -294,7 +304,7 @@ def cmd_ising(settings):
         es = oracle.diagonalize_full(oracle.build_full("ising", w))
         meta["spectrum_max_deviation"] = float(
             np.abs(np.sort(formula) - es.energies).max())
-    ells = settings["block_sizes"] or tuple(range(2, 65))
+    ells = settings["block_sizes"] = settings["block_sizes"] or tuple(range(2, 65))
     rows = [(ell, oracle.droplet_superposition_entropy(ell, 2 * ell, "closed"))
             for ell in ells]
     fit = experiments.fit_log_slope([r[0] for r in rows], [r[1] for r in rows])
@@ -465,11 +475,18 @@ _FIELD = frozenset({"seed", "disorder_kind", "disorder_min", "disorder_max",
                     "disorder_coupling"})
 _ENSEMBLE = _FIELD | {"realizations"}
 _READS = experiments.READS
+
+
+def _lightcone_reads(kind: str) -> frozenset:
+    return _READS[kind] | _ENSEMBLE | {"model"}
+
+
 SETTINGS = {
     **{name: _READS[row[0]] | _ENSEMBLE for name, row in ENSEMBLES.items()},
     "xxz-ct": _READS["ct_pass"] | _ENSEMBLE,
-    "lr-lightcone": (_READS["xy_commutator"] | _READS["xxz_commutator"]
-                     | _ENSEMBLE | {"model"}),
+    # the flags of both models; a run reads those of the chosen one
+    "lr-lightcone": (_lightcone_reads("xy_commutator")
+                     | _lightcone_reads("xxz_commutator")),
     "xy-aniso": _FIELD | {"chain_length", "gamma"},
     "xxz-bands": frozenset({"anisotropy", "n_max"}),
     "ising": _FIELD | {"chain_length", "block_sizes"},
@@ -478,8 +495,14 @@ SETTINGS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one stderr line, not the usage block argparse prints first
+        raise ConfigurationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mblchain",
         description="Numerical experiments on localization in disordered"
                     " spin chains")
@@ -495,12 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         settings = merge_settings(args)
         out_dir = settings.get("out_dir") or os.environ.get("MBLCHAIN_OUT", ".")
         result = COMMANDS[args.command](settings)
@@ -511,6 +530,8 @@ def main(argv=None) -> int:
             for path in paths:
                 print(f"wrote {path}")
         return EXIT_OK
+    except SystemExit as exc:  # --help
+        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -27,6 +27,8 @@ from .errors import DegeneracyError, NumericalError
 
 _GAP_TOL = 1e-12
 _EIG_CLAMP = 1e-10
+# entropy error allowed for dropping the modes that do not straddle the cut
+_TRUNC_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -230,6 +232,12 @@ class CorrelationMatrix:
         return np.clip(vals, 0.0, 1.0)
 
 
+def _require_simple(es: EigenSystem) -> None:
+    if es.min_gap() <= _GAP_TOL:
+        raise DegeneracyError(
+            f"one-particle spectrum has gap {es.min_gap():.2e} <= {_GAP_TOL}")
+
+
 def eigenstate_correlation_matrix(es: EigenSystem,
                                   pattern: OccupationPattern) -> CorrelationMatrix:
     """Gamma of the many-body eigenstate with the given mode occupation.
@@ -241,9 +249,7 @@ def eigenstate_correlation_matrix(es: EigenSystem,
     """
     if pattern.size != es.size:
         raise ValueError("pattern length must equal the chain length")
-    if es.min_gap() <= _GAP_TOL:
-        raise DegeneracyError(
-            f"one-particle spectrum has gap {es.min_gap():.2e} <= {_GAP_TOL}")
+    _require_simple(es)
     empty = es.eigenvectors[:, pattern.bits == 0]
     return CorrelationMatrix(empty @ empty.T)
 
@@ -327,19 +333,13 @@ class SupStrategy:
 
     Exhaustive over all 2^L patterns when 2^L <= max(samples, 2^exhaustive_limit);
     otherwise `samples` random patterns plus the deterministic cut-straddling
-    heuristic.  Any sampled result is a lower estimate of the true sup.
+    heuristic.  Any sampled result is a lower estimate of the true sup.  Each
+    pattern's entropy is taken on the modes that straddle the cut, within a
+    certified _TRUNC_TOL of eigenstate_block_entropy (straddling_modes).
     """
 
     samples: int = 200
     exhaustive_limit: int = 14
-
-
-def _straddling_pattern(es: EigenSystem, ell: int) -> OccupationPattern:
-    # occupy exactly the modes carrying genuine weight on both sides of the
-    # cut; these are the ones that can contribute near-half-filled block
-    # eigenvalues and hence the largest entropy
-    left_mass = (es.eigenvectors[:ell] ** 2).sum(axis=0)
-    return OccupationPattern((left_mass > 0.05) & (left_mass < 0.95))
 
 
 def eigenstate_block_entropy(es: EigenSystem, pattern: OccupationPattern,
@@ -350,28 +350,87 @@ def eigenstate_block_entropy(es: EigenSystem, pattern: OccupationPattern,
         raise ValueError("pattern length must equal the chain length")
     if not 1 <= ell < es.size:
         raise ValueError(f"block size {ell} out of range (1..{es.size - 1})")
-    if es.min_gap() <= _GAP_TOL:
-        raise DegeneracyError(
-            f"one-particle spectrum has gap {es.min_gap():.2e} <= {_GAP_TOL}")
+    _require_simple(es)
     empty = es.eigenvectors[:ell, pattern.bits == 0]
     return entanglement_entropy(CorrelationMatrix(empty @ empty.T), base2=base2)
+
+
+def _drop_bound(masses: np.ndarray, sites: int) -> np.ndarray:
+    # n h(delta / n), n = min(sites, count), for dropping the first count =
+    # 0, 1, ... of these masses, delta their sum; infinite past 1/2, where
+    # it no longer holds, and kept nondecreasing (rounding) for searchsorted
+    delta = np.cumsum(np.r_[0.0, masses])
+    n = np.clip(np.arange(delta.size), 1, sites)
+    bound = np.where(delta <= 0.5, n * binary_entropy(delta / n), np.inf)
+    return np.maximum.accumulate(bound)
+
+
+def straddling_modes(es: EigenSystem, ell: int) -> tuple[np.ndarray, float]:
+    """Modes kept for the [0, ell) block entropy of every eigenstate, and a
+    bound (<= _TRUNC_TOL) on the entropy error of dropping the others.
+
+    Gamma_A = O_{A,S} O_{A,S}^T for the empty modes S, O_A the first ell rows
+    of the eigenvectors.  Dropping modes Z from S is a PSD change of rank
+    r <= min(ell, |Z|) and trace <= delta_0 = sum_Z m_k (m_k = |O_A e_k|^2,
+    the left mass): the ascending eigenvalues rise by d_i, sum d_i <=
+    delta_0 <= 1/2 (Weyl), with lambda_i <= lambda'_{i+r} (interlacing).
+    Split each [lambda'_i, lambda_i] at 1/2: the entropy gains P on the parts
+    below and loses N on those above, so it moves by at most max(P, N).  The
+    parts below 1/2 in one residue class of i mod r are disjoint; slid
+    towards 0 (h concave, h(0) = 0) they gain at most h(their length), so
+    P <= r h(delta_0 / r) and, over at most ell parts, P <= ell h(delta_0 /
+    ell); N likewise, sliding towards 1.  Hence n_0 h(delta_0 / n_0), n_0 =
+    min(ell, |Z|).  Modes U of small right mass 1 - m_k drop the same way
+    from the block [ell, L) of equal entropy: n_1 h(delta_1 / n_1), n_1 =
+    min(L - ell, |U|).  K is the fewest modes, dropping the smallest left
+    masses into Z and the smallest right masses into U, with the sum of
+    both bounds within _TRUNC_TOL; an eigenstate then needs only the
+    spectrum of G_K[S cap K, S cap K], G_K = O_{A,K}^T O_{A,K}.
+    """
+    L, o = es.size, es.eigenvectors
+    if not 1 <= ell < L:
+        raise ValueError(f"block size {ell} out of range (1..{L - 1})")
+    _require_simple(es)
+    left = (o[:ell] ** 2).sum(axis=0)
+    order = np.argsort(left)
+    low = _drop_bound(left[order], ell)
+    high = _drop_bound((o[ell:, order[::-1]] ** 2).sum(axis=0), L - ell)
+    # for each count dropped from the bottom, the most from the top within
+    # the tolerance; never a mode twice, as each bottom one has left mass
+    # <= 1/2 and each top one right mass <= 1/2
+    top = np.searchsorted(high, _TRUNC_TOL - low, side="right") - 1
+    bottom = int(np.argmax(np.where(top >= 0, np.arange(L + 1) + top, -1)))
+    return order[bottom:L - top[bottom]], float(low[bottom] + high[top[bottom]])
 
 
 def sample_eigenstate_entropy_sup(es: EigenSystem, ell: int,
                                   strategy: SupStrategy = SupStrategy(),
                                   rng: np.random.Generator | None = None) -> float:
-    """Lower estimate of sup over eigenstates of the [0, ell) block entropy."""
+    """Lower estimate of sup over eigenstates of the [0, ell) block entropy,
+    each within _TRUNC_TOL of eigenstate_block_entropy (straddling_modes)."""
     L = es.size
-    best = 0.0
+    kept, _ = straddling_modes(es, ell)
     if L <= strategy.exhaustive_limit or 2 ** L <= strategy.samples:
-        codes = range(2 ** L)
-        patterns = (OccupationPattern.from_int(c, L) for c in codes)
+        occupied = ((np.arange(2 ** L)[:, None] >> np.arange(L)) & 1).astype(bool)
     else:
         if rng is None:
             rng = np.random.default_rng(0)
-        patterns = [OccupationPattern(rng.integers(0, 2, size=L))
-                    for _ in range(strategy.samples)]
-        patterns.append(_straddling_pattern(es, ell))
-    for pattern in patterns:
-        best = max(best, eigenstate_block_entropy(es, pattern, ell))
+        # the straddling pattern occupies exactly the modes carrying genuine
+        # weight on both sides of the cut: the ones that can contribute
+        # near-half-filled block eigenvalues and hence the largest entropy
+        left = (es.eigenvectors[:ell] ** 2).sum(axis=0)
+        occupied = np.array([rng.integers(0, 2, size=L) == 1
+                             for _ in range(strategy.samples)]
+                            + [(left > 0.05) & (left < 0.95)])
+    o_a = es.eigenvectors[:ell, kept]
+    gram = o_a.T @ o_a
+    best = 0.0
+    for empty in ~occupied[:, kept]:
+        if empty.sum() > ell:
+            block = o_a[:, empty] @ o_a[:, empty].T
+        elif empty.any():
+            block = gram[np.ix_(empty, empty)]
+        else:
+            continue
+        best = max(best, entanglement_entropy(CorrelationMatrix(block)))
     return best

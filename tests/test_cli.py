@@ -114,7 +114,8 @@ def test_removed_settings_exit_config(tmp_path, capsys):
     args = ["xy-ecorr", "--chain-length", "10", "--distances", "1",
             "--out-dir", str(out)]
     assert cli.main(args + ["--coupling", "4"]) == cli.EXIT_CONFIG
-    assert "unrecognized arguments: --coupling 4" in capsys.readouterr().err
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "unrecognized arguments: --coupling 4" in err[0]
     cfg = tmp_path / "run.cfg"
     cfg.write_text("field_value = 1\n")
     assert cli.main(args + ["--config", str(cfg)]) == cli.EXIT_CONFIG
@@ -127,8 +128,48 @@ def test_removed_settings_exit_config(tmp_path, capsys):
 def test_unread_flag_exits_config(tmp_path, capsys, extra):
     args = ["xy-ecorr", "--chain-length", "10", "--distances", "1,2"]
     assert cli.main(args + extra + ["--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
-    assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"unrecognized arguments: {' '.join(extra)}" in err[0]
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args, message", [
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+    ([], "the following arguments are required: command"),
+    (["xy-ecorr", "--chain-length"], "expected one argument"),
+])
+def test_parse_errors_print_one_line(capsys, args, message):
+    assert cli.main(args) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and message in err[0]
+
+
+@pytest.mark.parametrize("args, unread", [
+    (["--model", "xy", "--chain-length", "6", "--distances", "2,4",
+      "--half-length", "3", "--window-kind", "I"],
+     "lr-lightcone --model xy does not read 'half_length', 'window_kind'"),
+    (["--model", "xxz", "--half-length", "2", "--anisotropy", "6.0",
+      "--distances", "1,2", "--chain-length", "6"],
+     "lr-lightcone --model xxz does not read 'chain_length'"),
+    (["--chain-length", "6", "--distances", "2,4", "--anisotropy", "3.0"],
+     "lr-lightcone --model xy does not read 'anisotropy'"),
+])
+def test_lightcone_reads_only_the_chosen_model(tmp_path, capsys, args, unread):
+    code = cli.main(["lr-lightcone", *args, "--out-dir", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and unread in err[0]
+    assert not list(tmp_path.iterdir())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = xy\nchain_length = 6\ndistances = 2\n"
+                   "window_kind = I\n")
+    code = cli.main(["lr-lightcone", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "run.cfg: lr-lightcone --model xy does not read" \
+        " 'window_kind'" in err[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_unread_config_key_exits_config(tmp_path, capsys):
@@ -246,7 +287,7 @@ def test_ensemble_subcommand_layout(tmp_path, name, row, args):
     fit = _FITS[fit_name](summary.keys, getattr(summary, statistic))
     lines = (tmp_path / f"{name}.csv").read_text().splitlines()
     data = [line for line in lines if not line.startswith("#")]
-    meta = _preamble(tmp_path, name)
+    meta = _preamble(tmp_path, name, kind)
     assert data[0] == f"{label},mean,stderr,max"
     assert data[1:] == [",".join(repr(v) for v in r) for r in summary.as_rows()]
     assert fit.available
@@ -256,19 +297,26 @@ def test_ensemble_subcommand_layout(tmp_path, name, row, args):
     assert meta["substituted_realizations"] == "0"
     not_settings = {"artifact_version", "substituted_realizations",
                     "approximant", *fit_meta}
-    assert set(meta) - not_settings == cli.SETTINGS[name]
+    assert set(meta) - not_settings == _echoed(name, kind)
 
 
-def _preamble(out_dir, name) -> dict:
+def _echoed(name, kind=None) -> frozenset:
+    # lr-lightcone reads the settings of the chosen model's kind alone
+    if name == "lr-lightcone":
+        return experiments.READS[kind] | cli._ENSEMBLE | {"model"}
+    return cli.SETTINGS[name]
+
+
+def _preamble(out_dir, name, kind=None) -> dict:
     """The '# key = value' lines of a CSV preamble, each key once; the
-    manifest echoes exactly the accepted settings."""
+    manifest echoes exactly the settings read."""
     lines = (out_dir / f"{name}.csv").read_text().splitlines()
     pairs = [line[2:].split(" = ", 1) for line in lines
              if line.startswith("# ") and " = " in line]
     assert len({key for key, _ in pairs}) == len(pairs)
     manifest = (out_dir / f"{name}.manifest").read_text().splitlines()
     assert {line.split(" = ")[0][len("config."):] for line in manifest
-            if line.startswith("config.")} == cli.SETTINGS[name]
+            if line.startswith("config.")} == _echoed(name, kind)
     return dict(pairs)
 
 
@@ -284,6 +332,17 @@ def test_other_subcommands_echo_each_setting_once(tmp_path, args):
     assert cli.SETTINGS[name] <= set(meta)
     if name == "ising":  # the chain length used, not the unset default
         assert meta["chain_length"] == "10"
+
+
+def test_ising_echoes_the_block_sizes_it_computes(tmp_path):
+    assert cli.main(["ising", "--seed", "2", "--out-dir", str(tmp_path)]) == 0
+    meta = _preamble(tmp_path, "ising")
+    sizes = tuple(range(2, 65))
+    assert meta["block_sizes"] == str(sizes)
+    manifest = (tmp_path / "ising.manifest").read_text().splitlines()
+    assert f"config.block_sizes = {sizes}" in manifest
+    data = (tmp_path / "ising.dat").read_text().splitlines()[1:]
+    assert [int(line.split()[0]) for line in data] == list(sizes)
 
 
 def test_command_registry_is_described():

@@ -160,3 +160,70 @@ def test_correlation_matrix_validation():
     bad = xy.CorrelationMatrix(np.diag([1.5, 0.2]))
     with pytest.raises(NumericalError):
         bad.occupation_spectrum()
+
+
+def _sampled_patterns(es, ell, samples, seed):
+    # the patterns the sup visits: the random ones, then the straddling one
+    rng = np.random.default_rng(seed)
+    rows = [rng.integers(0, 2, size=es.size) for _ in range(samples)]
+    left = (es.eigenvectors[:ell] ** 2).sum(axis=0)
+    rows.append(((left > 0.05) & (left < 0.95)).astype(int))
+    return [xy.OccupationPattern(r) for r in rows]
+
+
+@pytest.mark.parametrize("field, ells, kept_range", [
+    ("strong", (25, 100, 200), (1, 200)),     # most modes dropped
+    ("weak", (50, 200), (200, 400)),
+    ("clean", (25, 200), (360, 400)),         # K holds nearly every mode
+])
+def test_sup_on_straddling_modes_matches_exact(field, ells, kept_range):
+    n = 400
+    if field == "clean":
+        es = xy.diagonalize(xy.build_m(constant_field(0.5, n)))
+    else:
+        es = _es(n, 12, coupling=4.0 if field == "strong" else 1.0)[1]
+    strategy = xy.SupStrategy(samples=40)
+    for ell in ells:
+        kept, bound = xy.straddling_modes(es, ell)
+        assert kept_range[0] <= kept.size <= kept_range[1]
+        assert bound <= xy._TRUNC_TOL
+        fast = xy.sample_eigenstate_entropy_sup(
+            es, ell, strategy, rng=np.random.default_rng(ell))
+        exact = max(xy.eigenstate_block_entropy(es, p, ell)
+                    for p in _sampled_patterns(es, ell, 40, ell))
+        assert abs(fast - exact) <= bound + 1e-11
+
+
+def test_sup_exhaustive_matches_exact():
+    n = 10
+    w, es = _es(n, 13, coupling=4.0)
+    patterns = [xy.OccupationPattern.from_int(c, n) for c in range(2 ** n)]
+    for ell in range(1, n):
+        _, bound = xy.straddling_modes(es, ell)
+        assert bound <= xy._TRUNC_TOL
+        fast = xy.sample_eigenstate_entropy_sup(es, ell)
+        exact = max(xy.eigenstate_block_entropy(es, p, ell) for p in patterns)
+        assert abs(fast - exact) <= bound + 1e-11
+
+
+@pytest.mark.parametrize("ell", [10, 20])
+def test_drop_bound_covers_entropy_change(ell):
+    # the certificate at masses far above rounding: drop the i modes of
+    # smallest left mass from every pattern and compare with the bound
+    n = 40
+    w, es = _es(n, 14, coupling=4.0)
+    left = (es.eigenvectors[:ell] ** 2).sum(axis=0)
+    order = np.argsort(left)
+    bounds = xy._drop_bound(left[order], ell)
+    counts = np.flatnonzero((bounds > 1e-8) & (bounds < np.inf))
+    assert counts.size >= 5
+    rng = np.random.default_rng(14)
+    for i in counts:
+        for _ in range(20):
+            bits = rng.integers(0, 2, size=n)
+            dropped = bits.copy()
+            dropped[order[:i]] = 1          # occupied: out of the empty set
+            change = abs(
+                xy.eigenstate_block_entropy(es, xy.OccupationPattern(bits), ell)
+                - xy.eigenstate_block_entropy(es, xy.OccupationPattern(dropped), ell))
+            assert change <= bounds[i]
