@@ -524,9 +524,12 @@ class QuasiLocalityProbe:
     of configurations with fixed inner weight is ordered by (outer pattern
     o, inner pattern a), so C on it is c[o, a, k], and the partial trace
     over the outer sites, sum_{o, k} c[o, a, k] conj(c[o, b, k]), is one
-    product c c^dagger with (o, k) merged into the column index.  On the
-    window, tau_t(X) is the window number operator conjugated by the
-    window phases.
+    product c c^dagger with (o, k) merged into the column index.  tau_t(X)
+    conserves particle number, so this trace is block diagonal in the inner
+    weight; a window state of sector n has inner weights max(0, n - n_outer)
+    .. min(n, n_inner) only, so the blocks of every other weight never meet
+    the window and are not built, which changes no number.  On the window,
+    tau_t(X) is the window number operator conjugated by the window phases.
     """
 
     def __init__(self, chain: ChainSpectrum, site: int, window: EnergyWindow):
@@ -542,32 +545,34 @@ class QuasiLocalityProbe:
         """Per sector the factor C of tau_t(X) = C C^dagger, and tau_t(X) on
         the window."""
         col = self.site + self.chain.half_length
-        factors = {n: (s.vectors * np.exp(1j * s.energies * t))
-                   @ s.vectors[s.basis.occupancy[:, col]].T
-                   for n, s in self.chain.sectors.items()}
+        factors = {}
+        for n, s in self.chain.sectors.items():
+            # one real product V [cos(Et) W^T | sin(Et) W^T], W = V[occ, :]
+            wt, et = s.vectors[s.basis.occupancy[:, col]].T, s.energies[:, None] * t
+            re_im = s.vectors @ np.hstack([np.cos(et) * wt, np.sin(et) * wt])
+            factors[n] = re_im[:, :wt.shape[1]] + 1j * re_im[:, wt.shape[1]:]
         return factors, evolve_window_observable(self.energies, self._number, t)
 
     def _trace_tables(self, ell: int):
         """Number of inner sites of S and, per sector, its configurations
-        split by inner weight.  Each class is the product of the outer and
-        the inner patterns of fixed weights, so it is listed as its
-        configurations ordered by (outer, inner) pattern together with its
-        sorted inner patterns (bits of the inner sites).  Built once per
-        radius."""
+        split by inner weight k: {k: members}, the members ordered by
+        (outer, inner) pattern.  Only the weights the window reads are
+        listed.  Built once per radius."""
         if ell not in self._tables:
             L = self.chain.half_length
             lo = max(-L, self.site - ell) + L
             n_inner = min(L, self.site + ell) + L + 1 - lo
+            n_outer = self.chain.n_sites - n_inner
+            read = {k for n in self._blocks
+                    for k in range(max(0, n - n_outer), min(n, n_inner) + 1)}
             inner = (1 << n_inner) - 1
             tables = {}
             for n, s in self.chain.sectors.items():
-                a_id = (s.basis.masks >> lo) & inner
-                order = np.lexsort((a_id, s.basis.masks & ~(inner << lo)))
+                order = np.lexsort(((s.basis.masks >> lo) & inner,
+                                    s.basis.masks & ~(inner << lo)))
                 weight = s.basis.occupancy[order, lo:lo + n_inner].sum(axis=1)
-                tables[n] = []
-                for k in np.unique(weight):
-                    members = order[weight == k]
-                    tables[n].append((members, np.unique(a_id[members])))
+                tables[n] = {k: order[weight == k] for k in np.unique(weight)
+                             if k in read}
             self._tables[ell] = n_inner, tables
         return self._tables[ell]
 
@@ -577,20 +582,18 @@ class QuasiLocalityProbe:
         n_inner, tables = self._trace_tables(ell)
         if n_inner == chain.n_sites:
             return 0.0
-        n_outer = chain.n_sites - n_inner
 
-        # partial trace of tau_t(X) over the outer sites, accumulated over
-        # every sector (sectors without window states still contribute);
-        # indexed by bit patterns of the inner sites
-        dim_a = 1 << n_inner
-        m_a = np.zeros((dim_a, dim_a), dtype=complex)
+        # partial trace of tau_t(X) over the outer sites, one block per
+        # inner weight k accumulated over every sector (sectors without
+        # window states still contribute), indexed by the C(n_inner, k)
+        # inner patterns of weight k in ascending order
+        m_a = {}
         for n, classes in tables.items():
-            for members, patterns in classes:
-                na = patterns.size
+            for k, members in classes.items():
+                na = comb(n_inner, k)
                 c = factors[n][members].reshape(members.size // na, na, -1)
                 c = c.swapaxes(0, 1).reshape(na, -1)
-                m_a[np.ix_(patterns, patterns)] += c @ c.conj().T
-        m_a /= 2.0 ** n_outer
+                m_a[k] = m_a.get(k, 0) + c @ c.conj().T
 
         # the approximant on the window: m_a acts on the inner index of
         # every class
@@ -600,13 +603,13 @@ class QuasiLocalityProbe:
             if n == 0:
                 # vacuum: the approximant keeps the traced diagonal element
                 # at the empty pattern; tau_t(X) annihilates the vacuum
-                approx[rows, rows] = m_a[0, 0]
+                approx[rows, rows] = m_a[0][0, 0]
                 continue
-            for members, patterns in tables[n]:
+            for k, members in tables[n].items():
                 v = vecs[members]
-                mv = (m_a[np.ix_(patterns, patterns)]
-                      @ v.reshape(-1, patterns.size, v.shape[1]))
+                mv = m_a[k] @ v.reshape(-1, m_a[k].shape[0], v.shape[1])
                 approx[rows, rows] += v.T @ mv.reshape(members.size, -1)
+        approx /= 2.0 ** (chain.n_sites - n_inner)
         return float(np.linalg.norm(approx - exact, 2)) if w else 0.0
 
     def error_at(self, ell: int, t: float) -> float:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import entr, xlog1py
 
 from .disorder import FieldRealization
 from .errors import DegeneracyError, NumericalError
@@ -120,15 +121,20 @@ def diagonalize(m) -> EigenSystem:
                 vals, vecs = eigh_tridiagonal(m.diagonal, off)
             except np.linalg.LinAlgError as exc:  # pragma: no cover
                 raise NumericalError(f"tridiagonal eigensolver failed: {exc}")
-        dense = m.dense()
+        # M O - O Lambda by the stencil, O(L^2): -1 hopping both ways
+        scale = max(np.abs(m.diagonal).max(), 1.0)
+        mo = m.diagonal[:, None] * vecs
+        mo[1:] -= vecs[:-1]
+        mo[:-1] -= vecs[1:]
+        resid = np.abs(mo - vecs * vals).max()
     else:
         dense = np.asarray(m, dtype=float)
         try:
             vals, vecs = np.linalg.eigh(dense)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigensolver failed on {dense.shape}: {exc}")
-    scale = max(np.abs(dense).max(), 1.0)
-    resid = np.abs(dense - (vecs * vals) @ vecs.T).max()
+        scale = max(np.abs(dense).max(), 1.0)
+        resid = np.abs(dense - (vecs * vals) @ vecs.T).max()
     ortho = np.abs(vecs.T @ vecs - np.eye(vals.size)).max()
     if resid > 1e-9 * scale or ortho > 1e-10:
         raise NumericalError(
@@ -287,10 +293,7 @@ def restrict_block(corr: CorrelationMatrix, start: int, ell: int) -> Correlation
 def binary_entropy(x: np.ndarray) -> np.ndarray:
     """-h(x) = -(x log x + (1-x) log(1-x)), with h(0)=h(1)=0."""
     x = np.clip(x, 0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = -(np.where(x > 0, x * np.log(x), 0.0)
-                  + np.where(x < 1, (1 - x) * np.log1p(-x), 0.0))
-    return terms
+    return entr(x) - xlog1py(1.0 - x, -x)
 
 
 def entanglement_entropy(block: CorrelationMatrix, base2: bool = False) -> float:

@@ -350,21 +350,28 @@ def test_windowed_commutator_matches_oracle():
 
 
 def test_quasi_locality_probe_matches_oracle():
-    delta, beta, grid = 6.0, 0.5, (0.8, 4.0)
+    delta, grid = 6.0, (0.8, 4.0)
+    weak = DisorderSpec(coupling=0.1)
+    # (L, site, window kind, field, seeds, boundary weight, window sectors)
     cases = [
-        (2, 0, "I_delta", UNIFORM),
-        (3, 2, "I_0_delta", UNIFORM),     # the vacuum lies in the window
+        (2, 0, "I_delta", UNIFORM, PLAN, 0.5, [1]),
+        (3, 2, "I_0_delta", UNIFORM, PLAN, 0.5, [0, 1, 2]),  # with the vacuum
         # a field above the window edge leaves the vacuum alone in it
-        (3, 1, "I_0_delta", DisorderSpec(support_min=1.0, support_max=2.0)),
-        (3, -1, "I_delta", UNIFORM),
+        (3, 1, "I_0_delta", DisorderSpec(support_min=1.0, support_max=2.0),
+         PLAN, 0.5, [0]),
+        (3, -1, "I_delta", UNIFORM, PLAN, 0.5, [1, 2]),
+        # a weak field puts higher sectors in the window, so the partial
+        # trace reads inner weights above 2
+        (3, 1, "I", weak, SeedPlan(0), xxz.min_boundary_weight(delta),
+         [1, 2, 3, 4, 5, 6, 7]),
+        (3, -2, "I_0_delta", weak, SeedPlan(0), 0.5, [0, 1, 2, 3, 4, 5]),
     ]
-    for L, site, kind, spec in cases:
-        w = sample_field(spec, 2 * L + 1, PLAN, 15)
+    for L, site, kind, spec, plan, beta, sectors in cases:
+        w = sample_field(spec, 2 * L + 1, plan, 15)
         chain = xxz.ChainSpectrum(L, delta, beta, w)
         window = xxz.spectral_window(delta, 0.5, kind)
         energies, blocks = chain.window_blocks(window)
-        assert (0 in blocks) == (kind == "I_0_delta")
-        assert (energies.size == 1) == (spec is not UNIFORM)
+        assert sorted(blocks) == sectors
         probe = xxz.QuasiLocalityProbe(chain, site, window)
 
         n = 2 * L + 1

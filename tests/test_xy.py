@@ -28,6 +28,25 @@ def test_diagonalize_matches_dense():
     assert np.abs(es.eigenvalues - dense_vals).max() < 1e-10
 
 
+@pytest.mark.parametrize("dense", [False, True])
+def test_diagonalize_rejects_swapped_eigenvectors(monkeypatch, dense):
+    # swapping two eigenvector columns keeps O orthogonal, so only the
+    # residual (the tridiagonal stencil, or the dense check for an array)
+    # can catch it
+    w, _ = _es(50, 1)
+    name, solver = (("eigh", np.linalg.eigh) if dense
+                    else ("eigh_tridiagonal", xy.eigh_tridiagonal))
+
+    def swapped(*args):
+        vals, vecs = solver(*args)
+        return vals, vecs[:, [1, 0, *range(2, vals.size)]]
+
+    monkeypatch.setattr(np.linalg if dense else xy, name, swapped)
+    m = xy.build_m(w)
+    with pytest.raises(NumericalError, match="resid"):
+        xy.diagonalize(m.dense() if dense else m)
+
+
 def test_eigencorrelator_bounds_functions():
     w, es = _es(30, 2, coupling=4.0)
     dense = xy.build_m(w).dense()
