@@ -3,9 +3,9 @@
 Everything here is deliberately dense and spectral: build the exact
 Hamiltonian matrix, diagonalize it, and compute dynamics, commutators,
 energy-window restrictions, correlations, and partial-trace entropies
-directly.  Sizes are capped at desk scale (n = 14 by default); the free
-fermion and magnon-sector engines carry all large-scale work and are
-validated against this module.
+directly.  Chains are capped at DEFAULT_CAP sites, the largest n with 2^n
+<= xxz.DENSE_DIAG_CAP; the free fermion and magnon-sector engines carry
+all large-scale work and are validated against this module.
 
 Basis conventions: qubit basis index 1 means a down spin (a particle),
 so the local number operator is diag(0, 1).  Site 0 occupies the most
@@ -22,8 +22,9 @@ import numpy as np
 
 from .disorder import FieldRealization
 from .errors import ConfigurationError, NumericalError
+from .xxz import DENSE_DIAG_CAP
 
-DEFAULT_CAP = 14
+DEFAULT_CAP = DENSE_DIAG_CAP.bit_length() - 1
 
 ID2 = np.eye(2)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -49,9 +50,9 @@ _KIND_MATRICES = {
 }
 
 
-def _check_cap(n: int, cap: int = DEFAULT_CAP):
-    if n > cap:
-        raise ConfigurationError(f"chain length {n} exceeds dense cap {cap}")
+def _check_cap(n: int):
+    if n > DEFAULT_CAP:
+        raise ConfigurationError(f"chain length {n} exceeds dense cap {DEFAULT_CAP}")
     if n < 1:
         raise ConfigurationError("need at least one site")
 
@@ -107,8 +108,7 @@ def total_number_operator(n: int) -> np.ndarray:
 
 def build_full(model: str, field_realization: FieldRealization,
                gamma: float = 0.0, coupling: float = 1.0,
-               anisotropy: float = 2.0, boundary_weight: float = 0.5,
-               cap: int = DEFAULT_CAP) -> FullHamiltonian:
+               anisotropy: float = 2.0, boundary_weight: float = 0.5) -> FullHamiltonian:
     """Exact spin-chain Hamiltonian of the requested model.
 
     "xy":    - sum (sX sX + sY sY) - sum w_j sZ_j
@@ -123,7 +123,7 @@ def build_full(model: str, field_realization: FieldRealization,
     """
     w = np.asarray(field_realization.values, dtype=float)
     n = w.size
-    _check_cap(n, cap)
+    _check_cap(n)
     dim = 2 ** n
     h = np.zeros((dim, dim))
 
@@ -174,9 +174,9 @@ def build_full(model: str, field_realization: FieldRealization,
     return FullHamiltonian(model, h, field_realization)
 
 
-def jordan_wigner_modes(n: int, cap: int = DEFAULT_CAP) -> list[np.ndarray]:
+def jordan_wigner_modes(n: int) -> list[np.ndarray]:
     """c_1 = a_1, c_j = sZ_1 ... sZ_{j-1} a_j as full 2^n matrices."""
-    _check_cap(n, cap)
+    _check_cap(n)
     modes = []
     string = np.eye(2 ** n)
     for j in range(n):
@@ -270,19 +270,6 @@ def commutator_norms(es: ManyBodyEigenSystem, x: np.ndarray, y: np.ndarray,
         xt = heisenberg(es, x, t)
         out.append(_both_norms(xt @ y - y @ xt))
     return out
-
-
-def double_commutator_norm(es: ManyBodyEigenSystem, x: np.ndarray,
-                           y: np.ndarray, z: np.ndarray, t: float, s: float,
-                           window: tuple[float, float] | None = None) -> float:
-    """Trace norm of [[tau_t(X'), tau_s(Y')], Z']."""
-    if window is not None:
-        p = window_projector(es, *window)
-        x, y, z = restrict(x, p), restrict(y, p), restrict(z, p)
-    xt = heisenberg(es, x, t)
-    ys = heisenberg(es, y, s)
-    inner = xt @ ys - ys @ xt
-    return _both_norms(inner @ z - z @ inner)[1]
 
 
 def correlation(psi: np.ndarray, x: np.ndarray, y: np.ndarray,
@@ -395,7 +382,7 @@ def _lift_to_chain(op_a: np.ndarray, keep, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # exactly solvable Ising chain
 
-def ising_exact(field_realization: FieldRealization, cap: int = 24):
+def ising_exact(field_realization: FieldRealization):
     """Full Ising spectrum by subset enumeration.
 
     Each subset X of down spins is an eigenstate with energy equal to the
@@ -405,8 +392,8 @@ def ising_exact(field_realization: FieldRealization, cap: int = 24):
     """
     w = np.asarray(field_realization.values, dtype=float)
     n = w.size
-    if n > cap:
-        raise ConfigurationError(f"chain length {n} exceeds enumeration cap {cap}")
+    if n > 24:
+        raise ConfigurationError(f"chain length {n} exceeds enumeration cap 24")
     labels = np.arange(2 ** n, dtype=np.uint64)
     # runs of consecutive set bits: popcount(x) - popcount(x & (x >> 1))
     def popcount(v):

@@ -264,13 +264,19 @@ def eigenpairs_in_window(h: SectorHamiltonian, window: EnergyWindow):
     """The window energies of the sector, ascending, and their eigenvectors
     as the columns of a matrix.
 
-    Dense below DENSE_DIAG_CAP, shift-invert Lanczos around the window
-    center above it.  The k eigenvalues nearest the center cover the window
-    only if the farthest of them lies at least half its width away; a
-    window they do not cover raises NumericalError.
+    Below DENSE_DIAG_CAP, a Cholesky factorization of H - upper I that
+    succeeds certifies every eigenvalue above the window: the block is
+    empty, with no solve.  Otherwise a dense eigh gives it.  Above the cap,
+    shift-invert Lanczos around the window center: the k eigenvalues nearest
+    the center cover the window only if the farthest of them lies at least
+    half its width away; a window they do not cover raises NumericalError.
     """
     if h.dim <= DENSE_DIAG_CAP:
-        vals, vecs = _dense_eigh(h)
+        try:
+            np.linalg.cholesky((h.matrix - window.upper * sp.identity(h.dim)).toarray())
+            return np.zeros(0), np.zeros((h.dim, 0))
+        except np.linalg.LinAlgError:
+            vals, vecs = _dense_eigh(h)
     else:
         sigma = 0.5 * (window.lower + window.upper)
         k = min(h.dim - 2, 400)
@@ -382,42 +388,43 @@ def ct_check(h: SectorHamiltonian, energy: float, safety: float,
 # ---------------------------------------------------------------------------
 # full-chain direct sum over magnon sectors
 
-@dataclass(frozen=True)
-class _SectorSpectrum:
-    basis: SectorBasis
-    energies: np.ndarray
-    vectors: np.ndarray
-
-
 class ChainSpectrum:
     """Full finite-volume XXZ chain assembled as the direct sum over all
     magnon sectors N = 0 .. 2L+1 (particle number is conserved).
 
-    Sector-wise diagonalization gives the exact full spectrum at a small
-    fraction of the 2^n dense cost; the test suite checks it against the
-    brute-force engine.  A sector above DENSE_DIAG_CAP is a ConfigurationError.
+    Nothing is solved up front: a sector's full spectrum is solved on first
+    request and kept, and a window block is cut from a kept spectrum or
+    else comes from eigenpairs_in_window.  The test suite checks both
+    against the brute-force engine.  A sector above DENSE_DIAG_CAP is a
+    ConfigurationError.
     """
 
     def __init__(self, half_length: int, anisotropy: float,
                  boundary_weight: float, field_realization: FieldRealization):
         self.half_length = half_length
-        self.sectors: dict[int, _SectorSpectrum] = {}
-        self._windows = {}
         _require_dense(comb(2 * half_length + 1, half_length))  # largest sector
-        for n in range(1, 2 * half_length + 2):
-            h = build_h_sector(n, half_length, anisotropy, boundary_weight,
-                               field_realization)
-            vals, vecs = _dense_eigh(h)
-            self.sectors[n] = _SectorSpectrum(h.basis, vals, vecs)
+        self.sectors = {n: build_h_sector(n, half_length, anisotropy,
+                                          boundary_weight, field_realization)
+                        for n in range(1, 2 * half_length + 2)}
+        # the vacuum is sector 0, with energy 0 and the vector (1)
+        self._spectra = {0: (np.zeros(1), np.ones((1, 1)))}
+        self._windows = {}
 
     @property
     def n_sites(self) -> int:
         return 2 * self.half_length + 1
 
+    def spectrum(self, n: int):
+        """All energies of sector n, ascending, and their eigenvectors as
+        columns; solved once."""
+        if n not in self._spectra:
+            self._spectra[n] = _dense_eigh(self.sectors[n])
+        return self._spectra[n]
+
     def all_energies(self) -> np.ndarray:
         """Full 2^n spectrum including the vacuum at zero."""
         return np.sort(np.concatenate(
-            [[0.0]] + [s.energies for s in self.sectors.values()]))
+            [self.spectrum(n)[0] for n in range(self.n_sites + 1)]))
 
     def window_blocks(self, window: EnergyWindow):
         """Window energies and, per sector with window states, the slice of
@@ -425,19 +432,22 @@ class ChainSpectrum:
         vacuum is sector 0 with the vector (1).  Built once per window and
         shared by every caller, so the arrays are read-only."""
         if window not in self._windows:
-            spectra = [(0, np.zeros(1), np.ones((1, 1)))] + [
-                (n, s.energies, s.vectors) for n, s in self.sectors.items()]
             parts, blocks, start = [np.zeros(0)], {}, 0
-            for n, energies, vectors in spectra:
-                keep = window.contains(energies)
-                if keep.any():
+            for n in range(self.n_sites + 1):
+                if n in self._spectra:
+                    energies, vectors = self._spectra[n]
+                    keep = window.contains(energies)
+                    energies, vectors = energies[keep], vectors[:, keep]
+                else:
+                    energies, vectors = eigenpairs_in_window(self.sectors[n], window)
+                if energies.size:
                     # row-major, so the window products round the same way
                     # whatever layout eigh returns
-                    vecs = np.ascontiguousarray(vectors[:, keep])
-                    vecs.flags.writeable = False
-                    blocks[n] = slice(start, start + keep.sum()), vecs
-                    parts.append(energies[keep])
-                    start += keep.sum()
+                    vectors = np.ascontiguousarray(vectors)
+                    vectors.flags.writeable = False
+                    blocks[n] = slice(start, start + energies.size), vectors
+                    parts.append(energies)
+                    start += energies.size
             energies = np.concatenate(parts)
             energies.flags.writeable = False
             self._windows[window] = energies, blocks
@@ -537,6 +547,8 @@ class QuasiLocalityProbe:
         self.chain = chain
         self.site = site
         self.window = window
+        # full spectra first, so the window blocks are cut from them
+        self._spectra = {n: chain.spectrum(n) for n in chain.sectors}
         self.energies, self._number = chain.window_number_operator(window, site)
         self._blocks = chain.window_blocks(window)[1]
         self._tables = {}
@@ -546,10 +558,11 @@ class QuasiLocalityProbe:
         the window."""
         col = self.site + self.chain.half_length
         factors = {}
-        for n, s in self.chain.sectors.items():
+        for n, (energies, vectors) in self._spectra.items():
             # one real product V [cos(Et) W^T | sin(Et) W^T], W = V[occ, :]
-            wt, et = s.vectors[s.basis.occupancy[:, col]].T, s.energies[:, None] * t
-            re_im = s.vectors @ np.hstack([np.cos(et) * wt, np.sin(et) * wt])
+            occupied = self.chain.sectors[n].basis.occupancy[:, col]
+            wt, et = vectors[occupied].T, energies[:, None] * t
+            re_im = vectors @ np.hstack([np.cos(et) * wt, np.sin(et) * wt])
             factors[n] = re_im[:, :wt.shape[1]] + 1j * re_im[:, wt.shape[1]:]
         return factors, evolve_window_observable(self.energies, self._number, t)
 
@@ -567,10 +580,10 @@ class QuasiLocalityProbe:
                     for k in range(max(0, n - n_outer), min(n, n_inner) + 1)}
             inner = (1 << n_inner) - 1
             tables = {}
-            for n, s in self.chain.sectors.items():
-                order = np.lexsort(((s.basis.masks >> lo) & inner,
-                                    s.basis.masks & ~(inner << lo)))
-                weight = s.basis.occupancy[order, lo:lo + n_inner].sum(axis=1)
+            for n, h in self.chain.sectors.items():
+                order = np.lexsort(((h.basis.masks >> lo) & inner,
+                                    h.basis.masks & ~(inner << lo)))
+                weight = h.basis.occupancy[order, lo:lo + n_inner].sum(axis=1)
                 tables[n] = {k: order[weight == k] for k in np.unique(weight)
                              if k in read}
             self._tables[ell] = n_inner, tables

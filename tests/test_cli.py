@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from mblchain import cli, experiments, xxz
+from mblchain import cli, experiments, oracle, xxz
 from mblchain.disorder import DisorderSpec, SeedPlan, sample_field
 from mblchain.errors import ConfigurationError
 
@@ -198,6 +198,34 @@ def test_dense_cap_exits_config(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "DENSE_DIAG_CAP = 20" in err[0]
     assert not list(tmp_path.iterdir()) and not calls
+
+
+def test_oracle_cap_exits_config_before_allocating(tmp_path, capsys, monkeypatch):
+    cap = oracle.DEFAULT_CAP
+    # the longest chain whose 2^n matrix meets the dense memory rule
+    assert 2 ** cap <= xxz.DENSE_DIAG_CAP < 2 ** (cap + 1)
+    zeros, eye = np.zeros, np.eye
+
+    def small(shape, *args, **kwargs):
+        assert np.prod(shape) <= 4 ** cap, f"allocated {shape}"
+        return zeros(shape, *args, **kwargs)
+
+    def small_eye(n, *args, **kwargs):
+        assert n <= 2 ** cap, f"allocated eye({n})"
+        return eye(n, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", small)
+    monkeypatch.setattr(np, "eye", small_eye)
+    # an interior probe runs the oracle on the whole chain
+    code = cli.main(["lr-lightcone", "--model", "xy", "--chain-length",
+                     str(cap + 1), "--probe-site", "3", "--distances", "1,2",
+                     "--out-dir", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"exceeds dense cap {cap}" in err[0]
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(ConfigurationError, match="dense cap"):
+        oracle.jordan_wigner_modes(cap + 1)
 
 
 def test_solver_failure_exits_numerical(tmp_path, monkeypatch):

@@ -272,15 +272,26 @@ def test_chain_spectrum_matches_oracle():
     assert np.abs(chain.all_energies() - full.energies).max() < 1e-10
 
 
-def test_chain_correlator_matches_oracle_masses():
+@pytest.mark.parametrize("kind", ["I", "I_delta", "I_0_delta"])
+@pytest.mark.parametrize("clean", [False, True])
+def test_chain_correlator_matches_oracle_masses(kind, clean):
     L, delta, beta = 2, 6.0, 0.5
-    w = sample_field(UNIFORM, 2 * L + 1, PLAN, 13)
+    n = 2 * L + 1
+    # a weak random field, so every window kind holds states
+    w = (constant_field(0.0, n) if clean
+         else sample_field(DisorderSpec(coupling=0.2), n, PLAN, 13))
     chain = xxz.ChainSpectrum(L, delta, beta, w)
-    window = xxz.spectral_window(delta, 0.5)
+    window = xxz.spectral_window(delta, 0.5, kind)
     full = oracle.diagonalize_full(
         oracle.build_full("xxz", w, anisotropy=delta, boundary_weight=beta))
-    n = 2 * L + 1
     sel = (full.energies >= window.lower) & (full.energies <= window.upper)
+    energies, _ = chain.window_blocks(window)
+    assert energies.size == sel.sum() > 0
+    assert np.abs(np.sort(energies) - full.energies[sel]).max() < 1e-10
+    # per-state masses depend on the eigenbasis of a degenerate window,
+    # which a clean chain's symmetry can make
+    if np.diff(full.energies[sel]).min(initial=np.inf) < 1e-8:
+        return
     number_ops = [oracle.SiteObservable.of_kind("N", j).embed(n)
                   for j in range(n)]
     expect = np.zeros((n, n))

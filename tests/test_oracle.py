@@ -99,15 +99,6 @@ def test_commutator_norms_locality_at_t0():
     assert norms[1][0] > 1e-6  # information has started to spread
 
 
-def test_double_commutator_trivial():
-    w = sample_field(UNIFORM, 4, PLAN, 4)
-    es = oracle.diagonalize_full(oracle.build_full("xy", w))
-    x = oracle.SiteObservable.of_kind("X", 0).embed(4)
-    y = oracle.SiteObservable.of_kind("Y", 2).embed(4)
-    z = oracle.SiteObservable.of_kind("Z", 3).embed(4)
-    assert oracle.double_commutator_norm(es, x, y, z, 0.0, 0.0) < 1e-12
-
-
 def test_correlation_trivial_cases():
     w = sample_field(UNIFORM, 4, PLAN, 5)
     es = oracle.diagonalize_full(oracle.build_full("xy", w))

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from mblchain import xxz
-from mblchain.disorder import DisorderSpec, SeedPlan, constant_field, sample_field
+from mblchain.disorder import (DisorderSpec, FieldRealization, SeedPlan,
+                               constant_field, sample_field)
 from mblchain.errors import ConfigurationError, DegeneracyError, NumericalError
 
 PLAN = SeedPlan(16180)
@@ -245,6 +246,29 @@ def test_eigenpairs_in_window_orthonormal():
         assert window.contains([e])[0]
         assert abs(np.linalg.norm(psi) - 1) < 1e-9
         assert np.linalg.norm(h.matrix @ psi - e * psi) < 1e-8
+
+
+@pytest.mark.parametrize("offset", [-1e-8, 1e-8])
+def test_window_certificate_at_the_upper_edge(monkeypatch, offset):
+    # a uniform field shift puts the sector's lowest eigenvalue 1e-8 below
+    # (a window state) or above (a window certified empty) the upper edge
+    delta, n, L = 3.0, 2, 3
+    beta = xxz.min_boundary_weight(delta)
+    window = xxz.spectral_window(delta, 0.5)
+    w = sample_field(DisorderSpec(coupling=0.05), 2 * L + 1, PLAN, 10)
+    vals = np.linalg.eigvalsh(xxz.build_h_sector(n, L, delta, beta, w).dense())
+    assert vals[0] < window.upper - 1e-6 and vals[1] - vals[0] > 1e-6
+    shift = (window.upper + offset - vals[0]) / n
+    h = xxz.build_h_sector(n, L, delta, beta, FieldRealization(w.values + shift))
+    if offset < 0:
+        energies, vectors = xxz.eigenpairs_in_window(h, window)
+        assert energies.size == 1 and vectors.shape == (h.dim, 1)
+        assert abs(energies[0] - (window.upper + offset)) < 1e-12
+        return
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(a))
+    energies, vectors = xxz.eigenpairs_in_window(h, window)
+    assert energies.size == 0 and vectors.shape == (h.dim, 0) and not calls
 
 
 def test_droplet_profile_mass_conservation():
