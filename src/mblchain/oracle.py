@@ -102,10 +102,6 @@ class FullHamiltonian:
         return int(round(np.log2(self.matrix.shape[0])))
 
 
-def total_number_operator(n: int) -> np.ndarray:
-    return sum(embed_site(NUMBER, j, n) for j in range(n))
-
-
 def build_full(model: str, field_realization: FieldRealization,
                gamma: float = 0.0, coupling: float = 1.0,
                anisotropy: float = 2.0, boundary_weight: float = 0.5) -> FullHamiltonian:

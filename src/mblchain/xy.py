@@ -30,6 +30,7 @@ _GAP_TOL = 1e-12
 _EIG_CLAMP = 1e-10
 # entropy error allowed for dropping the modes that do not straddle the cut
 _TRUNC_TOL = 1e-10
+_STACK_ENTRIES = 2 ** 22  # matrix entries of one stacked eigvalsh (32 MB)
 
 
 @dataclass(frozen=True)
@@ -231,11 +232,16 @@ class CorrelationMatrix:
         return self.gamma.shape[0]
 
     def occupation_spectrum(self) -> np.ndarray:
-        vals = np.linalg.eigvalsh(self.gamma)
-        if vals.min() < -_EIG_CLAMP or vals.max() > 1 + _EIG_CLAMP:
-            raise NumericalError(
-                f"correlation spectrum outside [0,1]: [{vals.min()}, {vals.max()}]")
-        return np.clip(vals, 0.0, 1.0)
+        return occupation_spectra(self.gamma)
+
+
+def occupation_spectra(gammas: np.ndarray) -> np.ndarray:
+    """Spectra of a (..., n, n) stack of Gammas, checked and clipped to [0, 1]."""
+    vals = np.linalg.eigvalsh(gammas)
+    if vals.min() < -_EIG_CLAMP or vals.max() > 1 + _EIG_CLAMP:
+        raise NumericalError(
+            f"correlation spectrum outside [0,1]: [{vals.min()}, {vals.max()}]")
+    return np.clip(vals, 0.0, 1.0)
 
 
 def _require_simple(es: EigenSystem) -> None:
@@ -410,11 +416,13 @@ def sample_eigenstate_entropy_sup(es: EigenSystem, ell: int,
                                   strategy: SupStrategy = SupStrategy(),
                                   rng: np.random.Generator | None = None) -> float:
     """Lower estimate of sup over eigenstates of the [0, ell) block entropy,
-    each within _TRUNC_TOL of eigenstate_block_entropy (straddling_modes)."""
+    each within _TRUNC_TOL of eigenstate_block_entropy (straddling_modes);
+    the patterns with c empty kept modes share one stacked eigvalsh."""
     L = es.size
     kept, _ = straddling_modes(es, ell)
     if L <= strategy.exhaustive_limit or 2 ** L <= strategy.samples:
-        occupied = ((np.arange(2 ** L)[:, None] >> np.arange(L)) & 1).astype(bool)
+        k = kept.size  # all 2^L patterns restrict to all 2^k on the kept modes
+        empty = ((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1) == 0
     else:
         if rng is None:
             rng = np.random.default_rng(0)
@@ -422,18 +430,23 @@ def sample_eigenstate_entropy_sup(es: EigenSystem, ell: int,
         # weight on both sides of the cut: the ones that can contribute
         # near-half-filled block eigenvalues and hence the largest entropy
         left = (es.eigenvectors[:ell] ** 2).sum(axis=0)
-        occupied = np.array([rng.integers(0, 2, size=L) == 1
-                             for _ in range(strategy.samples)]
-                            + [(left > 0.05) & (left < 0.95)])
+        occupied = np.vstack([rng.integers(0, 2, size=(strategy.samples, L)) == 1,
+                              (left > 0.05) & (left < 0.95)])
+        empty = ~occupied[:, kept]
+    counts = empty.sum(axis=1)
     o_a = es.eigenvectors[:ell, kept]
     gram = o_a.T @ o_a
     best = 0.0
-    for empty in ~occupied[:, kept]:
-        if empty.sum() > ell:
-            block = o_a[:, empty] @ o_a[:, empty].T
-        elif empty.any():
-            block = gram[np.ix_(empty, empty)]
-        else:
-            continue
-        best = max(best, entanglement_entropy(CorrelationMatrix(block)))
+    for c in np.unique(counts[counts > 0]):
+        rows = empty[counts == c]
+        step = max(1, _STACK_ENTRIES // min(c, ell) ** 2)
+        for part in np.split(rows, range(step, len(rows), step)):
+            if c > ell:
+                # not a batched matmul: that rounds differently from a @ a.T
+                blocks = np.array([o_a[:, e] @ o_a[:, e].T for e in part])
+            else:
+                idx = np.nonzero(part)[1].reshape(-1, c)
+                blocks = gram[idx[:, :, None], idx[:, None, :]]
+            vals = occupation_spectra(blocks)
+            best = max(best, float(binary_entropy(vals).sum(axis=1).max()))
     return best

@@ -40,7 +40,7 @@ def test_single_site_xy():
 
 def test_hermiticity_and_number_conservation():
     w = sample_field(UNIFORM, 5, PLAN, 0)
-    total_n = oracle.total_number_operator(5)
+    total_n = sum(oracle.embed_site(oracle.NUMBER, j, 5) for j in range(5))
     for model, kwargs in (("xxz", {"anisotropy": 3.0, "boundary_weight": 0.5}),
                           ("ising", {})):
         h = oracle.build_full(model, w, **kwargs)

@@ -181,6 +181,33 @@ def test_correlation_matrix_validation():
         bad.occupation_spectrum()
 
 
+def _sup_per_pattern(es, ell, strategy, rng=None):
+    # the former loop, one eigvalsh per pattern: the bit-identity reference
+    # for the stacked sup
+    L = es.size
+    kept, _ = xy.straddling_modes(es, ell)
+    if L <= strategy.exhaustive_limit or 2 ** L <= strategy.samples:
+        occupied = ((np.arange(2 ** L)[:, None] >> np.arange(L)) & 1).astype(bool)
+    else:
+        rng = np.random.default_rng(0) if rng is None else rng
+        left = (es.eigenvectors[:ell] ** 2).sum(axis=0)
+        occupied = np.array([rng.integers(0, 2, size=L) == 1
+                             for _ in range(strategy.samples)]
+                            + [(left > 0.05) & (left < 0.95)])
+    o_a = es.eigenvectors[:ell, kept]
+    gram = o_a.T @ o_a
+    best = 0.0
+    for empty in ~occupied[:, kept]:
+        if empty.sum() > ell:
+            block = o_a[:, empty] @ o_a[:, empty].T
+        elif empty.any():
+            block = gram[np.ix_(empty, empty)]
+        else:
+            continue
+        best = max(best, xy.entanglement_entropy(xy.CorrelationMatrix(block)))
+    return best
+
+
 def _sampled_patterns(es, ell, samples, seed):
     # the patterns the sup visits: the random ones, then the straddling one
     rng = np.random.default_rng(seed)
@@ -221,8 +248,73 @@ def test_sup_exhaustive_matches_exact():
         _, bound = xy.straddling_modes(es, ell)
         assert bound <= xy._TRUNC_TOL
         fast = xy.sample_eigenstate_entropy_sup(es, ell)
+        assert fast == _sup_per_pattern(es, ell, xy.SupStrategy())
         exact = max(xy.eigenstate_block_entropy(es, p, ell) for p in patterns)
         assert abs(fast - exact) <= bound + 1e-11
+
+
+def _empty_counts(es, ell, samples, seed):
+    kept, _ = xy.straddling_modes(es, ell)
+    return np.array([(p.bits[kept] == 0).sum()
+                     for p in _sampled_patterns(es, ell, samples, seed)])
+
+
+@pytest.mark.parametrize("stack_entries", [None, 400])
+def test_stacked_sup_is_bit_identical_on_random_patterns(monkeypatch,
+                                                        stack_entries):
+    if stack_entries:                # split every stack into several calls
+        monkeypatch.setattr(xy, "_STACK_ENTRIES", stack_entries)
+    es = _es(400, 12, coupling=4.0)[1]
+    strategy = xy.SupStrategy()
+    wide = narrow = False            # blocks from o_a o_a^T, from the gram
+    for ell in (25, 50, 100, 200):
+        stacked = xy.sample_eigenstate_entropy_sup(
+            es, ell, strategy, np.random.default_rng(ell))
+        assert stacked == _sup_per_pattern(es, ell, strategy,
+                                           np.random.default_rng(ell))
+        counts = _empty_counts(es, ell, strategy.samples, ell)
+        wide |= (counts > ell).any()
+        narrow |= ((counts > 0) & (counts <= ell)).any()
+    assert wide and narrow
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_one_call_pattern_draw_matches_row_draws(seed):
+    rows, whole = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = np.array([rows.integers(0, 2, size=400) for _ in range(200)])
+    assert np.array_equal(whole.integers(0, 2, size=(200, 400)), drawn)
+    assert rows.bit_generator.state == whole.bit_generator.state
+
+
+def test_stacked_sup_calls_eigvalsh_once_per_empty_count(monkeypatch):
+    es = _es(400, 12, coupling=4.0)[1]
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        shapes.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for ell in (25, 200):
+        counts = _empty_counts(es, ell, 200, ell)
+        counts = counts[counts > 0]
+        shapes.clear()
+        xy.sample_eigenstate_entropy_sup(es, ell, rng=np.random.default_rng(ell))
+        assert len(shapes) == np.unique(counts).size
+        assert sum(s[0] for s in shapes) == counts.size
+        assert (sorted(s[1] for s in shapes)
+                == sorted(min(c, ell) for c in np.unique(counts)))
+
+
+@pytest.mark.parametrize("outside", [-1e-9, 1 + 1e-9])
+def test_stacked_spectra_outside_unit_interval_raise(outside):
+    half = np.eye(2) / 2
+    with pytest.raises(NumericalError):
+        xy.occupation_spectra(np.stack([half, np.diag([0.5, outside]), half]))
+    near = np.diag([-1e-11, 1 + 1e-11])  # within the clamp: clipped
+    assert np.array_equal(xy.occupation_spectra(np.stack([half, near]))[1],
+                          [0.0, 1.0])
 
 
 @pytest.mark.parametrize("ell", [10, 20])
