@@ -68,12 +68,16 @@ def _convert(key: str, raw: str):
         if kind == "int_list":
             return tuple(int(tok) for tok in raw.split(",") if tok.strip())
         if kind == "float_list":
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        if kind is float and raw.lower() == "none":
+            value = tuple(float(tok) for tok in raw.split(",") if tok.strip())
+        elif kind is float and raw.lower() == "none":
             return None
-        return kind(raw)
+        else:
+            value = kind(raw)
     except ValueError:
         raise ConfigurationError(f"config key {key!r}: cannot parse {raw!r}")
+    if kind in (float, "float_list") and not np.isfinite(value).all():
+        raise ConfigurationError(f"config key {key!r}: {raw!r} is not finite")
+    return value
 
 
 def load_config_file(path: str) -> dict:

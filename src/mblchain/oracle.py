@@ -34,19 +34,12 @@ LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])       # a: removes a particle
 RAISE = LOWER.T.copy()                           # a*: creates a particle
 NUMBER = RAISE @ LOWER                           # diag(0, 1)
 
-# the four matrix units at a site; the (-,-) unit is the number operator
-CORNER_KINDS = {
-    "++": np.array([[1.0, 0.0], [0.0, 0.0]]),
-    "+-": LOWER,
-    "-+": RAISE,
-    "--": NUMBER,
-}
-
 _KIND_MATRICES = {
     "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z,
     "N": NUMBER, "a": LOWER, "a*": RAISE,
-    "aa*": LOWER @ RAISE, "a*a": NUMBER,
-    **CORNER_KINDS,
+    # the four matrix units at a site; the (-,-) unit is the number operator
+    "++": np.array([[1.0, 0.0], [0.0, 0.0]]), "+-": LOWER, "-+": RAISE,
+    "--": NUMBER,
 }
 
 
@@ -91,24 +84,23 @@ def _bond(a: np.ndarray, b: np.ndarray, j: int, n: int) -> np.ndarray:
                    np.eye(2 ** (n - j - 2)))
 
 
+def _occupations(n: int) -> np.ndarray:
+    """(2^n, n) table of the down spins (particles) of each basis state,
+    site 0 the most significant bit as in embed_site."""
+    return ((np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1) == 1
+
+
 @dataclass(frozen=True)
 class FullHamiltonian:
-    model: str
     matrix: np.ndarray
-    field: FieldRealization
-
-    @property
-    def n_sites(self) -> int:
-        return int(round(np.log2(self.matrix.shape[0])))
 
 
 def build_full(model: str, field_realization: FieldRealization,
-               gamma: float = 0.0, coupling: float = 1.0,
-               anisotropy: float = 2.0, boundary_weight: float = 0.5) -> FullHamiltonian:
+               gamma: float = 0.0, anisotropy: float = 2.0,
+               boundary_weight: float = 0.5) -> FullHamiltonian:
     """Exact spin-chain Hamiltonian of the requested model.
 
-    "xy":    - sum (sX sX + sY sY) - sum w_j sZ_j
-    "aniso": - sum ((1+g) sX sX + (1-g) sY sY) - coupling * sum w_j sZ_j
+    "xy":    - sum ((1+g) sX sX + (1-g) sY sY) - sum w_j sZ_j, g = gamma
     "ising": (1/4) sum (1 - sZ sZ) + sum w_j N_j
              + (1/2)(N_first + N_last), so that every subset eigenvalue
              equals (number of down-spin clusters, boundary counted on the
@@ -116,68 +108,64 @@ def build_full(model: str, field_realization: FieldRealization,
     "xxz":   sum_j [ (1/4)(1 - sZ sZ) - 1/(4 Delta) (sX sX + sY sY) ]
              + sum w_j N_j + boundary_weight (N_first + N_last),
              sites indexed over [-L, L]
+
+    Hopping bonds are Kronecker products; the diagonal terms are summed on
+    one 2^n vector read from the occupation table.
     """
     w = np.asarray(field_realization.values, dtype=float)
     n = w.size
     _check_cap(n)
-    dim = 2 ** n
-    h = np.zeros((dim, dim))
+    if model not in ("xy", "ising", "xxz"):
+        raise ConfigurationError(f"unknown model {model!r}")
+    number = _occupations(n).astype(float)   # N_j of each basis state
+    sz = 1.0 - 2.0 * number
+    h = np.zeros((2 ** n, 2 ** n))
+    diag = np.zeros(2 ** n)
 
     if model == "xy":
-        for j in range(n - 1):
-            h -= _bond(SIGMA_X, SIGMA_X, j, n).real + _bond(SIGMA_Y, SIGMA_Y, j, n).real
-        for j in range(n):
-            h -= w[j] * embed_site(SIGMA_Z, j, n)
-    elif model == "aniso":
         for j in range(n - 1):
             h -= ((1 + gamma) * _bond(SIGMA_X, SIGMA_X, j, n).real
                   + (1 - gamma) * _bond(SIGMA_Y, SIGMA_Y, j, n).real)
         for j in range(n):
-            h -= coupling * w[j] * embed_site(SIGMA_Z, j, n)
-    elif model == "ising":
-        if np.any(w < 0):
-            raise ConfigurationError("Ising model requires a nonnegative field")
-        eye = np.eye(dim)
-        for j in range(n - 1):
-            h += 0.25 * (eye - _bond(SIGMA_Z, SIGMA_Z, j, n).real)
-        for j in range(n):
-            h += w[j] * embed_site(NUMBER, j, n)
-        h += 0.5 * (embed_site(NUMBER, 0, n) + embed_site(NUMBER, n - 1, n))
-    elif model == "xxz":
-        if anisotropy <= 1:
-            raise ConfigurationError("Ising phase requires anisotropy > 1")
-        if boundary_weight < 0.5 * (1 - 1 / anisotropy) - 1e-15:
-            raise ConfigurationError(
-                "droplet boundary weight must be >= (1 - 1/Delta)/2")
-        if np.any(w < 0):
-            raise ConfigurationError("XXZ requires a nonnegative field")
-        if n % 2 == 0:
-            raise ConfigurationError("XXZ box [-L, L] has an odd site count")
-        eye = np.eye(dim)
-        for j in range(n - 1):
-            h += 0.25 * (eye - _bond(SIGMA_Z, SIGMA_Z, j, n).real)
-            h -= (_bond(SIGMA_X, SIGMA_X, j, n).real
-                  + _bond(SIGMA_Y, SIGMA_Y, j, n).real) / (4 * anisotropy)
-        for j in range(n):
-            h += w[j] * embed_site(NUMBER, j, n)
-        h += boundary_weight * (embed_site(NUMBER, 0, n)
-                                + embed_site(NUMBER, n - 1, n))
+            diag -= w[j] * sz[:, j]
     else:
-        raise ConfigurationError(f"unknown model {model!r}")
+        if model == "ising":
+            boundary_weight = 0.5
+        else:
+            if anisotropy <= 1:
+                raise ConfigurationError("Ising phase requires anisotropy > 1")
+            if boundary_weight < 0.5 * (1 - 1 / anisotropy) - 1e-15:
+                raise ConfigurationError(
+                    "droplet boundary weight must be >= (1 - 1/Delta)/2")
+            if n % 2 == 0:
+                raise ConfigurationError("XXZ box [-L, L] has an odd site count")
+        if np.any(w < 0):
+            raise ConfigurationError(f"{model} model requires a nonnegative field")
+        for j in range(n - 1):
+            diag += 0.25 * (1.0 - sz[:, j] * sz[:, j + 1])
+            if model == "xxz":
+                h -= (_bond(SIGMA_X, SIGMA_X, j, n).real
+                      + _bond(SIGMA_Y, SIGMA_Y, j, n).real) / (4 * anisotropy)
+        for j in range(n):
+            diag += w[j] * number[:, j]
+        diag += boundary_weight * (number[:, 0] + number[:, -1])
+    h[np.diag_indices_from(h)] += diag
 
     if np.abs(h - h.conj().T).max() > 1e-12:
         raise NumericalError("assembled Hamiltonian is not Hermitian")
-    return FullHamiltonian(model, h, field_realization)
+    return FullHamiltonian(h)
 
 
 def jordan_wigner_modes(n: int) -> list[np.ndarray]:
-    """c_1 = a_1, c_j = sZ_1 ... sZ_{j-1} a_j as full 2^n matrices."""
+    """c_1 = a_1, c_j = sZ_1 ... sZ_{j-1} a_j as full 2^n matrices; the
+    sZ string is the +-1 parity of the sites before j, applied row-wise."""
     _check_cap(n)
+    sz = 1.0 - 2.0 * _occupations(n)
     modes = []
-    string = np.eye(2 ** n)
+    string = np.ones(2 ** n)
     for j in range(n):
-        modes.append(string @ embed_site(LOWER, j, n))
-        string = string @ embed_site(SIGMA_Z, j, n)
+        modes.append(string[:, None] * embed_site(LOWER, j, n))
+        string = string * sz[:, j]
     return modes
 
 
@@ -390,22 +378,13 @@ def ising_exact(field_realization: FieldRealization):
     n = w.size
     if n > 24:
         raise ConfigurationError(f"chain length {n} exceeds enumeration cap 24")
-    labels = np.arange(2 ** n, dtype=np.uint64)
-    # runs of consecutive set bits: popcount(x) - popcount(x & (x >> 1))
-    def popcount(v):
-        v = v.copy()
-        count = np.zeros_like(v, dtype=np.int64)
-        while v.any():
-            count += (v & 1).astype(np.int64)
-            v >>= np.uint64(1)
-        return count
-
-    runs = popcount(labels) - popcount(labels & (labels >> np.uint64(1)))
+    occ = _occupations(n)
+    # runs of consecutive down spins: sites minus adjacent down-down pairs
+    runs = occ.sum(axis=1) - (occ[:, :-1] & occ[:, 1:]).sum(axis=1)
     field_sum = np.zeros(2 ** n)
     for j in range(n):
-        bit = (labels >> np.uint64(n - 1 - j)) & np.uint64(1)
-        field_sum += w[j] * bit.astype(float)
-    return runs.astype(float) + field_sum, labels
+        field_sum += w[j] * occ[:, j]
+    return runs.astype(float) + field_sum, np.arange(2 ** n, dtype=np.uint64)
 
 
 def droplet_state(block: tuple[int, int], n: int) -> np.ndarray:
@@ -455,10 +434,7 @@ def eigenstate_particle_numbers(es: ManyBodyEigenSystem, n: int,
                                 tol: float = 1e-9) -> np.ndarray:
     """Total down-spin number of each eigenvector; raises if any vector
     fails to have a sharp particle number (degenerate crossings)."""
-    counts = np.zeros(2 ** n)
-    labels = np.arange(2 ** n)
-    for j in range(n):
-        counts += (labels >> (n - 1 - j)) & 1
+    counts = _occupations(n).sum(axis=1, dtype=float)
     weights = np.abs(es.vectors) ** 2
     means = counts @ weights
     spread = (counts[:, None] - means[None, :]) ** 2
@@ -473,8 +449,3 @@ VANISHING_CORRELATION_CASES = (
     ("+-", "+-"), ("-+", "-+"), ("+-", "--"), ("--", "-+"), ("--", "+-"),
 )
 
-
-def corner_observable(kind: str, site: int) -> SiteObservable:
-    if kind not in CORNER_KINDS:
-        raise ConfigurationError(f"unknown corner kind {kind!r}")
-    return SiteObservable(CORNER_KINDS[kind], site)

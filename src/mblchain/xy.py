@@ -412,6 +412,18 @@ def straddling_modes(es: EigenSystem, ell: int) -> tuple[np.ndarray, float]:
     return order[bottom:L - top[bottom]], float(low[bottom] + high[top[bottom]])
 
 
+def _random_pattern_chunks(rng, samples: int, L: int, chunk: int,
+                           straddling: np.ndarray, kept: np.ndarray):
+    """Empty kept modes of `samples` random patterns, drawn `chunk` at a
+    time (consecutive draws: the same stream as one call), then of the
+    straddling pattern, which rides on the last chunk."""
+    for start in range(0, max(samples, 1), chunk):
+        occupied = rng.integers(0, 2, size=(min(chunk, samples - start), L)) == 1
+        if start + chunk >= samples:
+            occupied = np.vstack([occupied, straddling])
+        yield ~occupied[:, kept]
+
+
 def sample_eigenstate_entropy_sup(es: EigenSystem, ell: int,
                                   strategy: SupStrategy = SupStrategy(),
                                   rng: np.random.Generator | None = None) -> float:
@@ -420,9 +432,11 @@ def sample_eigenstate_entropy_sup(es: EigenSystem, ell: int,
     the patterns with c empty kept modes share one stacked eigvalsh."""
     L = es.size
     kept, _ = straddling_modes(es, ell)
+    chunk = max(1, _STACK_ENTRIES // L)   # patterns held at once
     if L <= strategy.exhaustive_limit or 2 ** L <= strategy.samples:
         k = kept.size  # all 2^L patterns restrict to all 2^k on the kept modes
-        empty = ((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1) == 0
+        chunks = (((np.arange(start, min(start + chunk, 2 ** k))[:, None]
+                    >> np.arange(k)) & 1) == 0 for start in range(0, 2 ** k, chunk))
     else:
         if rng is None:
             rng = np.random.default_rng(0)
@@ -430,23 +444,23 @@ def sample_eigenstate_entropy_sup(es: EigenSystem, ell: int,
         # weight on both sides of the cut: the ones that can contribute
         # near-half-filled block eigenvalues and hence the largest entropy
         left = (es.eigenvectors[:ell] ** 2).sum(axis=0)
-        occupied = np.vstack([rng.integers(0, 2, size=(strategy.samples, L)) == 1,
-                              (left > 0.05) & (left < 0.95)])
-        empty = ~occupied[:, kept]
-    counts = empty.sum(axis=1)
+        chunks = _random_pattern_chunks(rng, strategy.samples, L, chunk,
+                                        (left > 0.05) & (left < 0.95), kept)
     o_a = es.eigenvectors[:ell, kept]
     gram = o_a.T @ o_a
     best = 0.0
-    for c in np.unique(counts[counts > 0]):
-        rows = empty[counts == c]
-        step = max(1, _STACK_ENTRIES // min(c, ell) ** 2)
-        for part in np.split(rows, range(step, len(rows), step)):
-            if c > ell:
-                # not a batched matmul: that rounds differently from a @ a.T
-                blocks = np.array([o_a[:, e] @ o_a[:, e].T for e in part])
-            else:
-                idx = np.nonzero(part)[1].reshape(-1, c)
-                blocks = gram[idx[:, :, None], idx[:, None, :]]
-            vals = occupation_spectra(blocks)
-            best = max(best, float(binary_entropy(vals).sum(axis=1).max()))
+    for empty in chunks:
+        counts = empty.sum(axis=1)
+        for c in np.unique(counts[counts > 0]):
+            rows = empty[counts == c]
+            step = max(1, _STACK_ENTRIES // min(c, ell) ** 2)
+            for part in np.split(rows, range(step, len(rows), step)):
+                if c > ell:
+                    # not a batched matmul: that rounds differently from a @ a.T
+                    blocks = np.array([o_a[:, e] @ o_a[:, e].T for e in part])
+                else:
+                    idx = np.nonzero(part)[1].reshape(-1, c)
+                    blocks = gram[idx[:, :, None], idx[:, None, :]]
+                vals = occupation_spectra(blocks)
+                best = max(best, float(binary_entropy(vals).sum(axis=1).max()))
     return best

@@ -282,8 +282,8 @@ def test_c11_selection_rules():
                         * np.linalg.norm(number_k @ psi))
                 for kx in kinds:
                     for ky in kinds:
-                        x = oracle.corner_observable(kx, j).embed(n)
-                        y = oracle.corner_observable(ky, k).embed(n)
+                        x = oracle.SiteObservable.of_kind(kx, j).embed(n)
+                        y = oracle.SiteObservable.of_kind(ky, k).embed(n)
                         cor = oracle.correlation(
                             psi, x, y, es, window=(window.lower, window.upper))
                         tested += 1

@@ -137,11 +137,31 @@ def test_unread_flag_exits_config(tmp_path, capsys, extra):
     (["frobnicate"], "invalid choice: 'frobnicate'"),
     ([], "the following arguments are required: command"),
     (["xy-ecorr", "--chain-length"], "expected one argument"),
+    (["xy-ecorr", "--disorder-max", "inf"], "'disorder_max': 'inf' is not finite"),
+    (["xy-ecorr", "--disorder-coupling", "nan"],
+     "'disorder_coupling': 'nan' is not finite"),
+    (["xxz-ct", "--safety", "nan"], "'safety': 'nan' is not finite"),
+    (["xxz-droploc", "--anisotropy", "nan"], "'anisotropy': 'nan' is not finite"),
+    (["xxz-bands", "--anisotropy", "NaN"], "'anisotropy': 'NaN' is not finite"),
+    (["xy-kernel", "--time-grid", "0.5,nan"], "'time_grid': '0.5,nan' is not finite"),
 ])
-def test_parse_errors_print_one_line(capsys, args, message):
+def test_parse_errors_print_one_line(tmp_path, monkeypatch, capsys, args, message):
+    monkeypatch.chdir(tmp_path)      # nothing may be written, even on failure
     assert cli.main(args) == cli.EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and message in err[0]
+    assert not list(tmp_path.iterdir())
+
+
+def test_non_finite_config_value_exits_config(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("time_grid = 1.0, inf\n")
+    out = tmp_path / "out"
+    args = ["xy-kernel", "--config", str(cfg), "--out-dir", str(out)]
+    assert cli.main(args) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "'time_grid': '1.0, inf' is not finite" in err[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args, unread", [

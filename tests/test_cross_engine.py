@@ -168,7 +168,7 @@ def test_anisotropic_spectrum_against_oracle():
     assert np.abs(np.sort(es.eigenvalues) + np.sort(-es.eigenvalues)[::-1]).max() < 1e-10
     # many-body spectrum: offsets + 2 * (sums over positive modes subsets)
     full = oracle.diagonalize_full(
-        oracle.build_full("aniso", w, gamma=gamma, coupling=1.0))
+        oracle.build_full("xy", w, gamma=gamma))
     positive = np.sort(es.eigenvalues)[n:]
     base = full.energies.min()
     levels = sorted(base + 2.0 * sum(np.array(sel) * positive)

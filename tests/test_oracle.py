@@ -183,6 +183,77 @@ def test_particle_numbers_and_selection_rules():
     for col in (3, 11, 17):
         psi = es.vectors[:, col]
         for kx, ky in oracle.VANISHING_CORRELATION_CASES:
-            x = oracle.corner_observable(kx, j).embed(5)
-            y = oracle.corner_observable(ky, k).embed(5)
+            x = oracle.SiteObservable.of_kind(kx, j).embed(5)
+            y = oracle.SiteObservable.of_kind(ky, k).embed(5)
             assert oracle.correlation(psi, x, y, es, window=window) < 1e-12
+
+
+def _kron_per_term_build(model, w, gamma=0.0, anisotropy=2.0,
+                         boundary_weight=0.5):
+    # the former build, one dense eye or embedding per diagonal term: the
+    # bit-identity reference for the occupation-table diagonal
+    x, y, z, num = oracle.SIGMA_X, oracle.SIGMA_Y, oracle.SIGMA_Z, oracle.NUMBER
+    bond, embed = oracle._bond, oracle.embed_site
+    n = w.size
+    h = np.zeros((2 ** n, 2 ** n))
+    eye = np.eye(2 ** n)
+    if model == "xy":
+        for j in range(n - 1):
+            h -= ((1 + gamma) * bond(x, x, j, n).real
+                  + (1 - gamma) * bond(y, y, j, n).real)
+        for j in range(n):
+            h -= w[j] * embed(z, j, n)
+        return h
+    if model == "ising":
+        boundary_weight = 0.5
+    for j in range(n - 1):
+        h += 0.25 * (eye - bond(z, z, j, n).real)
+        if model == "xxz":
+            h -= (bond(x, x, j, n).real + bond(y, y, j, n).real) / (4 * anisotropy)
+    for j in range(n):
+        h += w[j] * embed(num, j, n)
+    return h + boundary_weight * (embed(num, 0, n) + embed(num, n - 1, n))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_build_full_matches_kron_per_term_build(n):
+    w = sample_field(UNIFORM, n, PLAN, 20 + n)
+    cases = [("xy", {}), ("xy", {"gamma": 0.4}), ("ising", {})]
+    if n % 2:
+        cases += [("xxz", {"anisotropy": 3.0, "boundary_weight": 0.5}),
+                  ("xxz", {"anisotropy": 1.7, "boundary_weight": 0.9})]
+    for model, kwargs in cases:
+        fast = oracle.build_full(model, w, **kwargs).matrix
+        ref = _kron_per_term_build(model, w.values, **kwargs)
+        assert fast.dtype == ref.dtype and np.array_equal(fast, ref)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_jordan_wigner_modes_match_string_products(n):
+    # the former construction: dense sZ-string products
+    string, ref = np.eye(2 ** n), []
+    for j in range(n):
+        ref.append(string @ oracle.embed_site(oracle.LOWER, j, n))
+        string = string @ oracle.embed_site(oracle.SIGMA_Z, j, n)
+    for mode, expected in zip(oracle.jordan_wigner_modes(n), ref, strict=True):
+        assert mode.dtype == expected.dtype and np.array_equal(mode, expected)
+
+
+def test_diagonal_terms_build_no_dense_embedding(monkeypatch):
+    calls = {"embed_site": 0, "eye": 0, "_bond": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(oracle, "embed_site", counted("embed_site", oracle.embed_site))
+    monkeypatch.setattr(oracle, "_bond", counted("_bond", oracle._bond))
+    monkeypatch.setattr(np, "eye", counted("eye", np.eye))
+    n = 7
+    w = sample_field(UNIFORM, n, PLAN, 30)
+    oracle.build_full("ising", w)
+    assert calls == {"embed_site": 0, "eye": 0, "_bond": 0}
+    oracle.build_full("xxz", w, anisotropy=3.0, boundary_weight=0.5)
+    assert calls["embed_site"] == 0 and calls["_bond"] == 2 * (n - 1)

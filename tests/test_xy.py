@@ -240,10 +240,11 @@ def test_sup_on_straddling_modes_matches_exact(field, ells, kept_range):
         assert abs(fast - exact) <= bound + 1e-11
 
 
-def test_sup_exhaustive_matches_exact():
+def test_sup_exhaustive_matches_exact(monkeypatch):
     n = 10
     w, es = _es(n, 13, coupling=4.0)
     patterns = [xy.OccupationPattern.from_int(c, n) for c in range(2 ** n)]
+    sups = []
     for ell in range(1, n):
         _, bound = xy.straddling_modes(es, ell)
         assert bound <= xy._TRUNC_TOL
@@ -251,12 +252,25 @@ def test_sup_exhaustive_matches_exact():
         assert fast == _sup_per_pattern(es, ell, xy.SupStrategy())
         exact = max(xy.eigenstate_block_entropy(es, p, ell) for p in patterns)
         assert abs(fast - exact) <= bound + 1e-11
+        sups.append(fast)
+    monkeypatch.setattr(xy, "_STACK_ENTRIES", 3 * n)   # three codes per chunk
+    assert sups == [xy.sample_eigenstate_entropy_sup(es, ell) for ell in range(1, n)]
 
 
 def _empty_counts(es, ell, samples, seed):
     kept, _ = xy.straddling_modes(es, ell)
     return np.array([(p.bits[kept] == 0).sum()
                      for p in _sampled_patterns(es, ell, samples, seed)])
+
+
+class _RecordingRng:
+    # a Generator that records the shape of each integers() draw
+    def __init__(self, seed):
+        self.generator, self.sizes = np.random.default_rng(seed), []
+
+    def integers(self, *args, size, **kwargs):
+        self.sizes.append(size)
+        return self.generator.integers(*args, size=size, **kwargs)
 
 
 @pytest.mark.parametrize("stack_entries", [None, 400])
@@ -268,10 +282,19 @@ def test_stacked_sup_is_bit_identical_on_random_patterns(monkeypatch,
     strategy = xy.SupStrategy()
     wide = narrow = False            # blocks from o_a o_a^T, from the gram
     for ell in (25, 50, 100, 200):
-        stacked = xy.sample_eigenstate_entropy_sup(
-            es, ell, strategy, np.random.default_rng(ell))
+        rng = _RecordingRng(ell)
+        stacked = xy.sample_eigenstate_entropy_sup(es, ell, strategy, rng)
         assert stacked == _sup_per_pattern(es, ell, strategy,
                                            np.random.default_rng(ell))
+        # the draws come in chunks of at most _STACK_ENTRIES entries, and
+        # leave the generator where one call for all patterns would
+        assert all(np.prod(size) <= max(xy._STACK_ENTRIES, 400)
+                   for size in rng.sizes)
+        assert sum(rows for rows, _ in rng.sizes) == strategy.samples
+        assert len(rng.sizes) == (strategy.samples if stack_entries else 1)
+        whole = np.random.default_rng(ell)
+        whole.integers(0, 2, size=(strategy.samples, 400))
+        assert rng.generator.bit_generator.state == whole.bit_generator.state
         counts = _empty_counts(es, ell, strategy.samples, ell)
         wide |= (counts > ell).any()
         narrow |= ((counts > 0) & (counts <= ell)).any()
