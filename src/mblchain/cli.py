@@ -120,6 +120,9 @@ def merge_settings(args: argparse.Namespace) -> dict:
 
 def _disorder(settings: dict) -> DisorderSpec:
     kind = settings["disorder_kind"]
+    if kind == "table":
+        raise ConfigurationError("disorder kind 'table' is library-only: the"
+                                 " command line cannot pass its bin masses")
     lo, hi = settings["disorder_min"], settings["disorder_max"]
     if kind == "constant":
         hi = lo

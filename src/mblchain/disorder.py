@@ -57,18 +57,6 @@ class DisorderSpec:
             if abs(masses.sum() - 1.0) > 1e-12:
                 raise ConfigurationError("density table masses must sum to 1")
 
-    @property
-    def mean(self) -> float:
-        """Mean of the scaled distribution (closed form)."""
-        if self.kind == "constant":
-            return self.coupling * self.support_min
-        if self.kind == "uniform":
-            return self.coupling * 0.5 * (self.support_min + self.support_max)
-        masses = np.asarray(self.table, dtype=float)
-        edges = np.linspace(self.support_min, self.support_max, masses.size + 1)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        return self.coupling * float(masses @ centers)
-
     def require_nonnegative(self):
         """Raise unless the scaled support is contained in [0, inf)."""
         if self.support_min < 0:
@@ -110,9 +98,6 @@ class FieldRealization:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 def constant_field(value: float, length: int) -> FieldRealization:

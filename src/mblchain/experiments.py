@@ -75,6 +75,12 @@ class ExperimentConfig:
             self.disorder.require_nonnegative()
         elif self.chain_length < 2:
             raise ConfigurationError("chain experiments need chain_length >= 2")
+        if "n_particles" in reads and self.n_particles < 1:
+            raise ConfigurationError(f"{self.kind} needs n_particles >= 1")
+        # ct_pass samples energies below (2 - safety) (1 - 1/Delta) >= 0
+        if self.kind == "ct_pass" and not 0 < self.safety <= 2:
+            raise ConfigurationError(
+                f"ct_pass needs safety in (0, 2], got {self.safety}")
         if "probe_site" in reads:
             lo, hi = ((-self.half_length, self.half_length)
                       if "half_length" in reads else (0, self.chain_length - 1))
@@ -472,16 +478,15 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleSummary:
                            tuple(substituted), config)
 
 
-def scan_area_law(config: ExperimentConfig, base2: bool = False):
+def scan_area_law(config: ExperimentConfig):
     """Entropy statistics against block size plus the fitted log-slope."""
     summary = run_ensemble(config)
-    fit = fit_log_slope(summary.keys, summary.mean, base2=base2)
+    fit = fit_log_slope(summary.keys, summary.mean)
     return summary, fit
 
 
 def clean_ground_state_entropy(chain_length: int, field_value: float,
-                               block_sizes, centered: bool = True,
-                               base2: bool = True):
+                               block_sizes, base2: bool = True):
     """Ground-state block entropies of the clean chain (no ensemble): the
     critical log-law control.  Centered blocks (two boundary cuts) carry
     twice the single-cut coefficient and match the bulk scaling law."""
@@ -491,7 +496,6 @@ def clean_ground_state_entropy(chain_length: int, field_value: float,
     gamma = xy.eigenstate_correlation_matrix(es, pattern)
     out = {}
     for ell in block_sizes:
-        start = (chain_length - ell) // 2 if centered else 0
-        block = xy.restrict_block(gamma, start, ell)
+        block = xy.restrict_block(gamma, (chain_length - ell) // 2, ell)
         out[ell] = xy.entanglement_entropy(block, base2=base2)
     return out

@@ -289,14 +289,13 @@ def reduced_density_matrix(psi: np.ndarray, keep_sites, n: int) -> np.ndarray:
     return mat @ mat.conj().T
 
 
-def entropy_of_density_matrix(rho: np.ndarray, base2: bool = False) -> float:
+def entropy_of_density_matrix(rho: np.ndarray) -> float:
     vals = np.linalg.eigvalsh(rho)
     vals = vals[vals > 1e-14]
-    s = float(-(vals * np.log(vals)).sum())
-    return s / np.log(2.0) if base2 else s
+    return float(-(vals * np.log(vals)).sum())
 
 
-def reduced_entropy(psi: np.ndarray, ell: int, base2: bool = False) -> float:
+def reduced_entropy(psi: np.ndarray, ell: int) -> float:
     """Von Neumann entropy of the first ell sites of a pure state."""
     n = int(round(np.log2(psi.size)))
     if not 1 <= ell < n:
@@ -304,8 +303,7 @@ def reduced_entropy(psi: np.ndarray, ell: int, base2: bool = False) -> float:
     mat = np.asarray(psi).reshape(2 ** ell, 2 ** (n - ell))
     svals = np.linalg.svd(mat, compute_uv=False)
     probs = svals[svals > 1e-14] ** 2
-    s = float(-(probs * np.log(probs)).sum())
-    return s / np.log(2.0) if base2 else s
+    return float(-(probs * np.log(probs)).sum())
 
 
 def partial_trace_operator(op: np.ndarray, keep_sites, n: int) -> np.ndarray:
@@ -400,8 +398,7 @@ def droplet_state(block: tuple[int, int], n: int) -> np.ndarray:
     return psi
 
 
-def droplet_superposition_entropy(ell: int, n: int, method: str = "closed",
-                                  base2: bool = False) -> float:
+def droplet_superposition_entropy(ell: int, n: int, method: str = "closed") -> float:
     """Entanglement across the cut after site ell of the uniform
     superposition of the ell translates of an ell-site droplet.
 
@@ -413,8 +410,7 @@ def droplet_superposition_entropy(ell: int, n: int, method: str = "closed",
     if ell < 1 or 2 * ell - 1 > n:
         raise ConfigurationError("need 1 <= ell and 2*ell - 1 <= n")
     if method == "closed":
-        s = float(np.log(ell))
-        return s / np.log(2.0) if base2 else s
+        return float(np.log(ell))
     if method != "matrix":
         raise ConfigurationError(f"unknown method {method!r}")
     _check_cap(n)
@@ -424,7 +420,7 @@ def droplet_superposition_entropy(ell: int, n: int, method: str = "closed",
     for j in range(ell):
         psi += droplet_state((j, j + ell - 1), n)
     psi /= np.linalg.norm(psi)
-    return reduced_entropy(psi, ell, base2=base2)
+    return reduced_entropy(psi, ell)
 
 
 # ---------------------------------------------------------------------------

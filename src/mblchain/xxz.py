@@ -11,19 +11,21 @@ with L_N the graph Laplacian of single-particle hops (hard core, box
 bounds), D_N twice the number of down-spin clusters (box independent),
 V_w the summed random field, and chi^(L) counting boundary touches.  The
 droplet boundary weight beta >= (1 - 1/Delta)/2 keeps every term
-nonnegative, so min spec H_N^L >= 1 - 1/Delta for N >= 1.
+nonnegative, so min spec H_N^L >= 1 - 1/Delta for N >= 1.  The vacuum
+N = 0 is the sector of one empty configuration with H_0 = 0.
 
 Everything here is validated entrywise against the N-magnon block of the
 brute-force 2^n spin Hamiltonian in the test suite; that comparison pins
 down all boundary and degree conventions.
 
 Only V_w depends on the field.  Everything else is the sector skeleton
-returned by ``enumerate_basis(N, L)``: the configurations, their integer
-bitmasks (site s is bit s + L), the hop pairs, graph and cluster degrees,
-wall touches, the l1 distance to the droplets and the dim x sites
-occupancy matrix.  It is built once per (N, L) and cached (the 32 most
-recently used sectors of a process), so every caller shares its arrays
-and they are read-only.
+returned by ``enumerate_basis(N, L)`` for N = 0 .. 2L + 1: the occupied
+sites of every configuration, their integer bitmasks (site s is bit
+s + L, the one lookup key), the unit hop adjacency, graph and cluster
+degrees, wall touches, the l1 distance to the droplets and the dim x
+sites occupancy matrix.  It is built once per (N, L) and cached (the 32
+most recently used sectors of a process), so every caller shares its
+arrays and they are read-only.
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ import scipy.sparse.linalg as spla
 
 from .disorder import FieldRealization
 from .errors import ConfigurationError, DegeneracyError, NumericalError
-
-Config = tuple[int, ...]
 
 # dense eigh at dimension n holds 5 n^2 doubles (matrix, LAPACK's copy, 2 n^2
 # syevd workspace, eigenvectors); at the cap that is half the physical memory
@@ -61,12 +61,10 @@ class SectorBasis:
 
     n_particles: int
     half_length: int
-    configs: tuple[Config, ...]
-    index: dict[Config, int] = field(repr=False)
     positions: np.ndarray = field(repr=False)         # occupied sites s + L
     masks: np.ndarray = field(repr=False)             # sum of 2^(s + L)
     occupancy: np.ndarray = field(repr=False)         # dim x sites, bool
-    hops: np.ndarray = field(repr=False)              # pairs (i, j), i < j
+    adjacency: sp.csr_matrix = field(repr=False)      # unit, symmetric
     graph_degree: np.ndarray = field(repr=False)
     cluster_degree: np.ndarray = field(repr=False)    # 2 x number of runs
     wall_touches: np.ndarray = field(repr=False)
@@ -75,7 +73,7 @@ class SectorBasis:
 
     @property
     def dim(self) -> int:
-        return len(self.configs)
+        return len(self.positions)
 
     @property
     def n_sites(self) -> int:
@@ -98,12 +96,12 @@ class SectorBasis:
 def enumerate_basis(n_particles: int, half_length: int) -> SectorBasis:
     L = half_length
     n_sites = 2 * L + 1
-    if not 1 <= n_particles <= n_sites:
+    if not 0 <= n_particles <= n_sites:
         raise ConfigurationError(
             f"particle number {n_particles} out of range for [-{L}, {L}]")
-    configs = tuple(combinations(range(-L, L + 1), n_particles))
-    dim = len(configs)
-    pos = np.array(configs, dtype=np.int64).reshape(dim, n_particles) + L
+    dim = comb(n_sites, n_particles)
+    pos = np.array(list(combinations(range(n_sites), n_particles)),
+                   dtype=np.int64).reshape(dim, n_particles)
     rows = np.arange(dim)[:, None]
     occupancy = np.zeros((dim, n_sites), dtype=bool)
     occupancy[rows, pos] = True
@@ -118,30 +116,32 @@ def enumerate_basis(n_particles: int, half_length: int) -> SectorBasis:
     free = (pos + 1 < n_sites) & ~occupancy[rows, np.minimum(pos + 1, n_sites - 1)]
     src, slot = np.nonzero(free)
     moved = masks[src] + bits[pos[src, slot]]
-    hops = np.stack([src, order[np.searchsorted(masks, moved, sorter=order)]], axis=1)
+    dst = order[np.searchsorted(masks, moved, sorter=order)]
+    upper = sp.coo_matrix((np.ones(src.size), (src, dst)), shape=(dim, dim))
+    adjacency = (upper + upper.T).tocsr()
     # x_i - i is nondecreasing and constant exactly on droplets; its median
-    # is the start of the nearest droplet
+    # (none in the vacuum) is the start of the nearest droplet
     shifted = pos - np.arange(n_particles)
+    median = (n_particles - 1) // 2
     arrays = dict(
-        positions=pos, masks=masks, occupancy=occupancy, hops=hops,
-        graph_degree=np.bincount(hops.ravel(), minlength=dim),
-        cluster_degree=2 * (1 + (np.diff(pos, axis=1) > 1).sum(axis=1)),
-        wall_touches=(pos[:, 0] == 0).astype(np.int64) + (pos[:, -1] == n_sites - 1),
+        positions=pos, masks=masks, occupancy=occupancy,
+        graph_degree=np.diff(adjacency.indptr),
+        cluster_degree=2 * (np.diff(pos, axis=1, prepend=-2) > 1).sum(axis=1),
+        wall_touches=(pos == 0).sum(axis=1) + (pos == n_sites - 1).sum(axis=1),
         droplet_distance=np.abs(
-            shifted - shifted[:, [(n_particles - 1) // 2]]).sum(axis=1),
+            shifted - shifted[:, median:median + 1]).sum(axis=1),
         mask_order=order)
-    for a in arrays.values():
+    for a in (*arrays.values(), adjacency.data, adjacency.indices, adjacency.indptr):
         a.flags.writeable = False
-    return SectorBasis(n_particles, L, configs,
-                       {x: i for i, x in enumerate(configs)}, **arrays)
+    return SectorBasis(n_particles, L, adjacency=adjacency, **arrays)
 
 
 def set_distance(a, b) -> int:
     """d_N(A, B): minimal l1 distance between the two configuration sets."""
-    if not a or not b:
+    if len(a) == 0 or len(b) == 0:
         raise ValueError("set distance needs nonempty sets")
-    xa = np.array(sorted(a))
-    xb = np.array(sorted(b))
+    xa = np.array(list(a))
+    xb = np.array(list(b))
     # pairwise |x - y| summed over particle slots
     return int(np.abs(xa[:, None, :] - xb[None, :, :]).sum(axis=2).min())
 
@@ -184,15 +184,12 @@ def build_h_sector(n_particles: int, half_length: int, anisotropy: float,
         raise ConfigurationError("XXZ requires a nonnegative field")
 
     basis = enumerate_basis(n_particles, L)
-    cluster_weight = 0.5 * (1.0 - 1.0 / anisotropy)
+    cluster_weight = min_boundary_weight(anisotropy)
     diag = (basis.graph_degree / (2.0 * anisotropy)
             + cluster_weight * basis.cluster_degree
             + w[basis.positions].sum(axis=1)
             + (boundary_weight - cluster_weight) * basis.wall_touches)
-    hop = np.full(len(basis.hops), -1.0 / (2.0 * anisotropy))
-    upper = sp.coo_matrix((hop, (basis.hops[:, 0], basis.hops[:, 1])),
-                          shape=(basis.dim, basis.dim))
-    matrix = (upper + upper.T + sp.diags(diag)).tocsr()
+    matrix = sp.diags(diag) - basis.adjacency / (2.0 * anisotropy)
     return SectorHamiltonian(basis, anisotropy, matrix)
 
 
@@ -353,13 +350,19 @@ def ct_check(h: SectorHamiltonian, energy: float, safety: float,
     """
     delta_aniso = h.anisotropy
     gap = 1.0 - 1.0 / delta_aniso
+    if safety <= 0:
+        raise ConfigurationError("safety distance must be positive")
     if energy > (2.0 - safety) * gap + 1e-12:
         raise ConfigurationError("energy must lie below (2 - safety) * (1 - 1/Delta)")
     if not set_a or not set_b:
         raise ConfigurationError("both configuration sets must be nonempty")
     basis = h.basis
-    idx_a = np.array(sorted(basis.index[x] for x in set_a))
-    idx_b = np.array(sorted(basis.index[x] for x in set_b))
+
+    def rows(configs):
+        return np.sort(basis.locate(
+            [sum(1 << (int(s) + basis.half_length) for s in x) for x in configs]))
+
+    idx_a, idx_b = rows(set_a), rows(set_b)
     shift = np.where(basis.droplet_distance == 0, gap, 0.0)
     op = (h.matrix + sp.diags(shift - energy)).tocsr()
     floor = safety * gap
@@ -375,7 +378,7 @@ def ct_check(h: SectorHamiltonian, energy: float, safety: float,
     if error > _CT_TOL:
         raise NumericalError(f"certified resolvent error {error:.2e} > {_CT_TOL}")
     measured = float(np.linalg.norm(sol[idx_a, :], 2))
-    d = set_distance(set_a, set_b)
+    d = set_distance(basis.positions[idx_a], basis.positions[idx_b])
     rate_base = 1.0 + safety * (delta_aniso - 1.0) / 8.0
     prefactor = 16.0 * delta_aniso / (safety * (delta_aniso - 1.0))
     bound = prefactor * rate_base ** (-d)
@@ -405,9 +408,8 @@ class ChainSpectrum:
         _require_dense(comb(2 * half_length + 1, half_length))  # largest sector
         self.sectors = {n: build_h_sector(n, half_length, anisotropy,
                                           boundary_weight, field_realization)
-                        for n in range(1, 2 * half_length + 2)}
-        # the vacuum is sector 0, with energy 0 and the vector (1)
-        self._spectra = {0: (np.zeros(1), np.ones((1, 1)))}
+                        for n in range(2 * half_length + 2)}
+        self._spectra = {}
         self._windows = {}
 
     @property
@@ -428,9 +430,9 @@ class ChainSpectrum:
 
     def window_blocks(self, window: EnergyWindow):
         """Window energies and, per sector with window states, the slice of
-        those states in the energies and their eigenvectors as columns; the
-        vacuum is sector 0 with the vector (1).  Built once per window and
-        shared by every caller, so the arrays are read-only."""
+        those states in the energies and their eigenvectors as columns.
+        Built once per window and shared by every caller, so the arrays are
+        read-only."""
         if window not in self._windows:
             parts, blocks, start = [np.zeros(0)], {}, 0
             for n in range(self.n_sites + 1):
@@ -459,7 +461,7 @@ class ChainSpectrum:
         energies, blocks = self.window_blocks(window)
         return window_site_masses(
             [(self.sectors[n].basis, energies[rows], vecs)
-             for n, (rows, vecs) in blocks.items() if n], self.n_sites)
+             for n, (rows, vecs) in blocks.items()], self.n_sites)
 
     # -- windowed observables -------------------------------------------------
 
@@ -469,9 +471,8 @@ class ChainSpectrum:
         energies, blocks = self.window_blocks(window)
         mat = np.zeros((energies.size, energies.size))
         for n, (rows, vecs) in blocks.items():
-            if n:
-                sel = self.sectors[n].basis.occupancy[:, site + self.half_length]
-                mat[rows, rows] = vecs[sel].T @ vecs[sel]
+            sel = self.sectors[n].basis.occupancy[:, site + self.half_length]
+            mat[rows, rows] = vecs[sel].T @ vecs[sel]
         return energies, mat
 
     def window_sigma_x(self, window: EnergyWindow, site: int):
@@ -487,7 +488,7 @@ class ChainSpectrum:
             if n + 1 not in blocks:
                 continue
             dst_rows, dst_vecs = blocks[n + 1]
-            src = self.sectors[n].basis.masks if n else np.zeros(1, dtype=np.int64)
+            src = self.sectors[n].basis.masks
             free = (src & bit) == 0
             lifted = np.zeros((len(dst_vecs), src_vecs.shape[1]))
             lifted[self.sectors[n + 1].basis.locate(src[free] | bit)] = src_vecs[free]
@@ -613,11 +614,6 @@ class QuasiLocalityProbe:
         w = self.energies.size
         approx = np.zeros((w, w), dtype=complex)
         for n, (rows, vecs) in self._blocks.items():
-            if n == 0:
-                # vacuum: the approximant keeps the traced diagonal element
-                # at the empty pattern; tau_t(X) annihilates the vacuum
-                approx[rows, rows] = m_a[0][0, 0]
-                continue
             for k, members in tables[n].items():
                 v = vecs[members]
                 mv = m_a[k] @ v.reshape(-1, m_a[k].shape[0], v.shape[1])

@@ -352,7 +352,7 @@ class SupStrategy:
 
 
 def eigenstate_block_entropy(es: EigenSystem, pattern: OccupationPattern,
-                             ell: int, base2: bool = False) -> float:
+                             ell: int) -> float:
     """Entropy of the [0, ell) block of an eigenstate, without forming the
     full correlation matrix (the block of the mode projection suffices)."""
     if pattern.size != es.size:
@@ -361,7 +361,7 @@ def eigenstate_block_entropy(es: EigenSystem, pattern: OccupationPattern,
         raise ValueError(f"block size {ell} out of range (1..{es.size - 1})")
     _require_simple(es)
     empty = es.eigenvectors[:ell, pattern.bits == 0]
-    return entanglement_entropy(CorrelationMatrix(empty @ empty.T), base2=base2)
+    return entanglement_entropy(CorrelationMatrix(empty @ empty.T))
 
 
 def _drop_bound(masses: np.ndarray, sites: int) -> np.ndarray:

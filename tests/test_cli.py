@@ -101,6 +101,20 @@ def test_probed_site_outside_chain_exits_config(tmp_path, capsys, args):
       "--sup-samples", "0"],
      "entropy_sup needs sup_samples >= 1"),
     (["xxz-bands", "--n-max", "0"], "n_max >= 1 required"),
+    *[(["xxz-ct", "--half-length", "3", "--safety", value],
+       f"ct_pass needs safety in (0, 2], got {float(value)}")
+      for value in ("0", "2.5", "-0.5")],
+    (["xxz-ct", "--half-length", "3", "--n-particles", "0"],
+     "ct_pass needs n_particles >= 1"),
+    (["xxz-profile", "--half-length", "3", "--n-particles", "0",
+      "--distances", "0,1"],
+     "droplet_profile needs n_particles >= 1"),
+    (["xxz-cluster", "--half-length", "3", "--n-particles", "0",
+      "--distances", "0,1"],
+     "sector_correlator needs n_particles >= 1"),
+    (["xy-ecorr", "--chain-length", "10", "--distances", "1",
+      "--disorder-kind", "table"],
+     "disorder kind 'table' is library-only"),
 ])
 def test_range_errors_exit_config(tmp_path, capsys, args, message):
     assert cli.main(args + ["--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG

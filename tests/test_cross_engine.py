@@ -192,6 +192,11 @@ def test_xxz_sector_blocks_match_oracle():
             assert np.abs(sector - block).max() < 1e-10
 
 
+def _configs(basis):
+    """The configurations of a sector as tuples of sites in [-L, L]."""
+    return [tuple(int(p) - basis.half_length for p in row) for row in basis.positions]
+
+
 def _state_index(config, L):
     """Computational index of a sector configuration in the 2^n basis."""
     idx = 0
@@ -207,9 +212,21 @@ def test_xxz_sector_matrix_entrywise():
     h = xxz.build_h_sector(n_part, L, delta, beta, w)
     full = oracle.build_full("xxz", w, anisotropy=delta, boundary_weight=beta)
     n = 2 * L + 1
-    rows = [_state_index(x, L) for x in h.basis.configs]
+    rows = [_state_index(x, L) for x in _configs(h.basis)]
     block = full.matrix[np.ix_(rows, rows)].real
     assert np.abs(h.dense() - block).max() < 1e-12
+
+
+def test_vacuum_sector_matches_oracle():
+    # the vacuum (all spins up) is state 0 of the 2^n basis and sector 0
+    L, delta, beta = 2, 2.5, 0.6
+    w = sample_field(UNIFORM, 2 * L + 1, PLAN, 18)
+    full = oracle.build_full("xxz", w, anisotropy=delta, boundary_weight=beta)
+    h = xxz.build_h_sector(0, L, delta, beta, w)
+    assert _configs(h.basis) == [()]
+    assert _state_index((), L) == 0
+    assert h.dense().tolist() == [[0.0]]
+    assert np.abs(full.matrix[0]).max() < 1e-12
 
 
 def test_ct_check_matches_oracle_inverse():
@@ -222,7 +239,7 @@ def test_ct_check_matches_oracle_inverse():
     full = oracle.build_full("xxz", w, anisotropy=delta, boundary_weight=beta)
     for n_part in (2, 3):
         h = xxz.build_h_sector(n_part, L, delta, beta, w)
-        configs = h.basis.configs
+        configs = _configs(h.basis)
         rows = [_state_index(x, L) for x in configs]
         droplet = [x[-1] - x[0] == n_part - 1 for x in configs]
         for energy in (0.0, 0.4, (2.0 - safety) * gap):

@@ -12,7 +12,7 @@ def test_uniform_support_and_scaling():
     field = sample_field(spec, 5000, SeedPlan(7), 0)
     assert field.values.min() >= 0.0
     assert field.values.max() <= 4.0
-    assert abs(field.values.mean() - spec.mean) < 0.1
+    assert abs(field.values.mean() - 2.0) < 0.1  # coupling * (0 + 1) / 2
 
 
 def test_determinism_and_stream_independence():

@@ -3,6 +3,7 @@ from math import comb
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mblchain import xxz
 from mblchain.disorder import (DisorderSpec, FieldRealization, SeedPlan,
@@ -15,9 +16,18 @@ UNIFORM = DisorderSpec()
 
 # naive per-configuration definitions, the references for the sector skeleton
 
+def configurations(basis) -> list:
+    """The configurations of a sector as tuples of sites in [-L, L]."""
+    return [tuple(int(p) - basis.half_length for p in row) for row in basis.positions]
+
+
+def mask(x, basis) -> int:
+    return sum(1 << (s + basis.half_length) for s in x)
+
+
 def component_degree(x) -> int:
     """Twice the number of maximal runs of consecutive sites (box independent)."""
-    runs = 1 + sum(1 for a, b in zip(x, x[1:]) if b - a > 1)
+    runs = sum(1 for i, s in enumerate(x) if i == 0 or s - x[i - 1] > 1)
     return 2 * runs
 
 
@@ -58,17 +68,21 @@ def set_distance_bfs(a, b, basis) -> int:
 def test_basis_enumeration():
     basis = xxz.enumerate_basis(2, 2)
     assert basis.dim == comb(5, 2)
-    assert basis.configs[0] == (-2, -1)
-    assert basis.configs[-1] == (1, 2)
-    assert basis.index[(-1, 2)] == basis.configs.index((-1, 2))
+    configs = configurations(basis)
+    assert configs[0] == (-2, -1)
+    assert configs[-1] == (1, 2)
+    assert basis.locate([mask((-1, 2), basis)]).tolist() == [configs.index((-1, 2))]
     with pytest.raises(ConfigurationError):
         xxz.enumerate_basis(6, 2)
+    with pytest.raises(ConfigurationError):
+        xxz.enumerate_basis(-1, 2)
 
 
 def test_component_degree():
     assert component_degree((0, 1, 2)) == 2
     assert component_degree((0, 2, 4)) == 6
     assert component_degree((-3, -2, 1, 2, 5)) == 6
+    assert component_degree(()) == 0
 
 
 def test_neighbors_hard_core_and_walls():
@@ -77,44 +91,50 @@ def test_neighbors_hard_core_and_walls():
     # left particle blocked by wall and by the right particle;
     # right particle can only move right
     assert set(nbrs) == {(-2, 0)}
-    assert all(n in basis.index for n in nbrs)
+    basis.locate([mask(y, basis) for y in nbrs])  # all in the sector
 
 
 def test_droplet_geometry_distances():
     basis = xxz.enumerate_basis(3, 3)
-    for idx in np.flatnonzero(basis.droplet_distance == 0):
-        x = basis.configs[idx]
+    for x in basis.positions[basis.droplet_distance == 0]:
         assert all(b - a == 1 for a, b in zip(x, x[1:]))
-    i = basis.index[(-3, 0, 3)]
+    i, j = basis.locate([mask((-3, 0, 3), basis), mask((-1, 0, 1), basis)])
     # nearest droplet around the middle particle: (-1, 0, 1)
     assert basis.droplet_distance[i] == 4
-    assert basis.droplet_distance[basis.index[(-1, 0, 1)]] == 0
+    assert basis.droplet_distance[j] == 0
 
 
 @pytest.mark.parametrize("n_particles, half_length",
-                         [(1, 1), (2, 3), (3, 3), (4, 2), (5, 2)])
+                         [(0, 1), (1, 1), (2, 3), (3, 3), (4, 2), (5, 2)])
 def test_sector_skeleton_matches_naive_definitions(n_particles, half_length):
     basis = xxz.enumerate_basis(n_particles, half_length)
     L = half_length
-    edges = {(i, basis.index[y]) for i, x in enumerate(basis.configs)
-             for y in neighbors(x, basis) if basis.index[y] > i}
-    assert {tuple(p) for p in basis.hops.tolist()} == edges
-    assert len(basis.hops) == len(edges)
-    droplets = [x for x in basis.configs if x[-1] - x[0] == n_particles - 1]
-    for i, x in enumerate(basis.configs):
+    configs = configurations(basis)
+    assert configs == sorted(configs)
+    assert basis.positions.shape == (comb(2 * L + 1, n_particles), n_particles)
+    edges = {(i, j) for i, x in enumerate(configs)
+             for j in basis.locate([mask(y, basis) for y in neighbors(x, basis)])}
+    adjacency = basis.adjacency.tocoo()
+    assert set(zip(adjacency.row.tolist(), adjacency.col.tolist())) == edges
+    assert adjacency.nnz == len(edges) and (adjacency.data == 1.0).all()
+    # the empty configuration is its own droplet
+    droplets = [x for x in configs if not x or x[-1] - x[0] == n_particles - 1]
+    for i, x in enumerate(configs):
         assert basis.graph_degree[i] == len(neighbors(x, basis))
         assert basis.cluster_degree[i] == component_degree(x)
-        assert basis.wall_touches[i] == (x[0] == -L) + (x[-1] == L)
+        assert basis.wall_touches[i] == (-L in x) + (L in x)
         assert basis.droplet_distance[i] == xxz.set_distance([x], droplets)
         assert basis.occupancy[i].tolist() == [s in x for s in basis.sites]
-        assert basis.masks[i] == sum(1 << (s + L) for s in x)
+        assert basis.masks[i] == mask(x, basis)
     assert basis.locate(basis.masks).tolist() == list(range(basis.dim))
-    # the last case fills the chain: one configuration, no hops
-    if n_particles == 2 * L + 1:
-        assert basis.dim == 1 and len(basis.hops) == 0
-    arrays = (basis.positions, basis.masks, basis.occupancy, basis.hops,
-              basis.graph_degree, basis.cluster_degree, basis.wall_touches,
-              basis.droplet_distance)
+    # the first case is the vacuum and the last fills the chain: one
+    # configuration, no hops
+    if n_particles in (0, 2 * L + 1):
+        assert basis.dim == 1 and basis.adjacency.nnz == 0
+    arrays = (basis.positions, basis.masks, basis.occupancy,
+              basis.adjacency.data, basis.adjacency.indices,
+              basis.adjacency.indptr, basis.graph_degree, basis.cluster_degree,
+              basis.wall_touches, basis.droplet_distance)
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         basis.occupancy[0, 0] = True
@@ -124,9 +144,9 @@ def test_sector_skeleton_matches_naive_definitions(n_particles, half_length):
 def test_skeleton_masks_beyond_int64():
     # 81 sites: bitmasks are Python ints and lookups still work
     basis = xxz.enumerate_basis(2, 40)
-    x = (-40, 40)
-    assert basis.masks[basis.index[x]] == 1 + (1 << 80)
-    assert basis.locate([1 + (1 << 80)]).tolist() == [basis.index[x]]
+    i = configurations(basis).index((-40, 40))
+    assert basis.masks[i] == 1 + (1 << 80)
+    assert basis.locate([1 + (1 << 80)]).tolist() == [i]
     with pytest.raises(KeyError):
         basis.locate([1])
 
@@ -146,13 +166,57 @@ def test_sector_diagonal_hand_value():
     # no field, wall touch
     w = constant_field(0.0, 3)
     h = xxz.build_h_sector(1, 1, 2.0, 0.25, w)
-    i = h.basis.index[(-1,)]
+    i, j = h.basis.locate([mask((-1,), h.basis), mask((0,), h.basis)])
     # hop term 1/(2*2), cluster term (1/2)(1 - 1/2)*2, wall weight 0
     assert h.matrix[i, i] == pytest.approx(0.75)
     # interior site: hop degree 2, no wall touch
-    j = h.basis.index[(0,)]
     assert h.matrix[j, j] == pytest.approx(0.5 + 0.5)
     assert h.matrix[i, j] == pytest.approx(-0.25)
+
+
+def coo_assembly(n_particles, half_length, anisotropy, boundary_weight, w):
+    """Reference sector matrix: the hop pairs (i, j), i < j, of the naive
+    neighbor relation as an upper-triangle COO matrix, plus its transpose
+    and the diagonal, converted to CSR."""
+    basis = xxz.enumerate_basis(n_particles, half_length)
+    pairs = [(i, j) for i, x in enumerate(configurations(basis))
+             for j in basis.locate([mask(y, basis) for y in neighbors(x, basis)])
+             if j > i]
+    i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    hop = np.full(i.size, -1.0 / (2.0 * anisotropy))
+    upper = sp.coo_matrix((hop, (i, j)), shape=(basis.dim, basis.dim))
+    cluster_weight = 0.5 * (1.0 - 1.0 / anisotropy)
+    diag = (basis.graph_degree / (2.0 * anisotropy)
+            + cluster_weight * basis.cluster_degree
+            + w.values[basis.positions].sum(axis=1)
+            + (boundary_weight - cluster_weight) * basis.wall_touches)
+    return (upper + upper.T + sp.diags(diag)).tocsr()
+
+
+@pytest.mark.parametrize("n_particles, half_length",
+                         [(n, L) for L in (1, 2, 3) for n in range(2 * L + 2)]
+                         + [(3, 12), (4, 12)])
+def test_sector_matrix_bit_identical_to_coo_assembly(n_particles, half_length):
+    w = sample_field(UNIFORM, 2 * half_length + 1, PLAN, 11)
+    for delta, beta in ((2.0, 0.25), (3.0, 0.7)):
+        fast = xxz.build_h_sector(n_particles, half_length, delta, beta, w).matrix
+        slow = coo_assembly(n_particles, half_length, delta, beta, w)
+        assert isinstance(fast, sp.csr_matrix)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(fast, name), getattr(slow, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_sector_build_reuses_the_skeleton(monkeypatch):
+    w = sample_field(UNIFORM, 7, PLAN, 12)
+    xxz.enumerate_basis(3, 3)  # the skeleton, cached
+
+    def no_coo(*args, **kwargs):
+        raise AssertionError("hop matrix assembled per realization")
+
+    monkeypatch.setattr(sp, "coo_matrix", no_coo)
+    h = xxz.build_h_sector(3, 3, 2.0, 0.5, w)
+    assert h.basis is xxz.enumerate_basis(3, 3)
 
 
 def test_sector_positivity_and_gap():
@@ -301,14 +365,18 @@ def test_ct_check_bound_holds_and_closed_form():
     d = xxz.set_distance(a, b)
     assert abs(bound - 64.0 * 1.0625 ** (-d)) < 1e-12
     assert measured <= bound
+    # a configuration is a set of sites: the order of a tuple does not matter
+    assert xxz.ct_check(h, 0.6, safety, [(-7, -8)], [(8, 6)]) == (measured, bound)
     with pytest.raises(ConfigurationError):
         xxz.ct_check(h, 0.9, safety, a, b)  # energy above the window
+    for bad in (0.0, -0.5):
+        with pytest.raises(ConfigurationError, match="safety"):
+            xxz.ct_check(h, 0.0, bad, a, b)
 
 
 def test_ct_shifted_operator_floor_on_c08_cells():
     # the premise certifying ct_check: min spec of the shifted operator is
     # at least safety (1 - 1/Delta) at the top of the admissible energies
-    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
     safety = 0.5
     for delta in (2.0, 4.0):
@@ -361,7 +429,6 @@ def _sector_correlator(h, window, j, k):
 
 
 def test_sector_correlator_degeneracy_guard():
-    import scipy.sparse as sp
     # a fabricated sector operator with an exactly repeated window level
     delta = 2.0
     basis = xxz.enumerate_basis(1, 1)
@@ -469,7 +536,7 @@ def test_sector_and_chain_window_paths_agree(half_length, kind, clean):
     window = xxz.spectral_window(delta, 0.5, kind)
     energies, blocks = chain.window_blocks(window)
     sector_blocks = []
-    for n in range(1, n_sites + 1):
+    for n in range(n_sites + 1):
         h = xxz.build_h_sector(n, half_length, delta, beta, w)
         e_sector, v_sector = xxz.eigenpairs_in_window(h, window)
         rows, v_chain = blocks.get(n, (slice(0, 0), np.zeros((h.dim, 0))))
