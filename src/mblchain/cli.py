@@ -241,8 +241,7 @@ def cmd_xy_aniso(settings):
     if n < 2:
         raise ConfigurationError("chain_length >= 2 required")
     w = sample_field(_disorder(settings), n, SeedPlan(settings["seed"]), 0)
-    block = xy.build_block_m(w, settings["gamma"])
-    es = xy.diagonalize(block.dense())
+    es = xy.diagonalize(xy.block_m(w, settings["gamma"]))
     vals = es.eigenvalues
     symmetry = float(np.abs(np.sort(vals) + np.sort(-vals)[::-1]).max())
     meta = {"spectrum_symmetry_defect": symmetry}
@@ -402,7 +401,7 @@ def _validate_checks():
         full = oracle.diagonalize_full(oracle.build_full("xy", w))
         pattern = xy.OccupationPattern.from_int(19, n)
         gamma = xy.eigenstate_correlation_matrix(es, pattern)
-        s_free = xy.entanglement_entropy(xy.restrict_upper_block(gamma, 3))
+        s_free = xy.entanglement_entropy(gamma[:3, :3])
         energy = xy.eigenstate_energy(es, pattern, xy.build_m(w).ground_offset)
         col = int(np.argmin(np.abs(full.energies - energy)))
         s_full = oracle.reduced_entropy(full.vectors[:, col], 3)

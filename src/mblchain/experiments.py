@@ -27,6 +27,7 @@ SUBSTITUTE_OFFSET = 1_000_003
 MAX_RESAMPLES = 5
 
 FIT_FLOOR = 1e-14
+ARRIVAL_THRESHOLD = 0.1  # commutator norm marking the light-cone arrival
 
 
 @contextmanager
@@ -183,30 +184,29 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> DecayFit:
                     points_used=int(x.size))
 
 
-def fit_exponential_decay(distances, means, floor: float = FIT_FLOOR) -> DecayFit:
+def fit_exponential_decay(distances, means) -> DecayFit:
     """Least squares of log(mean) on distance; rate is positive for decay.
 
-    Points at or below 10*floor are dropped (exact zeros from selection
+    Points at or below 10*FIT_FLOOR are dropped (exact zeros from selection
     rules would poison the regression); with fewer than 3 surviving
     points the fit is reported as unavailable, never fabricated.
     """
     d = np.asarray(distances, dtype=float)
     m = np.asarray(means, dtype=float)
-    keep = m > 10.0 * floor
+    keep = m > 10.0 * FIT_FLOOR
     if keep.sum() < 3:
         return UNAVAILABLE_FIT
-    fit = _linear_fit(d[keep], np.log(np.maximum(m[keep], floor)))
+    fit = _linear_fit(d[keep], np.log(np.maximum(m[keep], FIT_FLOOR)))
     return replace(fit, rate=-fit.rate)
 
 
-def fit_log_slope(sizes, values, base2: bool = False) -> DecayFit:
-    """Slope of values against log(size); the area-law surrogate."""
+def fit_log_slope(sizes, values) -> DecayFit:
+    """Slope of values against ln(size); the area-law surrogate."""
     s = np.asarray(sizes, dtype=float)
     v = np.asarray(values, dtype=float)
     if s.size < 3:
         return UNAVAILABLE_FIT
-    logs = np.log2(s) if base2 else np.log(s)
-    return _linear_fit(logs, v)
+    return _linear_fit(np.log(s), v)
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +234,11 @@ def _metric_dynamical_kernel(config: ExperimentConfig, index: int):
 def _metric_entropy_sup(config: ExperimentConfig, index: int):
     w = _field(config, index, config.chain_length)
     es = xy.diagonalize(xy.build_m(w))
-    strategy = xy.SupStrategy(samples=config.sup_samples)
     out = {}
     for ell in config.block_sizes:
         rng = config.seeds.generator(index, tag=1)
-        out[ell] = xy.sample_eigenstate_entropy_sup(es, ell, strategy, rng)
+        out[ell] = xy.sample_eigenstate_entropy_sup(es, ell, config.sup_samples,
+                                                    rng)
     return out
 
 
@@ -259,8 +259,7 @@ def _metric_quench_entropy(config: ExperimentConfig, index: int):
         best = 0.0
         for t in config.time_grid:
             gamma_t = xy.evolve_correlation_matrix(gamma0, es_full, t)
-            block = xy.restrict_upper_block(gamma_t, ell)
-            best = max(best, xy.entanglement_entropy(block))
+            best = max(best, xy.entanglement_entropy(gamma_t[:ell, :ell]))
         out[ell] = best
     return out
 
@@ -382,14 +381,14 @@ def _metric_xy_commutator(config: ExperimentConfig, index: int):
     return {d: float(norms.max(initial=0.0)) for d, norms in profiles.items()}
 
 
-def xy_commutator_arrival(config: ExperimentConfig, index: int = 0,
-                          threshold: float = 0.1):
-    """Per-distance earliest grid time with commutator norm above the
-    threshold (inf if never); the ballistic light-cone diagnostic."""
+def xy_commutator_arrival(config: ExperimentConfig):
+    """Per-distance earliest grid time with commutator norm above
+    ARRIVAL_THRESHOLD in realization 0 (inf if never); the ballistic
+    light-cone diagnostic."""
     grid = sorted(config.time_grid)
     out = {}
-    for d, norms in _xy_commutator_profiles(config, index, grid).items():
-        above = np.flatnonzero(norms > threshold)
+    for d, norms in _xy_commutator_profiles(config, 0, grid).items():
+        above = np.flatnonzero(norms > ARRIVAL_THRESHOLD)
         out[d] = grid[above[0]] if above.size else np.inf
     return out
 
@@ -486,16 +485,21 @@ def scan_area_law(config: ExperimentConfig):
 
 
 def clean_ground_state_entropy(chain_length: int, field_value: float,
-                               block_sizes, base2: bool = True):
-    """Ground-state block entropies of the clean chain (no ensemble): the
-    critical log-law control.  Centered blocks (two boundary cuts) carry
-    twice the single-cut coefficient and match the bulk scaling law."""
+                               block_sizes):
+    """Ground-state block entropies in nats of the clean chain (no
+    ensemble): the critical log-law control.  Centered blocks (two boundary
+    cuts) carry twice the single-cut coefficient and match the bulk scaling
+    law."""
+    outside = [ell for ell in block_sizes if not 1 <= ell <= chain_length]
+    if outside:
+        raise ValueError(f"block sizes {outside} outside 1..{chain_length}")
     w = constant_field(field_value, chain_length)
     es = xy.diagonalize(xy.build_m(w))
     pattern = xy.OccupationPattern((es.eigenvalues < 0).astype(int))
     gamma = xy.eigenstate_correlation_matrix(es, pattern)
     out = {}
     for ell in block_sizes:
-        block = xy.restrict_block(gamma, (chain_length - ell) // 2, ell)
-        out[ell] = xy.entanglement_entropy(block, base2=base2)
+        start = (chain_length - ell) // 2
+        out[ell] = xy.entanglement_entropy(
+            gamma[start:start + ell, start:start + ell])
     return out

@@ -25,6 +25,8 @@ from .errors import ConfigurationError, NumericalError
 from .xxz import DENSE_DIAG_CAP
 
 DEFAULT_CAP = DENSE_DIAG_CAP.bit_length() - 1
+# largest particle-number variance of an eigenvector read as sharp
+_SHARP_NUMBER_TOL = 1e-9
 
 ID2 = np.eye(2)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -151,7 +153,10 @@ def build_full(model: str, field_realization: FieldRealization,
         diag += boundary_weight * (number[:, 0] + number[:, -1])
     h[np.diag_indices_from(h)] += diag
 
-    if np.abs(h - h.conj().T).max() > 1e-12:
+    # h is real: one temporary for |h - h^T|
+    d = h - h.T
+    np.abs(d, out=d)
+    if d.max() > 1e-12:
         raise NumericalError("assembled Hamiltonian is not Hermitian")
     return FullHamiltonian(h)
 
@@ -426,8 +431,7 @@ def droplet_superposition_entropy(ell: int, n: int, method: str = "closed") -> f
 # ---------------------------------------------------------------------------
 # particle-number structure
 
-def eigenstate_particle_numbers(es: ManyBodyEigenSystem, n: int,
-                                tol: float = 1e-9) -> np.ndarray:
+def eigenstate_particle_numbers(es: ManyBodyEigenSystem, n: int) -> np.ndarray:
     """Total down-spin number of each eigenvector; raises if any vector
     fails to have a sharp particle number (degenerate crossings)."""
     counts = _occupations(n).sum(axis=1, dtype=float)
@@ -435,7 +439,7 @@ def eigenstate_particle_numbers(es: ManyBodyEigenSystem, n: int,
     means = counts @ weights
     spread = (counts[:, None] - means[None, :]) ** 2
     variance = np.einsum("ij,ij->j", spread, weights)
-    if variance.max() > tol:
+    if variance.max() > _SHARP_NUMBER_TOL:
         raise NumericalError(
             f"eigenvector without sharp particle number (var {variance.max():.2e})")
     return np.rint(means).astype(int)

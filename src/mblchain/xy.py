@@ -13,6 +13,10 @@ vacuum has Gamma = I, the thermal state gives Gamma = (I + exp(-2 beta M))^-1,
 and evolution acts as Gamma(t) = U Gamma U* with U = exp(-2 i M t).  All
 three are validated entry-by-entry against the 2^L brute-force engine in the
 test suite.
+
+Gamma is a plain L x L ndarray, and the reduced state of a block of sites
+is its principal slice (gamma[:ell, :ell] for the cut at ell).  Entropies
+are in nats.  block_m builds the 2L x 2L matrix of the anisotropic chain.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ _EIG_CLAMP = 1e-10
 # entropy error allowed for dropping the modes that do not straddle the cut
 _TRUNC_TOL = 1e-10
 _STACK_ENTRIES = 2 ** 22  # matrix entries of one stacked eigvalsh (32 MB)
+_EXHAUSTIVE_LIMIT = 14  # the sup visits all 2^L patterns up to this L
 
 
 @dataclass(frozen=True)
@@ -59,37 +64,23 @@ class EffectiveHamiltonian:
         return m
 
 
-@dataclass(frozen=True)
-class BlockEffectiveHamiltonian:
+def build_m(field: FieldRealization) -> EffectiveHamiltonian:
+    return EffectiveHamiltonian(field.values)
+
+
+def block_m(field: FieldRealization, gamma: float) -> np.ndarray:
     """2L x 2L block matrix [[M, K], [-K, -M]] of the anisotropic chain.
 
     K is the antisymmetric tridiagonal anisotropy coupling (-gamma above
     the diagonal, +gamma below); the spectrum is symmetric about zero.
     """
-
-    m: EffectiveHamiltonian
-    gamma: float
-
-    @property
-    def size(self) -> int:
-        return 2 * self.m.size
-
-    def dense(self) -> np.ndarray:
-        L = self.m.size
-        k = np.zeros((L, L))
-        idx = np.arange(L - 1)
-        k[idx, idx + 1] = -self.gamma
-        k[idx + 1, idx] = self.gamma
-        m = self.m.dense()
-        return np.block([[m, k], [-k, -m]])
-
-
-def build_m(field: FieldRealization) -> EffectiveHamiltonian:
-    return EffectiveHamiltonian(field.values)
-
-
-def build_block_m(field: FieldRealization, gamma: float) -> BlockEffectiveHamiltonian:
-    return BlockEffectiveHamiltonian(build_m(field), float(gamma))
+    m = build_m(field).dense()
+    L = m.shape[0]
+    k = np.zeros((L, L))
+    idx = np.arange(L - 1)
+    k[idx, idx + 1] = -float(gamma)
+    k[idx + 1, idx] = float(gamma)
+    return np.block([[m, k], [-k, -m]])
 
 
 @dataclass(frozen=True)
@@ -215,26 +206,6 @@ def eigenstate_energy(es: EigenSystem, pattern: OccupationPattern,
     return 2.0 * float(es.eigenvalues @ pattern.bits) + ground_offset
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Two-point matrix Gamma_jk = <c_j c_k*> of a quasi-free state."""
-
-    gamma: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.gamma)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError("correlation matrix must be square")
-        object.__setattr__(self, "gamma", g)
-
-    @property
-    def size(self) -> int:
-        return self.gamma.shape[0]
-
-    def occupation_spectrum(self) -> np.ndarray:
-        return occupation_spectra(self.gamma)
-
-
 def occupation_spectra(gammas: np.ndarray) -> np.ndarray:
     """Spectra of a (..., n, n) stack of Gammas, checked and clipped to [0, 1]."""
     vals = np.linalg.eigvalsh(gammas)
@@ -251,7 +222,7 @@ def _require_simple(es: EigenSystem) -> None:
 
 
 def eigenstate_correlation_matrix(es: EigenSystem,
-                                  pattern: OccupationPattern) -> CorrelationMatrix:
+                                  pattern: OccupationPattern) -> np.ndarray:
     """Gamma of the many-body eigenstate with the given mode occupation.
 
     In the <c c*> convention this is the spectral projection onto the
@@ -263,10 +234,11 @@ def eigenstate_correlation_matrix(es: EigenSystem,
         raise ValueError("pattern length must equal the chain length")
     _require_simple(es)
     empty = es.eigenvectors[:, pattern.bits == 0]
-    return CorrelationMatrix(empty @ empty.T)
+    return empty @ empty.T
 
 
-def thermal_correlation_matrix(m, inverse_temperature: float) -> CorrelationMatrix:
+def thermal_correlation_matrix(es: EigenSystem,
+                               inverse_temperature: float) -> np.ndarray:
     """Gamma of the Gibbs state exp(-beta H)/Z, H = 2 c* M c + E0.
 
     Spectrally this is the Fermi factor (I + exp(-2 beta M))^-1: at beta=0
@@ -275,25 +247,8 @@ def thermal_correlation_matrix(m, inverse_temperature: float) -> CorrelationMatr
     """
     if inverse_temperature < 0 or not np.isfinite(inverse_temperature):
         raise ValueError("inverse temperature must be finite and >= 0")
-    es = m if isinstance(m, EigenSystem) else diagonalize(m)
     fermi = 1.0 / (1.0 + np.exp(-2.0 * inverse_temperature * es.eigenvalues))
-    return CorrelationMatrix((es.eigenvectors * fermi) @ es.eigenvectors.T)
-
-
-def restrict_upper_block(corr: CorrelationMatrix, ell: int) -> CorrelationMatrix:
-    """Leading principal ell x ell block: the correlation matrix of the
-    reduced state on sites [0, ell)."""
-    if not (1 <= ell < corr.size):
-        raise ValueError(f"block size {ell} out of range (1..{corr.size - 1})")
-    return CorrelationMatrix(corr.gamma[:ell, :ell])
-
-
-def restrict_block(corr: CorrelationMatrix, start: int, ell: int) -> CorrelationMatrix:
-    """Contiguous block [start, start+ell); the centered variant used for
-    bulk entanglement scans."""
-    if not (0 <= start and start + ell <= corr.size and ell >= 1):
-        raise ValueError("block out of range")
-    return CorrelationMatrix(corr.gamma[start:start + ell, start:start + ell])
+    return (es.eigenvectors * fermi) @ es.eigenvectors.T
 
 
 def binary_entropy(x: np.ndarray) -> np.ndarray:
@@ -302,24 +257,24 @@ def binary_entropy(x: np.ndarray) -> np.ndarray:
     return entr(x) - xlog1py(1.0 - x, -x)
 
 
-def entanglement_entropy(block: CorrelationMatrix, base2: bool = False) -> float:
-    """Entropy -tr h(Gamma_A) of the quasi-free reduced state, in nats
-    (bits with base2=True)."""
-    s = float(binary_entropy(block.occupation_spectrum()).sum())
-    return s / np.log(2.0) if base2 else s
+def entanglement_entropy(block: np.ndarray) -> float:
+    """Entropy -tr h(Gamma_A) in nats of the quasi-free reduced state whose
+    correlation matrix is the principal block Gamma_A (a slice of Gamma);
+    a non-square block raises ValueError (numpy's LinAlgError)."""
+    return float(binary_entropy(occupation_spectra(block)).sum())
 
 
-def evolve_correlation_matrix(corr: CorrelationMatrix, m, t: float) -> CorrelationMatrix:
+def evolve_correlation_matrix(gamma: np.ndarray, es: EigenSystem,
+                              t: float) -> np.ndarray:
     """Heisenberg transport Gamma(t) = U Gamma U*, U = exp(-2 i M t)."""
-    es = m if isinstance(m, EigenSystem) else diagonalize(m)
     phases = np.exp(-2j * t * es.eigenvalues)
     u = (es.eigenvectors * phases) @ es.eigenvectors.T
-    return CorrelationMatrix(u @ corr.gamma @ u.conj().T)
+    return u @ gamma @ u.conj().T
 
 
 def quench_initial_gamma(es_a: EigenSystem, pattern_a: OccupationPattern,
                          es_b: EigenSystem,
-                         pattern_b: OccupationPattern) -> CorrelationMatrix:
+                         pattern_b: OccupationPattern) -> np.ndarray:
     """Block-diagonal Gamma of an eigenstate product across the cut.
 
     The two factors are eigenstates of the decoupled left/right chains;
@@ -328,27 +283,10 @@ def quench_initial_gamma(es_a: EigenSystem, pattern_a: OccupationPattern,
     """
     if es_a.size < 1 or es_b.size < 1:
         raise ValueError("both subsystems must be nonempty")
-    ga = eigenstate_correlation_matrix(es_a, pattern_a).gamma
-    gb = eigenstate_correlation_matrix(es_b, pattern_b).gamma
     full = np.zeros((es_a.size + es_b.size,) * 2)
-    full[:es_a.size, :es_a.size] = ga
-    full[es_a.size:, es_a.size:] = gb
-    return CorrelationMatrix(full)
-
-
-@dataclass(frozen=True)
-class SupStrategy:
-    """How to probe the sup over eigenstates of the block entropy.
-
-    Exhaustive over all 2^L patterns when 2^L <= max(samples, 2^exhaustive_limit);
-    otherwise `samples` random patterns plus the deterministic cut-straddling
-    heuristic.  Any sampled result is a lower estimate of the true sup.  Each
-    pattern's entropy is taken on the modes that straddle the cut, within a
-    certified _TRUNC_TOL of eigenstate_block_entropy (straddling_modes).
-    """
-
-    samples: int = 200
-    exhaustive_limit: int = 14
+    full[:es_a.size, :es_a.size] = eigenstate_correlation_matrix(es_a, pattern_a)
+    full[es_a.size:, es_a.size:] = eigenstate_correlation_matrix(es_b, pattern_b)
+    return full
 
 
 def eigenstate_block_entropy(es: EigenSystem, pattern: OccupationPattern,
@@ -361,7 +299,7 @@ def eigenstate_block_entropy(es: EigenSystem, pattern: OccupationPattern,
         raise ValueError(f"block size {ell} out of range (1..{es.size - 1})")
     _require_simple(es)
     empty = es.eigenvectors[:ell, pattern.bits == 0]
-    return entanglement_entropy(CorrelationMatrix(empty @ empty.T))
+    return entanglement_entropy(empty @ empty.T)
 
 
 def _drop_bound(masses: np.ndarray, sites: int) -> np.ndarray:
@@ -424,16 +362,21 @@ def _random_pattern_chunks(rng, samples: int, L: int, chunk: int,
         yield ~occupied[:, kept]
 
 
-def sample_eigenstate_entropy_sup(es: EigenSystem, ell: int,
-                                  strategy: SupStrategy = SupStrategy(),
+def sample_eigenstate_entropy_sup(es: EigenSystem, ell: int, samples: int = 200,
                                   rng: np.random.Generator | None = None) -> float:
-    """Lower estimate of sup over eigenstates of the [0, ell) block entropy,
-    each within _TRUNC_TOL of eigenstate_block_entropy (straddling_modes);
-    the patterns with c empty kept modes share one stacked eigvalsh."""
+    """Lower estimate of the sup over eigenstates of the [0, ell) block entropy.
+
+    Exhaustive over all 2^L patterns when L <= _EXHAUSTIVE_LIMIT or
+    2^L <= samples; otherwise `samples` random patterns plus the
+    deterministic cut-straddling heuristic.  Each pattern's entropy is taken
+    on the modes that straddle the cut, within a certified _TRUNC_TOL of
+    eigenstate_block_entropy (straddling_modes); the patterns with c empty
+    kept modes share one stacked eigvalsh.
+    """
     L = es.size
     kept, _ = straddling_modes(es, ell)
     chunk = max(1, _STACK_ENTRIES // L)   # patterns held at once
-    if L <= strategy.exhaustive_limit or 2 ** L <= strategy.samples:
+    if L <= _EXHAUSTIVE_LIMIT or 2 ** L <= samples:
         k = kept.size  # all 2^L patterns restrict to all 2^k on the kept modes
         chunks = (((np.arange(start, min(start + chunk, 2 ** k))[:, None]
                     >> np.arange(k)) & 1) == 0 for start in range(0, 2 ** k, chunk))
@@ -444,7 +387,7 @@ def sample_eigenstate_entropy_sup(es: EigenSystem, ell: int,
         # weight on both sides of the cut: the ones that can contribute
         # near-half-filled block eigenvalues and hence the largest entropy
         left = (es.eigenvectors[:ell] ** 2).sum(axis=0)
-        chunks = _random_pattern_chunks(rng, strategy.samples, L, chunk,
+        chunks = _random_pattern_chunks(rng, samples, L, chunk,
                                         (left > 0.05) & (left < 0.95), kept)
     o_a = es.eigenvectors[:ell, kept]
     gram = o_a.T @ o_a

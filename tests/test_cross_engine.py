@@ -80,7 +80,7 @@ def test_eigenstate_correlation_matrix_entries():
     offset = xy.build_m(w).ground_offset
     for code in (0, 9, 27, 63):
         pattern = xy.OccupationPattern.from_int(code, n)
-        gamma = xy.eigenstate_correlation_matrix(es, pattern).gamma
+        gamma = xy.eigenstate_correlation_matrix(es, pattern)
         psi = _match_eigenvector(full, xy.eigenstate_energy(es, pattern, offset))
         for j in range(n):
             for k in range(n):
@@ -92,7 +92,7 @@ def test_thermal_correlation_matrix_against_trace():
     n = 6
     w, es, full = _xy_pair(n, index=5)
     beta = 1.0
-    gamma = xy.thermal_correlation_matrix(es, beta).gamma
+    gamma = xy.thermal_correlation_matrix(es, beta)
     weights = np.exp(-beta * (full.energies - full.energies.min()))
     weights /= weights.sum()
     modes = oracle.jordan_wigner_modes(n)
@@ -131,15 +131,14 @@ def test_quench_evolution_against_schroedinger():
     t = 1.7
     phases = np.exp(-1j * full.energies * t)
     psi_t = full.vectors @ (phases * (full.vectors.conj().T @ psi))
-    gamma_t = xy.evolve_correlation_matrix(gamma0, es_full, t).gamma
+    gamma_t = xy.evolve_correlation_matrix(gamma0, es_full, t)
     for j in range(n):
         for k in range(n):
             expect = np.vdot(psi_t, modes[j] @ modes[k].conj().T @ psi_t)
             assert abs(gamma_t[j, k] - expect) < 1e-8
 
     # quench entanglement entropy across the cut
-    s_free = xy.entanglement_entropy(
-        xy.restrict_upper_block(xy.CorrelationMatrix(gamma_t), ell))
+    s_free = xy.entanglement_entropy(gamma_t[:ell, :ell])
     s_full = oracle.reduced_entropy(psi_t, ell)
     assert abs(s_free - s_full) < 1e-8
 
@@ -154,7 +153,7 @@ def test_entropy_formula_all_cuts():
         gamma = xy.eigenstate_correlation_matrix(es, pattern)
         psi = _match_eigenvector(full, xy.eigenstate_energy(es, pattern, offset))
         for ell in range(1, n):
-            s_free = xy.entanglement_entropy(xy.restrict_upper_block(gamma, ell))
+            s_free = xy.entanglement_entropy(gamma[:ell, :ell])
             assert abs(s_free - oracle.reduced_entropy(psi, ell)) < 1e-8
 
 
@@ -162,8 +161,7 @@ def test_anisotropic_spectrum_against_oracle():
     n = 5
     w = sample_field(UNIFORM, n, PLAN, 8)
     gamma = 0.4
-    block = xy.build_block_m(w, gamma)
-    es = xy.diagonalize(block.dense())
+    es = xy.diagonalize(xy.block_m(w, gamma))
     # one-particle energies are symmetric about zero
     assert np.abs(np.sort(es.eigenvalues) + np.sort(-es.eigenvalues)[::-1]).max() < 1e-10
     # many-body spectrum: offsets + 2 * (sums over positive modes subsets)

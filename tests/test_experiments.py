@@ -46,8 +46,6 @@ def test_fit_log_slope():
     values = 0.25 * np.log(ells) + 1.0
     fit = experiments.fit_log_slope(ells, values)
     assert fit.rate == pytest.approx(0.25, abs=1e-10)
-    fit2 = experiments.fit_log_slope(ells, 0.25 * np.log2(ells), base2=True)
-    assert fit2.rate == pytest.approx(0.25, abs=1e-10)
 
 
 def test_config_validation():
@@ -157,8 +155,14 @@ def test_clean_ground_state_entropy_log_growth():
     sizes = sorted(out)
     values = [out[s] for s in sizes]
     assert values == sorted(values)
-    fit = experiments.fit_log_slope(sizes, values, base2=True)
+    fit = experiments.fit_log_slope(sizes, values)
     assert 0.2 < fit.rate < 0.5
+
+
+@pytest.mark.parametrize("ell", [0, 17])
+def test_clean_ground_state_entropy_rejects_block_outside_chain(ell):
+    with pytest.raises(ValueError, match="outside 1..16"):
+        experiments.clean_ground_state_entropy(16, 0.0, (4, ell))
 
 
 def test_ct_sample_holds_bound():

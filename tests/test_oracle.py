@@ -3,7 +3,7 @@ import pytest
 
 from mblchain import oracle
 from mblchain.disorder import DisorderSpec, SeedPlan, constant_field, sample_field
-from mblchain.errors import ConfigurationError
+from mblchain.errors import ConfigurationError, NumericalError
 
 PLAN = SeedPlan(60221)
 UNIFORM = DisorderSpec()
@@ -46,6 +46,19 @@ def test_hermiticity_and_number_conservation():
         h = oracle.build_full(model, w, **kwargs)
         assert np.abs(h.matrix - h.matrix.conj().T).max() < 1e-12
         assert np.abs(h.matrix @ total_n - total_n @ h.matrix).max() < 1e-12
+
+
+def test_build_full_rejects_non_symmetric_bond(monkeypatch):
+    bond = oracle._bond
+
+    def skewed(a, b, j, n):
+        out = bond(a, b, j, n)
+        out[0, -1] += 1.0              # above the diagonal only
+        return out
+
+    monkeypatch.setattr(oracle, "_bond", skewed)
+    with pytest.raises(NumericalError, match="not Hermitian"):
+        oracle.build_full("xy", sample_field(UNIFORM, 4, PLAN, 1))
 
 
 def test_xxz_vacuum_is_ground_state():
