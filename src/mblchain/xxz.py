@@ -25,14 +25,16 @@ s + L, the one lookup key), the unit hop adjacency, graph and cluster
 degrees, wall touches, the l1 distance to the droplets and the dim x
 sites occupancy matrix.  It is built once per (N, L) and cached (the 32
 most recently used sectors of a process), so every caller shares its
-arrays and they are read-only.
+arrays and they are read-only.  numpy enumerates it in lexicographic
+order with no Python object per configuration and finds hop targets by
+rank; a build above half the physical memory is refused from C(2L + 1, N)
+before anything is allocated (ConfigurationError, CLI exit 2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from math import acosh, comb, sinh, tanh, cosh
 import os
 
@@ -43,10 +45,10 @@ import scipy.sparse.linalg as spla
 from .disorder import FieldRealization
 from .errors import ConfigurationError, DegeneracyError, NumericalError
 
+_HALF_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 # dense eigh at dimension n holds 5 n^2 doubles (matrix, LAPACK's copy, 2 n^2
 # syevd workspace, eigenvectors); at the cap that is half the physical memory
-DENSE_DIAG_CAP = int((os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-                      / (2 * 5 * 8)) ** 0.5)
+DENSE_DIAG_CAP = int((_HALF_MEMORY / (5 * 8)) ** 0.5)
 _GAP_TOL = 1e-12
 _CT_TOL = 1e-12  # largest certified error of a Combes-Thomas block
 
@@ -85,6 +87,8 @@ class SectorBasis:
 
     def locate(self, masks) -> np.ndarray:
         """Indices of the configurations with the given bitmasks."""
+        # typed first: numpy reads a list of ints above 2^63 as float64
+        masks = np.asarray(masks, dtype=self.masks.dtype)
         at = np.searchsorted(self.masks, masks, sorter=self.mask_order)
         found = self.mask_order[at % self.dim]
         if np.any(self.masks[found] != masks):
@@ -94,29 +98,50 @@ class SectorBasis:
 
 @lru_cache(maxsize=32)
 def enumerate_basis(n_particles: int, half_length: int) -> SectorBasis:
+    """The N-particle skeleton on [-L, L]: lexicographic positions built
+    column by column, hop targets from the rank; a ConfigurationError from
+    C(2L + 1, N) alone when the build would hold over half the memory."""
     L = half_length
     n_sites = 2 * L + 1
     if not 0 <= n_particles <= n_sites:
         raise ConfigurationError(
             f"particle number {n_particles} out of range for [-{L}, {L}]")
     dim = comb(n_sites, n_particles)
-    pos = np.array(list(combinations(range(n_sites), n_particles)),
-                   dtype=np.int64).reshape(dim, n_particles)
-    rows = np.arange(dim)[:, None]
+    # peak bytes, while the hop matrix is summed: per configuration positions
+    # (8 N), occupancy (n_sites), mask and a few words (128, a Python-int mask
+    # included), and per hop (at most N) about 112: source, slot, target and
+    # their index temporaries, unit weight, COO and CSR of both triangles
+    need = dim * (128 + n_sites + 120 * n_particles)
+    if need > _HALF_MEMORY:
+        raise ConfigurationError(
+            f"sector of {dim} configurations needs about {need / 2**30:.3g} GiB"
+            f" to build, above half the physical memory")
+    # lexicographic order by columns: a row whose last particle sits at `last`
+    # extends to the `count` sites after it that leave room for the rest
+    pos = np.zeros((1, 0), dtype=np.int64)
+    last = np.full(1, -1)
+    for col in range(n_particles):
+        count = n_sites - n_particles + col - last
+        rows = np.repeat(np.arange(len(pos)), count)
+        start = np.cumsum(count) - count  # first successor of each row
+        last = np.arange(rows.size) + np.repeat(last + 1 - start, count)
+        pos = np.column_stack([pos[rows], last])
     occupancy = np.zeros((dim, n_sites), dtype=bool)
-    occupancy[rows, pos] = True
+    np.put_along_axis(occupancy, pos, True, axis=1)
     # Python ints once the chain outgrows int64
     bits = np.array([1 << p for p in range(n_sites)],
                     dtype=np.int64 if n_sites < 63 else object)
     masks = bits[pos].sum(axis=1)
-    order = np.argsort(masks)
-    # every hop pair once, as a particle stepping right onto a free site:
-    # p -> p + 1 adds 2^p to the mask and gives a lexicographically later
-    # configuration
-    free = (pos + 1 < n_sites) & ~occupancy[rows, np.minimum(pos + 1, n_sites - 1)]
-    src, slot = np.nonzero(free)
-    moved = masks[src] + bits[pos[src, slot]]
-    dst = order[np.searchsorted(masks, moved, sorter=order)]
+    # every hop pair once, as a particle stepping right onto a free site.
+    # The rank of x is dim - 1 - sum_i C(n - 1 - x_i, N - i), so x_s -> x_s + 1
+    # adds C(n - 2 - x_s, j) = ways[j, n - 2 - x_s - j], j = N - 1 - s, with
+    # ways[j, k] = C(j + k, j) (Pascal's rule as cumulative sums; each <= dim)
+    src, slot = np.nonzero(np.diff(pos, axis=1, append=n_sites) > 1)
+    ways = np.ones((n_particles, n_sites - n_particles), dtype=np.int64)
+    for i in range(1, n_particles):
+        ways[i] = np.cumsum(ways[i - 1])
+    j = n_particles - 1 - slot
+    dst = src + ways[j, n_sites - 2 - pos[src, slot] - j]
     upper = sp.coo_matrix((np.ones(src.size), (src, dst)), shape=(dim, dim))
     adjacency = (upper + upper.T).tocsr()
     # x_i - i is nondecreasing and constant exactly on droplets; its median
@@ -130,7 +155,7 @@ def enumerate_basis(n_particles: int, half_length: int) -> SectorBasis:
         wall_touches=(pos == 0).sum(axis=1) + (pos == n_sites - 1).sum(axis=1),
         droplet_distance=np.abs(
             shifted - shifted[:, median:median + 1]).sum(axis=1),
-        mask_order=order)
+        mask_order=np.argsort(masks))
     for a in (*arrays.values(), adjacency.data, adjacency.indices, adjacency.indptr):
         a.flags.writeable = False
     return SectorBasis(n_particles, L, adjacency=adjacency, **arrays)

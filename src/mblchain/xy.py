@@ -312,9 +312,10 @@ def _drop_bound(masses: np.ndarray, sites: int) -> np.ndarray:
     return np.maximum.accumulate(bound)
 
 
-def straddling_modes(es: EigenSystem, ell: int) -> tuple[np.ndarray, float]:
-    """Modes kept for the [0, ell) block entropy of every eigenstate, and a
-    bound (<= _TRUNC_TOL) on the entropy error of dropping the others.
+def straddling_modes(es: EigenSystem, ell: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """Modes kept for the [0, ell) block entropy of every eigenstate, a bound
+    (<= _TRUNC_TOL) on the entropy error of dropping the others, and the left
+    masses m_k of every mode.
 
     Gamma_A = O_{A,S} O_{A,S}^T for the empty modes S, O_A the first ell rows
     of the eigenvectors.  Dropping modes Z from S is a PSD change of rank
@@ -347,7 +348,7 @@ def straddling_modes(es: EigenSystem, ell: int) -> tuple[np.ndarray, float]:
     # <= 1/2 and each top one right mass <= 1/2
     top = np.searchsorted(high, _TRUNC_TOL - low, side="right") - 1
     bottom = int(np.argmax(np.where(top >= 0, np.arange(L + 1) + top, -1)))
-    return order[bottom:L - top[bottom]], float(low[bottom] + high[top[bottom]])
+    return order[bottom:L - top[bottom]], float(low[bottom] + high[top[bottom]]), left
 
 
 def _random_pattern_chunks(rng, samples: int, L: int, chunk: int,
@@ -374,7 +375,7 @@ def sample_eigenstate_entropy_sup(es: EigenSystem, ell: int, samples: int = 200,
     kept modes share one stacked eigvalsh.
     """
     L = es.size
-    kept, _ = straddling_modes(es, ell)
+    kept, _, left = straddling_modes(es, ell)
     chunk = max(1, _STACK_ENTRIES // L)   # patterns held at once
     if L <= _EXHAUSTIVE_LIMIT or 2 ** L <= samples:
         k = kept.size  # all 2^L patterns restrict to all 2^k on the kept modes
@@ -386,7 +387,6 @@ def sample_eigenstate_entropy_sup(es: EigenSystem, ell: int, samples: int = 200,
         # the straddling pattern occupies exactly the modes carrying genuine
         # weight on both sides of the cut: the ones that can contribute
         # near-half-filled block eigenvalues and hence the largest entropy
-        left = (es.eigenvectors[:ell] ** 2).sum(axis=0)
         chunks = _random_pattern_chunks(rng, samples, L, chunk,
                                         (left > 0.05) & (left < 0.95), kept)
     o_a = es.eigenvectors[:ell, kept]

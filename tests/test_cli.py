@@ -234,6 +234,16 @@ def test_dense_cap_exits_config(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.iterdir()) and not calls
 
 
+def test_skeleton_cap_exits_config(tmp_path, capsys):
+    # C(81, 20) ~ 4.7e18 configurations, refused before any is enumerated
+    code = cli.main(["xxz-ct", "--half-length", "40", "--n-particles", "20",
+                     "--out-dir", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "above half the physical memory" in err[0]
+    assert not list(tmp_path.iterdir())
+
+
 def test_oracle_cap_exits_config_before_allocating(tmp_path, capsys, monkeypatch):
     cap = oracle.DEFAULT_CAP
     # the longest chain whose 2^n matrix meets the dense memory rule

@@ -1,4 +1,5 @@
 from collections import deque
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -44,6 +45,22 @@ def neighbors(x, basis) -> list:
                 y[i] = target
                 out.append(tuple(sorted(y)))
     return out
+
+
+def mask_adjacency(basis) -> sp.csr_matrix:
+    """The unit hop adjacency found by bitmask lookup: a particle at p
+    stepping right onto a free site adds 2^p to the mask, and searchsorted
+    over the masks finds the target."""
+    pos, masks, order = basis.positions, basis.masks, basis.mask_order
+    n_sites = basis.n_sites
+    rows = np.arange(basis.dim)[:, None]
+    free = (pos + 1 < n_sites) & ~basis.occupancy[rows, np.minimum(pos + 1, n_sites - 1)]
+    src, slot = np.nonzero(free)
+    bits = np.array([1 << p for p in range(n_sites)], dtype=masks.dtype)
+    moved = masks[src] + bits[pos[src, slot]]
+    dst = order[np.searchsorted(masks, moved, sorter=order)]
+    upper = sp.coo_matrix((np.ones(src.size), (src, dst)), shape=(basis.dim,) * 2)
+    return (upper + upper.T).tocsr()
 
 
 def set_distance_bfs(a, b, basis) -> int:
@@ -105,13 +122,19 @@ def test_droplet_geometry_distances():
 
 
 @pytest.mark.parametrize("n_particles, half_length",
-                         [(0, 1), (1, 1), (2, 3), (3, 3), (4, 2), (5, 2)])
+                         [(n, L) for L in range(6) for n in range(2 * L + 2)]
+                         + [(4, 12), (8, 8), (2, 40)])
 def test_sector_skeleton_matches_naive_definitions(n_particles, half_length):
     basis = xxz.enumerate_basis(n_particles, half_length)
     L = half_length
     configs = configurations(basis)
-    assert configs == sorted(configs)
-    assert basis.positions.shape == (comb(2 * L + 1, n_particles), n_particles)
+    dim = comb(2 * L + 1, n_particles)
+    assert np.array_equal(basis.positions, np.array(
+        list(combinations(range(2 * L + 1), n_particles))).reshape(dim, n_particles))
+    reference = mask_adjacency(basis)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(basis.adjacency, name), getattr(reference, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
     edges = {(i, j) for i, x in enumerate(configs)
              for j in basis.locate([mask(y, basis) for y in neighbors(x, basis)])}
     adjacency = basis.adjacency.tocoo()
@@ -147,8 +170,25 @@ def test_skeleton_masks_beyond_int64():
     i = configurations(basis).index((-40, 40))
     assert basis.masks[i] == 1 + (1 << 80)
     assert basis.locate([1 + (1 << 80)]).tolist() == [i]
+    # a list of masks under 2^64 must not pass through float64
+    j = configurations(basis).index((-40, 23))
+    assert basis.locate([1 + (1 << 63)]).tolist() == [j]
     with pytest.raises(KeyError):
         basis.locate([1])
+
+
+def test_skeleton_cap_refuses_before_allocating(monkeypatch):
+    calls, zeros = [], np.zeros
+    monkeypatch.setattr(np, "zeros", lambda *a, **k: calls.append(a) or zeros(*a, **k))
+    # C(81, 20) ~ 4.7e18 configurations: refused from the count alone
+    with pytest.raises(ConfigurationError, match="above half the physical memory"):
+        xxz.enumerate_basis(20, 40)
+    # a lower cap refuses a small sector (uncached builds)
+    monkeypatch.setattr(xxz, "_HALF_MEMORY", 10_000)
+    with pytest.raises(ConfigurationError, match="sector of 84 configurations"):
+        xxz.enumerate_basis.__wrapped__(3, 4)
+    assert not calls
+    assert xxz.enumerate_basis.__wrapped__(1, 4).dim == 9 and calls
 
 
 def test_set_distances_agree():

@@ -201,7 +201,7 @@ def _sup_per_pattern(es, ell, samples=200, rng=None):
     # the former loop, one eigvalsh per pattern: the bit-identity reference
     # for the stacked sup
     L = es.size
-    kept, _ = xy.straddling_modes(es, ell)
+    kept, _, _ = xy.straddling_modes(es, ell)
     if L <= xy._EXHAUSTIVE_LIMIT or 2 ** L <= samples:
         occupied = ((np.arange(2 ** L)[:, None] >> np.arange(L)) & 1).astype(bool)
     else:
@@ -245,7 +245,8 @@ def test_sup_on_straddling_modes_matches_exact(field, ells, kept_range):
     else:
         es = _es(n, 12, coupling=4.0 if field == "strong" else 1.0)[1]
     for ell in ells:
-        kept, bound = xy.straddling_modes(es, ell)
+        kept, bound, left = xy.straddling_modes(es, ell)
+        assert np.array_equal(left, (es.eigenvectors[:ell] ** 2).sum(axis=0))
         assert kept_range[0] <= kept.size <= kept_range[1]
         assert bound <= xy._TRUNC_TOL
         fast = xy.sample_eigenstate_entropy_sup(
@@ -261,7 +262,7 @@ def test_sup_exhaustive_matches_exact(monkeypatch):
     patterns = [xy.OccupationPattern.from_int(c, n) for c in range(2 ** n)]
     sups = []
     for ell in range(1, n):
-        _, bound = xy.straddling_modes(es, ell)
+        _, bound, _ = xy.straddling_modes(es, ell)
         assert bound <= xy._TRUNC_TOL
         fast = xy.sample_eigenstate_entropy_sup(es, ell)
         assert fast == _sup_per_pattern(es, ell)
@@ -273,7 +274,7 @@ def test_sup_exhaustive_matches_exact(monkeypatch):
 
 
 def _empty_counts(es, ell, samples, seed):
-    kept, _ = xy.straddling_modes(es, ell)
+    kept, _, _ = xy.straddling_modes(es, ell)
     return np.array([(p.bits[kept] == 0).sum()
                      for p in _sampled_patterns(es, ell, samples, seed)])
 
