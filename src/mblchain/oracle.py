@@ -217,6 +217,20 @@ def diagonalize_full(h: FullHamiltonian) -> ManyBodyEigenSystem:
     return ManyBodyEigenSystem(vals, vecs)
 
 
+def full_energies(h: FullHamiltonian) -> np.ndarray:
+    """Ascending energies alone, checked against tr H and ||H||_F^2."""
+    try:
+        vals = np.linalg.eigvalsh(h.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"dense eigensolver failed: {exc}")
+    scale = max(np.abs(vals).max(), 1.0)
+    misses = (abs(vals.sum() - np.trace(h.matrix).real) / scale,
+              abs(vals @ vals - np.vdot(h.matrix, h.matrix).real) / scale ** 2)
+    if max(misses) > 1e-12 * vals.size:
+        raise NumericalError(f"energies miss the trace invariants by {misses}")
+    return vals
+
+
 def window_projector(es: ManyBodyEigenSystem, lower: float,
                      upper: float) -> np.ndarray:
     sel = (es.energies >= lower) & (es.energies <= upper)

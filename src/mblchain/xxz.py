@@ -304,7 +304,7 @@ def eigenpairs_in_window(h: SectorHamiltonian, window: EnergyWindow):
         k = min(h.dim - 2, 400)
         try:
             vals, vecs = spla.eigsh(h.matrix, k=k, sigma=sigma)
-        except spla.ArpackNoConvergence as exc:
+        except spla.ArpackError as exc:
             raise NumericalError(f"windowed eigensolver failed: {exc}")
         reach = np.abs(vals - sigma).max()
         if k < h.dim and reach < 0.5 * (window.upper - window.lower):

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import entr, xlog1py
 
 from .disorder import FieldRealization
 from .errors import DegeneracyError, NumericalError
@@ -252,9 +251,10 @@ def thermal_correlation_matrix(es: EigenSystem,
 
 
 def binary_entropy(x: np.ndarray) -> np.ndarray:
-    """-h(x) = -(x log x + (1-x) log(1-x)), with h(0)=h(1)=0."""
+    """-h(x) = -(x log x + (1-x) log(1-x)), with h(0) = h(1) = +0.0."""
     x = np.clip(x, 0.0, 1.0)
-    return entr(x) - xlog1py(1.0 - x, -x)
+    return 0.0 - (x * np.log(x, out=np.zeros_like(x), where=x > 0.0)
+                  + (1.0 - x) * np.log1p(-x, out=np.zeros_like(x), where=x < 1.0))
 
 
 def entanglement_entropy(block: np.ndarray) -> float:

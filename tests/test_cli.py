@@ -1,8 +1,10 @@
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from mblchain import cli, experiments, oracle, xxz
 from mblchain.disorder import DisorderSpec, SeedPlan, sample_field
@@ -272,14 +274,20 @@ def test_oracle_cap_exits_config_before_allocating(tmp_path, capsys, monkeypatch
         oracle.jordan_wigner_modes(cap + 1)
 
 
-def test_solver_failure_exits_numerical(tmp_path, monkeypatch):
-    def stalls(config, index):
-        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((3, 0)))
+def test_solver_failure_exits_numerical(tmp_path, capsys, monkeypatch):
+    # any ARPACK failure of the windowed Lanczos, not only no-convergence,
+    # on a sector (dim 21) put above the dense cap
+    def fails(*args, **kwargs):
+        raise xxz.spla.ArpackError(-9999)
 
-    monkeypatch.setitem(experiments.METRICS, "eigencorrelator", stalls)
-    code = cli.main(["xy-ecorr", "--chain-length", "10", "--distances", "1,2",
+    monkeypatch.setattr(xxz.spla, "eigsh", fails)
+    monkeypatch.setattr(xxz, "DENSE_DIAG_CAP", 10)
+    code = cli.main(["xxz-profile", "--half-length", "3", "--n-particles", "2",
+                     "--distances", "1,2", "--realizations", "1",
                      "--out-dir", str(tmp_path)])
     assert code == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "realization 0" in err[0] and "ARPACK error" in err[0]
 
 
 def test_ct_solver_failure_exits_numerical(tmp_path, capsys, monkeypatch):
@@ -499,3 +507,26 @@ def test_ising_subcommand(tmp_path):
             if line and not line.startswith("#")][1:]
     entropies = {int(r[0]): float(r[1]) for r in rows}
     assert entropies[4] == pytest.approx(np.log(4))
+
+
+def test_bench_commands_never_import_scipy_special(tmp_path):
+    # scipy.special costs a CLI process about 4 MB and 50-70 ms of import;
+    # a fresh interpreter, since the test session itself imports it
+    runs = [["xy-entropy", "--chain-length", "40", "--block-sizes", "5,10"],
+            ["xxz-ct", "--half-length", "3", "--n-particles", "2"],
+            ["quasi-locality", "--half-length", "3", "--anisotropy", "6.0",
+             "--block-sizes", "0,1,2", "--time-grid", "0.5,5.0"],
+            ["lr-lightcone", "--model", "xy", "--chain-length", "6",
+             "--distances", "2,4", "--probe-site", "1"]]
+    runs = [[*args, "--realizations", "2", "--out-dir", str(tmp_path / str(k))]
+            for k, args in enumerate(runs)]
+    script = ("import json, sys\nfrom mblchain import cli\n"
+              "for args in json.loads(sys.argv[1]):\n"
+              "    assert cli.main(args) == cli.EXIT_OK, args\n"
+              "assert 'scipy.special' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

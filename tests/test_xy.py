@@ -113,6 +113,21 @@ def test_entropy_basics():
     assert abs(s_left - s_right) < 1e-9
 
 
+def test_binary_entropy_matches_scipy():
+    import warnings
+    from scipy.special import entr, xlog1py
+    tiny = np.logspace(-300, -1, 600)
+    x = np.concatenate([np.linspace(0.0, 1.0, 1001), tiny, 1.0 - tiny,
+                        [5e-324, 1e-310, 1.0 - 1e-17, np.nextafter(1.0, 0.0)]])
+    with warnings.catch_warnings(), np.errstate(divide="raise",
+                                                invalid="raise", over="raise"):
+        warnings.simplefilter("error")
+        h = xy.binary_entropy(x)
+        ends = xy.binary_entropy(np.array([0.0, 1.0]))
+    assert np.abs(h - (entr(x) - xlog1py(1.0 - x, -x))).max() <= 4e-16
+    assert ends.tolist() == [0.0, 0.0] and not np.signbit(ends).any()
+
+
 def test_block_entropy_fast_path_matches():
     w, es = _es(12, 7)
     pattern = xy.OccupationPattern.from_int(1234, 12)
