@@ -241,8 +241,13 @@ def cmd_xy_aniso(settings):
     if n < 2:
         raise ConfigurationError("chain_length >= 2 required")
     w = sample_field(_disorder(settings), n, SeedPlan(settings["seed"]), 0)
-    es = xy.diagonalize(xy.block_m(w, settings["gamma"]))
-    vals = es.eigenvalues
+    block = xy.block_m(w, settings["gamma"])
+    try:
+        vals, vecs = np.linalg.eigh(block)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed on {block.shape}: {exc}")
+    xy.check_eigenpairs(vecs, np.abs(block - (vecs * vals) @ vecs.T).max(),
+                        max(np.abs(block).max(), 1.0))
     symmetry = float(np.abs(np.sort(vals) + np.sort(-vals)[::-1]).max())
     meta = {"spectrum_symmetry_defect": symmetry}
     rows = [(i, float(v)) for i, v in enumerate(vals)]
@@ -382,10 +387,9 @@ def _validate_checks():
     def xy_spectrum():
         n = 6
         w = sample_field(DisorderSpec(), n, plan, 0)
-        es = xy.diagonalize(xy.build_m(w))
-        offset = xy.build_m(w).ground_offset
+        es = xy.diagonalize(w)
         free = sorted(
-            xy.eigenstate_energy(es, xy.OccupationPattern.from_int(c, n), offset)
+            xy.eigenstate_energy(es, ((c >> np.arange(n)) & 1) == 1, -w.sum())
             for c in range(2 ** n))
         full = oracle.full_energies(oracle.build_full("xy", w))
         return float(np.abs(np.array(free) - full).max()), 1e-9
@@ -397,12 +401,12 @@ def _validate_checks():
     def entropy_identity():
         n = 6
         w = sample_field(DisorderSpec(), n, plan, 1)
-        es = xy.diagonalize(xy.build_m(w))
+        es = xy.diagonalize(w)
         full = oracle.diagonalize_full(oracle.build_full("xy", w))
-        pattern = xy.OccupationPattern.from_int(19, n)
-        gamma = xy.eigenstate_correlation_matrix(es, pattern)
+        occupied = ((19 >> np.arange(n)) & 1) == 1
+        gamma = xy.eigenstate_correlation_matrix(es, occupied)
         s_free = xy.entanglement_entropy(gamma[:3, :3])
-        energy = xy.eigenstate_energy(es, pattern, xy.build_m(w).ground_offset)
+        energy = xy.eigenstate_energy(es, occupied, -w.sum())
         col = int(np.argmin(np.abs(full.energies - energy)))
         s_full = oracle.reduced_entropy(full.vectors[:, col], 3)
         return abs(s_free - s_full), 1e-8

@@ -1,9 +1,10 @@
 """Disorder distributions and seeded sampling of random field realizations.
 
-A field realization is the vector (w_j) of on-site energies for one sample
-of the disorder.  Sampling is a pure function of (spec, length, seed plan,
-realization index): ensembles can be evaluated in any order, in parallel,
-and always reproduce bit-identically.
+A field realization is the plain float64 vector (w_j) of on-site energies
+for one sample of the disorder; every engine takes it as is.  Sampling is
+a pure function of (spec, length, seed plan, realization index): ensembles
+can be evaluated in any order, in parallel, and always reproduce
+bit-identically.
 """
 
 from __future__ import annotations
@@ -90,23 +91,13 @@ class SeedPlan:
             np.random.Philox(key=self.stream_seed(index, tag)))
 
 
-@dataclass(frozen=True)
-class FieldRealization:
-    """One sampled disorder vector."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-
-def constant_field(value: float, length: int) -> FieldRealization:
+def constant_field(value: float, length: int) -> np.ndarray:
     """Deterministic field w_j = value, outside any seed plan."""
-    return FieldRealization(np.full(length, float(value)))
+    return np.full(length, float(value))
 
 
 def sample_field(spec: DisorderSpec, length: int, plan: SeedPlan,
-                 index: int) -> FieldRealization:
+                 index: int) -> np.ndarray:
     """Sample one field realization; pure in (spec, length, plan, index)."""
     if length < 1:
         raise ConfigurationError("length must be >= 1")
@@ -120,4 +111,4 @@ def sample_field(spec: DisorderSpec, length: int, plan: SeedPlan,
         edges = np.linspace(spec.support_min, spec.support_max, masses.size + 1)
         bins = rng.choice(masses.size, size=length, p=masses / masses.sum())
         values = rng.uniform(edges[bins], edges[bins + 1])
-    return FieldRealization(spec.coupling * values)
+    return np.asarray(spec.coupling * values, dtype=float)

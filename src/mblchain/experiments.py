@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import oracle, xxz, xy
-from .disorder import DisorderSpec, FieldRealization, SeedPlan, constant_field, sample_field
+from .disorder import DisorderSpec, SeedPlan, constant_field, sample_field
 from .errors import ConfigurationError, DegeneracyError, NumericalError
 
 # substitutes for realizations hitting a degenerate spectrum get indices
@@ -227,20 +227,20 @@ def fit_log_slope(sizes, values) -> DecayFit:
 # ---------------------------------------------------------------------------
 # per-realization metrics (each returns {key: value})
 
-def _field(config: ExperimentConfig, index: int, length: int) -> FieldRealization:
+def _field(config: ExperimentConfig, index: int, length: int) -> np.ndarray:
     return sample_field(config.disorder, length, config.seeds, index)
 
 
 def _metric_eigencorrelator(config: ExperimentConfig, index: int):
     w = _field(config, index, config.chain_length)
-    es = xy.diagonalize(xy.build_m(w))
+    es = xy.diagonalize(w)
     j = config.probe_site
     return {d: xy.eigencorrelator(es, j, j + d) for d in config.distances}
 
 
 def _metric_dynamical_kernel(config: ExperimentConfig, index: int):
     w = _field(config, index, config.chain_length)
-    es = xy.diagonalize(xy.build_m(w))
+    es = xy.diagonalize(w)
     j = config.probe_site
     return {d: xy.dynamical_kernel(es, config.time_grid, j, j + d)
             for d in config.distances}
@@ -248,7 +248,7 @@ def _metric_dynamical_kernel(config: ExperimentConfig, index: int):
 
 def _metric_entropy_sup(config: ExperimentConfig, index: int):
     w = _field(config, index, config.chain_length)
-    es = xy.diagonalize(xy.build_m(w))
+    es = xy.diagonalize(w)
     out = {}
     for ell in config.block_sizes:
         rng = config.seeds.generator(index, tag=1)
@@ -262,15 +262,15 @@ def _metric_quench_entropy(config: ExperimentConfig, index: int):
     value is the max over the time grid of the block entropy."""
     n = config.chain_length
     w = _field(config, index, n)
-    es_full = xy.diagonalize(xy.build_m(w))
+    es_full = xy.diagonalize(w)
     rng = config.seeds.generator(index, tag=2)
     out = {}
     for ell in config.block_sizes:
-        left = xy.diagonalize(xy.EffectiveHamiltonian(w.values[:ell]))
-        right = xy.diagonalize(xy.EffectiveHamiltonian(w.values[ell:]))
-        pat_a = xy.OccupationPattern(rng.integers(0, 2, size=ell))
-        pat_b = xy.OccupationPattern(rng.integers(0, 2, size=n - ell))
-        gamma0 = xy.quench_initial_gamma(left, pat_a, right, pat_b)
+        left = xy.diagonalize(w[:ell])
+        right = xy.diagonalize(w[ell:])
+        occ_a = rng.integers(0, 2, size=ell) == 1
+        occ_b = rng.integers(0, 2, size=n - ell) == 1
+        gamma0 = xy.quench_initial_gamma(left, occ_a, right, occ_b)
         best = 0.0
         for t in config.time_grid:
             gamma_t = xy.evolve_correlation_matrix(gamma0, es_full, t)
@@ -374,7 +374,7 @@ def _xy_commutator_profiles(config: ExperimentConfig, index: int, times):
     w = _field(config, index, config.chain_length)
     j = config.probe_site
     if j == 0:
-        norms = xy.end_site_commutator_norms(xy.diagonalize(xy.build_m(w)), times)
+        norms = xy.end_site_commutator_norms(xy.diagonalize(w), times)
         return {d: norms[:, d] for d in config.distances}
     n = config.chain_length
     es = oracle.diagonalize_full(oracle.build_full("xy", w))
@@ -492,13 +492,6 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleSummary:
                            tuple(substituted), config)
 
 
-def scan_area_law(config: ExperimentConfig):
-    """Entropy statistics against block size plus the fitted log-slope."""
-    summary = run_ensemble(config)
-    fit = fit_log_slope(summary.keys, summary.mean)
-    return summary, fit
-
-
 def clean_ground_state_entropy(chain_length: int, field_value: float,
                                block_sizes):
     """Ground-state block entropies in nats of the clean chain (no
@@ -509,9 +502,8 @@ def clean_ground_state_entropy(chain_length: int, field_value: float,
     if outside:
         raise ValueError(f"block sizes {outside} outside 1..{chain_length}")
     w = constant_field(field_value, chain_length)
-    es = xy.diagonalize(xy.build_m(w))
-    pattern = xy.OccupationPattern((es.eigenvalues < 0).astype(int))
-    gamma = xy.eigenstate_correlation_matrix(es, pattern)
+    es = xy.diagonalize(w)
+    gamma = xy.eigenstate_correlation_matrix(es, es.eigenvalues < 0)
     out = {}
     for ell in block_sizes:
         start = (chain_length - ell) // 2

@@ -20,7 +20,6 @@ from functools import reduce
 
 import numpy as np
 
-from .disorder import FieldRealization
 from .errors import ConfigurationError, NumericalError
 from .xxz import DENSE_DIAG_CAP
 
@@ -97,7 +96,7 @@ class FullHamiltonian:
     matrix: np.ndarray
 
 
-def build_full(model: str, field_realization: FieldRealization,
+def build_full(model: str, w: np.ndarray,
                gamma: float = 0.0, anisotropy: float = 2.0,
                boundary_weight: float = 0.5) -> FullHamiltonian:
     """Exact spin-chain Hamiltonian of the requested model.
@@ -114,7 +113,7 @@ def build_full(model: str, field_realization: FieldRealization,
     Hopping bonds are Kronecker products; the diagonal terms are summed on
     one 2^n vector read from the occupation table.
     """
-    w = np.asarray(field_realization.values, dtype=float)
+    w = np.asarray(w, dtype=float)
     n = w.size
     _check_cap(n)
     if model not in ("xy", "ising", "xxz"):
@@ -383,7 +382,7 @@ def _lift_to_chain(op_a: np.ndarray, keep, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # exactly solvable Ising chain
 
-def ising_exact(field_realization: FieldRealization):
+def ising_exact(w: np.ndarray):
     """Full Ising spectrum by subset enumeration.
 
     Each subset X of down spins is an eigenstate with energy equal to the
@@ -391,7 +390,7 @@ def ising_exact(field_realization: FieldRealization):
     chain, i.e. |boundary| / 2 per cluster pair) plus the summed field.
     Returns (energies, labels) with labels the subsets as bit masks.
     """
-    w = np.asarray(field_realization.values, dtype=float)
+    w = np.asarray(w, dtype=float)
     n = w.size
     if n > 24:
         raise ConfigurationError(f"chain length {n} exceeds enumeration cap 24")

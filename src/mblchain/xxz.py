@@ -42,7 +42,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .disorder import FieldRealization
 from .errors import ConfigurationError, DegeneracyError, NumericalError
 
 _HALF_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
@@ -194,14 +193,14 @@ def min_boundary_weight(anisotropy: float) -> float:
 
 def build_h_sector(n_particles: int, half_length: int, anisotropy: float,
                    boundary_weight: float,
-                   field_realization: FieldRealization) -> SectorHamiltonian:
+                   w: np.ndarray) -> SectorHamiltonian:
     if anisotropy <= 1:
         raise ConfigurationError("Ising phase requires anisotropy > 1")
     if boundary_weight < min_boundary_weight(anisotropy) - 1e-15:
         raise ConfigurationError(
             "droplet boundary weight must be >= (1 - 1/Delta)/2")
     L = half_length
-    w = np.asarray(field_realization.values, dtype=float)
+    w = np.asarray(w, dtype=float)
     if w.size != 2 * L + 1:
         raise ConfigurationError(
             f"field must cover the {2 * L + 1} sites of [-{L}, {L}]")
@@ -268,14 +267,14 @@ def spectral_window(anisotropy: float, safety: float = 0.0,
 # ---------------------------------------------------------------------------
 # spectra and correlators
 
-def _require_dense(dim: int):
+def require_dense(dim: int):
     if dim > DENSE_DIAG_CAP:
         raise ConfigurationError(f"dense diagonalization at dim {dim} is above"
                                  f" DENSE_DIAG_CAP = {DENSE_DIAG_CAP}")
 
 
 def _dense_eigh(h: SectorHamiltonian):
-    _require_dense(h.dim)
+    require_dense(h.dim)
     try:
         return np.linalg.eigh(h.dense())
     except np.linalg.LinAlgError as exc:
@@ -428,11 +427,11 @@ class ChainSpectrum:
     """
 
     def __init__(self, half_length: int, anisotropy: float,
-                 boundary_weight: float, field_realization: FieldRealization):
+                 boundary_weight: float, w: np.ndarray):
         self.half_length = half_length
-        _require_dense(comb(2 * half_length + 1, half_length))  # largest sector
+        require_dense(comb(2 * half_length + 1, half_length))  # largest sector
         self.sectors = {n: build_h_sector(n, half_length, anisotropy,
-                                          boundary_weight, field_realization)
+                                          boundary_weight, w)
                         for n in range(2 * half_length + 2)}
         self._spectra = {}
         self._windows = {}
@@ -447,11 +446,6 @@ class ChainSpectrum:
         if n not in self._spectra:
             self._spectra[n] = _dense_eigh(self.sectors[n])
         return self._spectra[n]
-
-    def all_energies(self) -> np.ndarray:
-        """Full 2^n spectrum including the vacuum at zero."""
-        return np.sort(np.concatenate(
-            [self.spectrum(n)[0] for n in range(self.n_sites + 1)]))
 
     def window_blocks(self, window: EnergyWindow):
         """Window energies and, per sector with window states, the slice of
@@ -645,10 +639,6 @@ class QuasiLocalityProbe:
                 approx[rows, rows] += v.T @ mv.reshape(members.size, -1)
         approx /= 2.0 ** (chain.n_sites - n_inner)
         return float(np.linalg.norm(approx - exact, 2)) if w else 0.0
-
-    def error_at(self, ell: int, t: float) -> float:
-        """Operator norm of (X_ell(t) - tau_t(X)) restricted to the window."""
-        return self._error(ell, *self._evolved(t))
 
     def errors_profile(self, ells, time_grid) -> dict[int, float]:
         """Per truncation radius, the max over the time grid of the windowed

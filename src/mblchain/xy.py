@@ -14,9 +14,14 @@ and evolution acts as Gamma(t) = U Gamma U* with U = exp(-2 i M t).  All
 three are validated entry-by-entry against the 2^L brute-force engine in the
 test suite.
 
-Gamma is a plain L x L ndarray, and the reduced state of a block of sites
-is its principal slice (gamma[:ell, :ell] for the cut at ell).  Entropies
-are in nats.  block_m builds the 2L x 2L matrix of the anisotropic chain.
+Fields, occupations and correlation matrices are plain ndarrays.  The
+field w is M's diagonal, so diagonalize(w) takes it as is, and
+E0 = -sum(w).  An eigenstate is its boolean occupation vector of length L
+(True: the mode is occupied).  Gamma is L x L, and the reduced state of a
+block of sites is its principal slice (gamma[:ell, :ell] for the cut at
+ell).  Entropies are in nats.  block_m(w, gamma) builds the 2L x 2L matrix
+of the anisotropic chain.  The eigenvectors hold L^2 doubles, so an L (or
+2L) above xxz.DENSE_DIAG_CAP is a ConfigurationError.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .disorder import FieldRealization
 from .errors import DegeneracyError, NumericalError
+from .xxz import require_dense
 
 _GAP_TOL = 1e-12
 _EIG_CLAMP = 1e-10
@@ -37,46 +42,20 @@ _STACK_ENTRIES = 2 ** 22  # matrix entries of one stacked eigvalsh (32 MB)
 _EXHAUSTIVE_LIMIT = 14  # the sup visits all 2^L patterns up to this L
 
 
-@dataclass(frozen=True)
-class EffectiveHamiltonian:
-    """Tridiagonal one-particle matrix M with ground offset E0 = -sum(w)."""
-
-    diagonal: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "diagonal",
-                           np.asarray(self.diagonal, dtype=float))
-
-    @property
-    def size(self) -> int:
-        return self.diagonal.size
-
-    @property
-    def ground_offset(self) -> float:
-        return -float(self.diagonal.sum())
-
-    def dense(self) -> np.ndarray:
-        m = np.diag(self.diagonal)
-        idx = np.arange(self.size - 1)
-        m[idx, idx + 1] = -1.0
-        m[idx + 1, idx] = -1.0
-        return m
-
-
-def build_m(field: FieldRealization) -> EffectiveHamiltonian:
-    return EffectiveHamiltonian(field.values)
-
-
-def block_m(field: FieldRealization, gamma: float) -> np.ndarray:
+def block_m(w: np.ndarray, gamma: float) -> np.ndarray:
     """2L x 2L block matrix [[M, K], [-K, -M]] of the anisotropic chain.
 
-    K is the antisymmetric tridiagonal anisotropy coupling (-gamma above
-    the diagonal, +gamma below); the spectrum is symmetric about zero.
+    M has diagonal w and -1 hopping; K is the antisymmetric tridiagonal
+    anisotropy coupling (-gamma above the diagonal, +gamma below).  The
+    spectrum is symmetric about zero.  A 2L above DENSE_DIAG_CAP is a
+    ConfigurationError, raised before anything is allocated.
     """
-    m = build_m(field).dense()
-    L = m.shape[0]
-    k = np.zeros((L, L))
+    w = np.asarray(w, dtype=float)
+    L = w.size
+    require_dense(2 * L)
+    m, k = np.diag(w), np.zeros((L, L))
     idx = np.arange(L - 1)
+    m[idx, idx + 1] = m[idx + 1, idx] = -1.0
     k[idx, idx + 1] = -float(gamma)
     k[idx + 1, idx] = float(gamma)
     return np.block([[m, k], [-k, -m]])
@@ -99,37 +78,33 @@ class EigenSystem:
         return float(np.diff(self.eigenvalues).min())
 
 
-def diagonalize(m) -> EigenSystem:
-    """Diagonalize M = O Lambda O^T; accepts the tridiagonal type or any
-    real symmetric array."""
-    if isinstance(m, EffectiveHamiltonian):
-        if m.size == 1:
-            vals = m.diagonal.copy()
-            vecs = np.ones((1, 1))
-        else:
-            off = np.full(m.size - 1, -1.0)
-            try:
-                vals, vecs = eigh_tridiagonal(m.diagonal, off)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover
-                raise NumericalError(f"tridiagonal eigensolver failed: {exc}")
-        # M O - O Lambda by the stencil, O(L^2): -1 hopping both ways
-        scale = max(np.abs(m.diagonal).max(), 1.0)
-        mo = m.diagonal[:, None] * vecs
-        mo[1:] -= vecs[:-1]
-        mo[:-1] -= vecs[1:]
-        resid = np.abs(mo - vecs * vals).max()
-    else:
-        dense = np.asarray(m, dtype=float)
-        try:
-            vals, vecs = np.linalg.eigh(dense)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigensolver failed on {dense.shape}: {exc}")
-        scale = max(np.abs(dense).max(), 1.0)
-        resid = np.abs(dense - (vecs * vals) @ vecs.T).max()
-    ortho = np.abs(vecs.T @ vecs - np.eye(vals.size)).max()
+def check_eigenpairs(vecs: np.ndarray, resid: float, scale: float) -> None:
+    """Raise NumericalError unless the residual |A O - O Lambda| is within
+    1e-9 of the matrix scale and the columns of O are orthonormal."""
+    ortho = np.abs(vecs.T @ vecs - np.eye(vecs.shape[1])).max()
     if resid > 1e-9 * scale or ortho > 1e-10:
         raise NumericalError(
             f"diagonalization out of tolerance: resid={resid:.2e} ortho={ortho:.2e}")
+
+
+def diagonalize(diagonal: np.ndarray) -> EigenSystem:
+    """Diagonalize M = O Lambda O^T, the one-particle matrix with the given
+    diagonal and -1 hopping.  O holds L^2 doubles, so an L above
+    DENSE_DIAG_CAP is a ConfigurationError."""
+    d = np.asarray(diagonal, dtype=float)
+    require_dense(d.size)
+    if d.size == 1:
+        vals, vecs = d.copy(), np.ones((1, 1))
+    else:
+        try:
+            vals, vecs = eigh_tridiagonal(d, np.full(d.size - 1, -1.0))
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise NumericalError(f"tridiagonal eigensolver failed: {exc}")
+    # M O - O Lambda by the stencil, O(L^2): -1 hopping both ways
+    mo = d[:, None] * vecs
+    mo[1:] -= vecs[:-1]
+    mo[:-1] -= vecs[1:]
+    check_eigenpairs(vecs, np.abs(mo - vecs * vals).max(), max(np.abs(d).max(), 1.0))
     return EigenSystem(vals, vecs)
 
 
@@ -176,33 +151,19 @@ def end_site_commutator_norms(es: EigenSystem, time_grid) -> np.ndarray:
     return 2.0 * np.sqrt(row.imag ** 2 + beyond)
 
 
-@dataclass(frozen=True)
-class OccupationPattern:
-    """Bit vector selecting which fermionic modes are occupied."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.int8)
-        if bits.ndim != 1 or not np.isin(bits, (0, 1)).all():
-            raise ValueError("pattern must be a flat 0/1 vector")
-        object.__setattr__(self, "bits", bits)
-
-    @property
-    def size(self) -> int:
-        return self.bits.size
-
-    @classmethod
-    def from_int(cls, code: int, length: int) -> "OccupationPattern":
-        return cls([(code >> i) & 1 for i in range(length)])
+def _occupation(es: EigenSystem, occupied) -> np.ndarray:
+    # checked, not cast: ~ on an int 0/1 vector gives -1/-2, which would
+    # select the wrong modes
+    occupied = np.asarray(occupied)
+    if occupied.dtype != bool or occupied.shape != (es.size,):
+        raise ValueError(f"occupation must be a boolean vector of length {es.size}")
+    return occupied
 
 
-def eigenstate_energy(es: EigenSystem, pattern: OccupationPattern,
+def eigenstate_energy(es: EigenSystem, occupied: np.ndarray,
                       ground_offset: float) -> float:
-    """E_alpha = 2 sum_{occupied} lambda_l + E0."""
-    if pattern.size != es.size:
-        raise ValueError("pattern length must equal the chain length")
-    return 2.0 * float(es.eigenvalues @ pattern.bits) + ground_offset
+    """E_alpha = 2 sum_{occupied} lambda_l + E0, with E0 = -sum(w)."""
+    return 2.0 * float(es.eigenvalues @ _occupation(es, occupied)) + ground_offset
 
 
 def occupation_spectra(gammas: np.ndarray) -> np.ndarray:
@@ -221,7 +182,7 @@ def _require_simple(es: EigenSystem) -> None:
 
 
 def eigenstate_correlation_matrix(es: EigenSystem,
-                                  pattern: OccupationPattern) -> np.ndarray:
+                                  occupied: np.ndarray) -> np.ndarray:
     """Gamma of the many-body eigenstate with the given mode occupation.
 
     In the <c c*> convention this is the spectral projection onto the
@@ -229,11 +190,10 @@ def eigenstate_correlation_matrix(es: EigenSystem,
     I - Gamma; block entropies are identical either way).  Requires a
     simple one-particle spectrum so the projection is well defined.
     """
-    if pattern.size != es.size:
-        raise ValueError("pattern length must equal the chain length")
+    empty = ~_occupation(es, occupied)
     _require_simple(es)
-    empty = es.eigenvectors[:, pattern.bits == 0]
-    return empty @ empty.T
+    o = es.eigenvectors[:, empty]
+    return o @ o.T
 
 
 def thermal_correlation_matrix(es: EigenSystem,
@@ -272,9 +232,8 @@ def evolve_correlation_matrix(gamma: np.ndarray, es: EigenSystem,
     return u @ gamma @ u.conj().T
 
 
-def quench_initial_gamma(es_a: EigenSystem, pattern_a: OccupationPattern,
-                         es_b: EigenSystem,
-                         pattern_b: OccupationPattern) -> np.ndarray:
+def quench_initial_gamma(es_a: EigenSystem, occupied_a: np.ndarray,
+                         es_b: EigenSystem, occupied_b: np.ndarray) -> np.ndarray:
     """Block-diagonal Gamma of an eigenstate product across the cut.
 
     The two factors are eigenstates of the decoupled left/right chains;
@@ -284,22 +243,21 @@ def quench_initial_gamma(es_a: EigenSystem, pattern_a: OccupationPattern,
     if es_a.size < 1 or es_b.size < 1:
         raise ValueError("both subsystems must be nonempty")
     full = np.zeros((es_a.size + es_b.size,) * 2)
-    full[:es_a.size, :es_a.size] = eigenstate_correlation_matrix(es_a, pattern_a)
-    full[es_a.size:, es_a.size:] = eigenstate_correlation_matrix(es_b, pattern_b)
+    full[:es_a.size, :es_a.size] = eigenstate_correlation_matrix(es_a, occupied_a)
+    full[es_a.size:, es_a.size:] = eigenstate_correlation_matrix(es_b, occupied_b)
     return full
 
 
-def eigenstate_block_entropy(es: EigenSystem, pattern: OccupationPattern,
+def eigenstate_block_entropy(es: EigenSystem, occupied: np.ndarray,
                              ell: int) -> float:
     """Entropy of the [0, ell) block of an eigenstate, without forming the
     full correlation matrix (the block of the mode projection suffices)."""
-    if pattern.size != es.size:
-        raise ValueError("pattern length must equal the chain length")
+    empty = ~_occupation(es, occupied)
     if not 1 <= ell < es.size:
         raise ValueError(f"block size {ell} out of range (1..{es.size - 1})")
     _require_simple(es)
-    empty = es.eigenvectors[:ell, pattern.bits == 0]
-    return entanglement_entropy(empty @ empty.T)
+    o_a = es.eigenvectors[:ell, empty]
+    return entanglement_entropy(o_a @ o_a.T)
 
 
 def _drop_bound(masses: np.ndarray, sites: int) -> np.ndarray:

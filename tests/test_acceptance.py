@@ -26,7 +26,7 @@ def _report(num: int, ok: bool, label: str, detail: str = ""):
     assert ok, f"criterion {num} failed: {label} {detail}"
 
 
-def _jw_eigenstate(es: xy.EigenSystem, pattern: xy.OccupationPattern,
+def _jw_eigenstate(es: xy.EigenSystem, occupied: np.ndarray,
                    n: int) -> np.ndarray:
     """Many-body eigenvector with the given mode occupation, built by
     applying mode creation operators to the vacuum."""
@@ -35,7 +35,7 @@ def _jw_eigenstate(es: xy.EigenSystem, pattern: xy.OccupationPattern,
     psi = np.zeros(2 ** n)
     psi[0] = 1.0
     for l in range(n):
-        if pattern.bits[l]:
+        if occupied[l]:
             bdag = sum(es.eigenvectors[j, l] * daggers[j] for j in range(n))
             psi = bdag @ psi
     return psi / np.linalg.norm(psi)
@@ -50,11 +50,10 @@ def test_c01_spectrum_identity():
     for n in range(2, 11):
         for index in range(5):
             w = sample_field(UNIFORM, n, plan, index)
-            m = xy.build_m(w)
-            es = xy.diagonalize(m)
+            es = xy.diagonalize(w)
             codes = np.arange(2 ** n)
             bits = (codes[:, None] >> np.arange(n)[None, :]) & 1
-            free = np.sort(2.0 * bits @ es.eigenvalues + m.ground_offset)
+            free = np.sort(2.0 * bits @ es.eigenvalues - w.sum())
             full = oracle.diagonalize_full(oracle.build_full("xy", w)).energies
             worst = max(worst, float(np.abs(free - full).max()))
     _report(1, worst < 1e-9, "free-fermion spectrum equals the full spectrum",
@@ -64,15 +63,15 @@ def test_c01_spectrum_identity():
 def test_c02_entropy_identity():
     n = 8
     w = sample_field(UNIFORM, n, SeedPlan(102), 0)
-    es = xy.diagonalize(xy.build_m(w))
+    es = xy.diagonalize(w)
     rng = np.random.default_rng(102)
     worst = 0.0
     for _ in range(20):
-        pattern = xy.OccupationPattern(rng.integers(0, 2, size=n))
-        psi = _jw_eigenstate(es, pattern, n)
+        occupied = rng.integers(0, 2, size=n) == 1
+        psi = _jw_eigenstate(es, occupied, n)
         for ell in range(1, n):
             dense = oracle.reduced_entropy(psi, ell)
-            quasi = xy.eigenstate_block_entropy(es, pattern, ell)
+            quasi = xy.eigenstate_block_entropy(es, occupied, ell)
             worst = max(worst, abs(dense - quasi))
     _report(2, worst < 1e-8, "partial-trace entropy equals -tr h(Gamma_A)",
             f"max dev {worst:.2e}")
@@ -83,9 +82,8 @@ def test_c03_car_and_quadratic_form():
     w = sample_field(UNIFORM, n, SeedPlan(103), 0)
     modes = oracle.jordan_wigner_modes(n)
     car = oracle.car_defect(modes)
-    m = xy.build_m(w)
-    dense_m = m.dense()
-    quad = m.ground_offset * np.eye(2 ** n)
+    dense_m = xy.block_m(w, 0.0)[:n, :n]
+    quad = -w.sum() * np.eye(2 ** n)
     for j in range(n):
         for k in range(n):
             if dense_m[j, k] != 0.0:
@@ -123,7 +121,8 @@ def test_c05_disordered_area_law():
                                  realizations=100,
                                  block_sizes=(25, 50, 100, 200),
                                  sup_samples=200)
-    summary, fit = ex.scan_area_law(config)
+    summary = ex.run_ensemble(config)
+    fit = ex.fit_log_slope(summary.keys, summary.mean)
     clean = ex.clean_ground_state_entropy(400, 0.0, (25, 50, 100, 200))
     control = ex.fit_log_slope(sorted(clean), [clean[s] for s in sorted(clean)])
     ok = (fit.ci_contains_zero() and abs(fit.rate) < 0.05
@@ -379,7 +378,8 @@ def test_c14_quench_area_law():
                                  disorder=STRONG, seeds=SeedPlan(114),
                                  realizations=50, block_sizes=(25, 50, 100),
                                  time_grid=(0.5, 2.0, 10.0, 50.0))
-    summary, fit = ex.scan_area_law(config)
+    summary = ex.run_ensemble(config)
+    fit = ex.fit_log_slope(summary.keys, summary.mean)
     clean = ex.run_ensemble(ex.ExperimentConfig(
         kind="quench_entropy", chain_length=200, disorder=CLEAN,
         seeds=SeedPlan(114), realizations=1, block_sizes=(10, 20, 40),
@@ -389,15 +389,15 @@ def test_c14_quench_area_law():
     n, ell = 6, 3
     w = sample_field(STRONG, n, SeedPlan(214), 0)
     rng = np.random.default_rng(214)
-    left = xy.diagonalize(xy.EffectiveHamiltonian(w.values[:ell]))
-    right = xy.diagonalize(xy.EffectiveHamiltonian(w.values[ell:]))
-    pat_a = xy.OccupationPattern(rng.integers(0, 2, size=ell))
-    pat_b = xy.OccupationPattern(rng.integers(0, 2, size=n - ell))
-    gamma0 = xy.quench_initial_gamma(left, pat_a, right, pat_b)
-    es_m = xy.diagonalize(xy.build_m(w))
+    left = xy.diagonalize(w[:ell])
+    right = xy.diagonalize(w[ell:])
+    occ_a = rng.integers(0, 2, size=ell) == 1
+    occ_b = rng.integers(0, 2, size=n - ell) == 1
+    gamma0 = xy.quench_initial_gamma(left, occ_a, right, occ_b)
+    es_m = xy.diagonalize(w)
     es_full = oracle.diagonalize_full(oracle.build_full("xy", w))
-    psi = np.kron(_jw_eigenstate(left, pat_a, ell),
-                  _jw_eigenstate(right, pat_b, n - ell))
+    psi = np.kron(_jw_eigenstate(left, occ_a, ell),
+                  _jw_eigenstate(right, occ_b, n - ell))
     cross_dev = 0.0
     for t in (0.5, 2.0, 10.0):
         quasi = xy.entanglement_entropy(

@@ -236,6 +236,23 @@ def test_dense_cap_exits_config(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.iterdir()) and not calls
 
 
+@pytest.mark.parametrize("command, ok, over", [
+    (["xy-ecorr", "--distances", "1,2"], 30, 40),
+    (["xy-aniso", "--gamma", "0.3"], 15, 20),   # the block matrix is 2L x 2L
+])
+def test_xy_cap_exits_config(tmp_path, capsys, monkeypatch, command, ok, over):
+    monkeypatch.setattr(xxz, "DENSE_DIAG_CAP", 30)
+    code = cli.main([*command, "--chain-length", str(over),
+                     "--out-dir", str(tmp_path / "over")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "DENSE_DIAG_CAP = 30" in err[0]
+    assert not (tmp_path / "over").exists()
+    code = cli.main([*command, "--chain-length", str(ok),
+                     "--out-dir", str(tmp_path / "ok")])
+    assert code == cli.EXIT_OK
+
+
 def test_skeleton_cap_exits_config(tmp_path, capsys):
     # C(81, 20) ~ 4.7e18 configurations, refused before any is enumerated
     code = cli.main(["xxz-ct", "--half-length", "40", "--n-particles", "20",

@@ -13,9 +13,13 @@ UNIFORM = DisorderSpec()
 
 def _xy_pair(n, index=0):
     w = sample_field(UNIFORM, n, PLAN, index)
-    es = xy.diagonalize(xy.build_m(w))
+    es = xy.diagonalize(w)
     full = oracle.diagonalize_full(oracle.build_full("xy", w))
     return w, es, full
+
+
+def _occupied(code, n):
+    return ((code >> np.arange(n)) & 1) == 1
 
 
 def _match_eigenvector(full, energy):
@@ -27,10 +31,8 @@ def _match_eigenvector(full, energy):
 def test_spectrum_identity_small():
     for n in (2, 3, 5, 7):
         w, es, full = _xy_pair(n, index=n)
-        offset = xy.build_m(w).ground_offset
-        free = sorted(
-            xy.eigenstate_energy(es, xy.OccupationPattern.from_int(c, n), offset)
-            for c in range(2 ** n))
+        free = sorted(xy.eigenstate_energy(es, _occupied(c, n), -w.sum())
+                      for c in range(2 ** n))
         assert np.abs(np.array(free) - full.energies).max() < 1e-9
 
 
@@ -38,11 +40,10 @@ def test_quadratic_form_identity():
     n = 8
     w = sample_field(UNIFORM, n, PLAN, 2)
     modes = oracle.jordan_wigner_modes(n)
-    m = xy.build_m(w)
-    dense = m.dense()
+    dense = xy.block_m(w, 0.0)[:n, :n]
     quad = sum(2.0 * dense[j, k] * modes[j].conj().T @ modes[k]
                for j in range(n) for k in range(n))
-    quad += m.ground_offset * np.eye(2 ** n)
+    quad += -w.sum() * np.eye(2 ** n)
     h = oracle.build_full("xy", w).matrix
     assert np.abs(h - quad).max() < 1e-10
 
@@ -64,7 +65,7 @@ def test_end_site_commutator_closed_form():
     grid = (0.0, 0.3, 1.0, 4.0, 20.0)
     for w in (constant_field(0.0, n),
               sample_field(DisorderSpec(coupling=4.0), n, PLAN, 5)):
-        fast = xy.end_site_commutator_norms(xy.diagonalize(xy.build_m(w)), grid)
+        fast = xy.end_site_commutator_norms(xy.diagonalize(w), grid)
         full = oracle.diagonalize_full(oracle.build_full("xy", w))
         x = oracle.SiteObservable.of_kind("X", 0).embed(n)
         for k in range(n):
@@ -77,11 +78,10 @@ def test_eigenstate_correlation_matrix_entries():
     n = 6
     w, es, full = _xy_pair(n, index=4)
     modes = oracle.jordan_wigner_modes(n)
-    offset = xy.build_m(w).ground_offset
     for code in (0, 9, 27, 63):
-        pattern = xy.OccupationPattern.from_int(code, n)
-        gamma = xy.eigenstate_correlation_matrix(es, pattern)
-        psi = _match_eigenvector(full, xy.eigenstate_energy(es, pattern, offset))
+        occupied = _occupied(code, n)
+        gamma = xy.eigenstate_correlation_matrix(es, occupied)
+        psi = _match_eigenvector(full, xy.eigenstate_energy(es, occupied, -w.sum()))
         for j in range(n):
             for k in range(n):
                 expect = np.vdot(psi, modes[j] @ modes[k].conj().T @ psi)
@@ -107,25 +107,21 @@ def test_quench_evolution_against_schroedinger():
     n = 6
     ell = 3
     w = sample_field(UNIFORM, n, PLAN, 6)
-    left = xy.diagonalize(xy.EffectiveHamiltonian(w.values[:ell]))
-    right = xy.diagonalize(xy.EffectiveHamiltonian(w.values[ell:]))
-    pat_a = xy.OccupationPattern.from_int(5, ell)
-    pat_b = xy.OccupationPattern.from_int(2, n - ell)
-    gamma0 = xy.quench_initial_gamma(left, pat_a, right, pat_b)
+    left = xy.diagonalize(w[:ell])
+    right = xy.diagonalize(w[ell:])
+    occ_a = _occupied(5, ell)
+    occ_b = _occupied(2, n - ell)
+    gamma0 = xy.quench_initial_gamma(left, occ_a, right, occ_b)
 
     # product of subsystem eigenstates on the spin side
-    full_left = oracle.diagonalize_full(
-        oracle.build_full("xy", type(w)(w.values[:ell])))
-    full_right = oracle.diagonalize_full(
-        oracle.build_full("xy", type(w)(w.values[ell:])))
-    e_a = xy.eigenstate_energy(left, pat_a,
-                               -float(w.values[:ell].sum()))
-    e_b = xy.eigenstate_energy(right, pat_b,
-                               -float(w.values[ell:].sum()))
+    full_left = oracle.diagonalize_full(oracle.build_full("xy", w[:ell]))
+    full_right = oracle.diagonalize_full(oracle.build_full("xy", w[ell:]))
+    e_a = xy.eigenstate_energy(left, occ_a, -w[:ell].sum())
+    e_b = xy.eigenstate_energy(right, occ_b, -w[ell:].sum())
     psi = np.kron(_match_eigenvector(full_left, e_a),
                   _match_eigenvector(full_right, e_b))
 
-    es_full = xy.diagonalize(xy.build_m(w))
+    es_full = xy.diagonalize(w)
     full = oracle.diagonalize_full(oracle.build_full("xy", w))
     modes = oracle.jordan_wigner_modes(n)
     t = 1.7
@@ -146,12 +142,11 @@ def test_quench_evolution_against_schroedinger():
 def test_entropy_formula_all_cuts():
     n = 7
     w, es, full = _xy_pair(n, index=7)
-    offset = xy.build_m(w).ground_offset
     rng = np.random.default_rng(11)
     for code in rng.integers(0, 2 ** n, size=6):
-        pattern = xy.OccupationPattern.from_int(int(code), n)
-        gamma = xy.eigenstate_correlation_matrix(es, pattern)
-        psi = _match_eigenvector(full, xy.eigenstate_energy(es, pattern, offset))
+        occupied = _occupied(int(code), n)
+        gamma = xy.eigenstate_correlation_matrix(es, occupied)
+        psi = _match_eigenvector(full, xy.eigenstate_energy(es, occupied, -w.sum()))
         for ell in range(1, n):
             s_free = xy.entanglement_entropy(gamma[:ell, :ell])
             assert abs(s_free - oracle.reduced_entropy(psi, ell)) < 1e-8
@@ -161,13 +156,13 @@ def test_anisotropic_spectrum_against_oracle():
     n = 5
     w = sample_field(UNIFORM, n, PLAN, 8)
     gamma = 0.4
-    es = xy.diagonalize(xy.block_m(w, gamma))
+    vals = np.linalg.eigvalsh(xy.block_m(w, gamma))
     # one-particle energies are symmetric about zero
-    assert np.abs(np.sort(es.eigenvalues) + np.sort(-es.eigenvalues)[::-1]).max() < 1e-10
+    assert np.abs(np.sort(vals) + np.sort(-vals)[::-1]).max() < 1e-10
     # many-body spectrum: offsets + 2 * (sums over positive modes subsets)
     full = oracle.diagonalize_full(
         oracle.build_full("xy", w, gamma=gamma))
-    positive = np.sort(es.eigenvalues)[n:]
+    positive = np.sort(vals)[n:]
     base = full.energies.min()
     levels = sorted(base + 2.0 * sum(np.array(sel) * positive)
                     for sel in np.ndindex(*([2] * n)))
@@ -284,7 +279,9 @@ def test_chain_spectrum_matches_oracle():
     chain = xxz.ChainSpectrum(L, delta, beta, w)
     full = oracle.diagonalize_full(
         oracle.build_full("xxz", w, anisotropy=delta, boundary_weight=beta))
-    assert np.abs(chain.all_energies() - full.energies).max() < 1e-10
+    energies = np.sort(np.concatenate(
+        [chain.spectrum(n)[0] for n in range(chain.n_sites + 1)]))
+    assert np.abs(energies - full.energies).max() < 1e-10
 
 
 @pytest.mark.parametrize("kind", ["I", "I_delta", "I_0_delta"])
@@ -409,9 +406,10 @@ def test_quasi_locality_probe_matches_oracle():
             slow = oracle.quasi_locality_error(
                 full, x, ell, grid, (window.lower, window.upper), n, offset=L)
             for t, s in zip(grid, slow):
-                assert abs(probe.error_at(ell, t) - s) < 1e-8
+                assert abs(probe.errors_profile([ell], [t])[ell] - s) < 1e-8
         profile = probe.errors_profile(ells, grid)
         for ell in ells:
-            assert profile[ell] == max(probe.error_at(ell, t) for t in grid)
+            assert profile[ell] == max(probe.errors_profile([ell], [t])[ell]
+                                       for t in grid)
         # whole-chain truncation is exact
-        assert probe.error_at(2 * L, 1.3) == 0.0
+        assert probe.errors_profile([2 * L], [1.3])[2 * L] == 0.0

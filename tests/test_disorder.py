@@ -10,9 +10,9 @@ def test_uniform_support_and_scaling():
     spec = DisorderSpec(kind="uniform", support_min=0.0, support_max=1.0,
                         coupling=4.0)
     field = sample_field(spec, 5000, SeedPlan(7), 0)
-    assert field.values.min() >= 0.0
-    assert field.values.max() <= 4.0
-    assert abs(field.values.mean() - 2.0) < 0.1  # coupling * (0 + 1) / 2
+    assert field.min() >= 0.0
+    assert field.max() <= 4.0
+    assert abs(field.mean() - 2.0) < 0.1  # coupling * (0 + 1) / 2
 
 
 def test_determinism_and_stream_independence():
@@ -21,11 +21,11 @@ def test_determinism_and_stream_independence():
     a = sample_field(spec, 64, plan, 3)
     b = sample_field(spec, 64, plan, 3)
     c = sample_field(spec, 64, plan, 4)
-    assert np.array_equal(a.values, b.values)
-    assert not np.array_equal(a.values, c.values)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
     # order independence: index streams do not share state
     later = sample_field(spec, 64, plan, 3)
-    assert np.array_equal(a.values, later.values)
+    assert np.array_equal(a, later)
 
 
 def test_tagged_substreams_differ():
@@ -38,10 +38,14 @@ def test_tagged_substreams_differ():
 
 def test_constant_field():
     field = constant_field(0.7, 4)
-    assert np.array_equal(field.values, np.full(4, 0.7))
+    assert np.array_equal(field, np.full(4, 0.7))
     spec = DisorderSpec(kind="constant", support_min=0.3, support_max=0.3)
     field = sample_field(spec, 6, SeedPlan(1), 0)
-    assert np.array_equal(field.values, np.full(6, 0.3))
+    assert np.array_equal(field, np.full(6, 0.3))
+    # a plain float64 vector, also from integer settings
+    spec = DisorderSpec(kind="constant", support_min=2, support_max=2, coupling=1)
+    field = sample_field(spec, 3, SeedPlan(1), 0)
+    assert field.dtype == np.float64 and np.array_equal(field, [2.0, 2.0, 2.0])
 
 
 def test_table_distribution():
@@ -49,9 +53,9 @@ def test_table_distribution():
                         table=(0.5, 0.0, 0.5))
     field = sample_field(spec, 3000, SeedPlan(9), 0)
     # middle bin has zero mass
-    in_middle = ((field.values > 1 / 3) & (field.values < 2 / 3)).mean()
+    in_middle = ((field > 1 / 3) & (field < 2 / 3)).mean()
     assert in_middle == 0.0
-    assert abs((field.values < 1 / 3).mean() - 0.5) < 0.05
+    assert abs((field < 1 / 3).mean() - 0.5) < 0.05
 
 
 def test_validation_errors():

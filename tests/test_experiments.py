@@ -150,7 +150,8 @@ def test_entropy_scan_smoke():
     config = _config(kind="entropy_sup", chain_length=24,
                      block_sizes=(4, 8, 12), distances=(), sup_samples=40,
                      realizations=2)
-    summary, fit = experiments.scan_area_law(config)
+    summary = experiments.run_ensemble(config)
+    fit = experiments.fit_log_slope(summary.keys, summary.mean)
     assert summary.mean.shape == (3,)
     assert (summary.mean >= 0).all()
     assert fit.available

@@ -166,7 +166,7 @@ def test_ising_exact_formula():
     assert energies[0] == 0.0  # empty subset
     # spot value: X = {0, 2} has two clusters
     x = (1 << 9) | (1 << 7)
-    assert energies[x] == pytest.approx(2.0 + w.values[0] + w.values[2])
+    assert energies[x] == pytest.approx(2.0 + w[0] + w[2])
     # clean multiplicities: eigenvalue k counted with all k-cluster subsets
     clean, _ = oracle.ising_exact(constant_field(0.0, 10))
     values, counts = np.unique(clean, return_counts=True)
@@ -237,7 +237,7 @@ def test_build_full_matches_kron_per_term_build(n):
                   ("xxz", {"anisotropy": 1.7, "boundary_weight": 0.9})]
     for model, kwargs in cases:
         fast = oracle.build_full(model, w, **kwargs).matrix
-        ref = _kron_per_term_build(model, w.values, **kwargs)
+        ref = _kron_per_term_build(model, w, **kwargs)
         assert fast.dtype == ref.dtype and np.array_equal(fast, ref)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mblchain import xy
+from mblchain import cli, xy
 from mblchain.disorder import DisorderSpec, SeedPlan, constant_field, sample_field
 from mblchain.errors import DegeneracyError, NumericalError
 
@@ -11,29 +11,35 @@ PLAN = SeedPlan(271828)
 def _es(n, index=0, coupling=1.0):
     spec = DisorderSpec(coupling=coupling)
     w = sample_field(spec, n, PLAN, index)
-    return w, xy.diagonalize(xy.build_m(w))
+    return w, xy.diagonalize(w)
+
+
+def _occupied(code, n):
+    return ((code >> np.arange(n)) & 1) == 1
 
 
 def test_effective_hamiltonian_structure():
-    m = xy.build_m(constant_field(0.5, 4))
-    dense = m.dense()
-    assert np.array_equal(np.diag(dense), np.full(4, 0.5))
-    assert dense[0, 1] == -1.0 and dense[2, 1] == -1.0
-    assert m.ground_offset == -2.0
+    # M is the upper left block of block_m; the vacuum sits at E0 = -sum(w)
+    w = constant_field(0.5, 4)
+    m = xy.block_m(w, 0.0)[:4, :4]
+    assert np.array_equal(np.diag(m), np.full(4, 0.5))
+    assert m[0, 1] == -1.0 and m[2, 1] == -1.0 and m[0, 2] == 0.0
+    es = xy.diagonalize(w)
+    assert xy.eigenstate_energy(es, np.zeros(4, dtype=bool), -w.sum()) == -2.0
 
 
 def test_diagonalize_matches_dense():
     w, es = _es(50, 1)
-    dense_vals = np.linalg.eigvalsh(xy.build_m(w).dense())
+    dense_vals = np.linalg.eigvalsh(xy.block_m(w, 0.0)[:50, :50])
     assert np.abs(es.eigenvalues - dense_vals).max() < 1e-10
 
 
 @pytest.mark.parametrize("dense", [False, True])
-def test_diagonalize_rejects_swapped_eigenvectors(monkeypatch, dense):
+def test_diagonalize_rejects_swapped_eigenvectors(monkeypatch, capsys,
+                                                  tmp_path, dense):
     # swapping two eigenvector columns keeps O orthogonal, so only the
-    # residual (the tridiagonal stencil, or the dense check for an array)
-    # can catch it
-    w, _ = _es(50, 1)
+    # residual (the tridiagonal stencil, or xy-aniso's dense check) can
+    # catch it
     name, solver = (("eigh", np.linalg.eigh) if dense
                     else ("eigh_tridiagonal", xy.eigh_tridiagonal))
 
@@ -42,14 +48,18 @@ def test_diagonalize_rejects_swapped_eigenvectors(monkeypatch, dense):
         return vals, vecs[:, [1, 0, *range(2, vals.size)]]
 
     monkeypatch.setattr(np.linalg if dense else xy, name, swapped)
-    m = xy.build_m(w)
-    with pytest.raises(NumericalError, match="resid"):
-        xy.diagonalize(m.dense() if dense else m)
+    if dense:
+        code = cli.main(["xy-aniso", "--chain-length", "25", "--gamma", "0.3",
+                         "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_NUMERICAL
+        assert "resid" in capsys.readouterr().err
+    else:
+        with pytest.raises(NumericalError, match="resid"):
+            xy.diagonalize(_es(50, 1)[0])
 
 
 def test_eigencorrelator_bounds_functions():
     w, es = _es(30, 2, coupling=4.0)
-    dense = xy.build_m(w).dense()
     # |g(M)_jk| <= eigencorrelator for several |g| <= 1
     for t in (0.3, 2.0, 11.0):
         u = (es.eigenvectors * np.exp(-1j * t * es.eigenvalues)) @ es.eigenvectors.T
@@ -57,7 +67,6 @@ def test_eigencorrelator_bounds_functions():
             assert abs(u[j, k]) <= xy.eigencorrelator(es, j, k) + 1e-12
     sign = (es.eigenvectors * np.sign(es.eigenvalues)) @ es.eigenvectors.T
     assert abs(sign[2, 17]) <= xy.eigencorrelator(es, 2, 17) + 1e-12
-    del dense
 
 
 def test_dynamical_kernel_trivial_cases():
@@ -70,23 +79,20 @@ def test_dynamical_kernel_trivial_cases():
 
 def test_vacuum_and_full_patterns():
     w, es = _es(8, 4)
-    vac = xy.eigenstate_correlation_matrix(es, xy.OccupationPattern.from_int(0, 8))
+    vac = xy.eigenstate_correlation_matrix(es, np.zeros(8, dtype=bool))
     assert np.abs(vac - np.eye(8)).max() < 1e-12
-    full = xy.eigenstate_correlation_matrix(
-        es, xy.OccupationPattern.from_int(255, 8))
+    full = xy.eigenstate_correlation_matrix(es, np.ones(8, dtype=bool))
     assert np.abs(full).max() < 1e-12
     # energies: vacuum sits at the ground offset
-    offset = xy.build_m(w).ground_offset
-    assert xy.eigenstate_energy(es, xy.OccupationPattern.from_int(0, 8),
-                                offset) == pytest.approx(offset)
+    assert xy.eigenstate_energy(es, np.zeros(8, dtype=bool),
+                                -w.sum()) == pytest.approx(-w.sum())
 
 
 def test_degeneracy_detection():
-    # decoupled duplicate diagonal entries produce an exact degeneracy
-    m = np.diag([1.0, 1.0])
-    es = xy.diagonalize(m)
+    # a repeated one-particle eigenvalue
+    es = xy.EigenSystem(np.array([1.0, 1.0]), np.eye(2))
     with pytest.raises(DegeneracyError):
-        xy.eigenstate_correlation_matrix(es, xy.OccupationPattern.from_int(1, 2))
+        xy.eigenstate_correlation_matrix(es, _occupied(1, 2))
 
 
 def test_thermal_limits():
@@ -102,8 +108,7 @@ def test_thermal_limits():
 
 def test_entropy_basics():
     w, es = _es(10, 6)
-    pattern = xy.OccupationPattern.from_int(301, 10)
-    gamma = xy.eigenstate_correlation_matrix(es, pattern)
+    gamma = xy.eigenstate_correlation_matrix(es, _occupied(301, 10))
     for ell in (1, 4, 9):
         s = xy.entanglement_entropy(gamma[:ell, :ell])
         assert 0.0 <= s <= ell * np.log(2) + 1e-12
@@ -130,18 +135,17 @@ def test_binary_entropy_matches_scipy():
 
 def test_block_entropy_fast_path_matches():
     w, es = _es(12, 7)
-    pattern = xy.OccupationPattern.from_int(1234, 12)
-    gamma = xy.eigenstate_correlation_matrix(es, pattern)
+    occupied = _occupied(1234, 12)
+    gamma = xy.eigenstate_correlation_matrix(es, occupied)
     for ell in (2, 6, 11):
         slow = xy.entanglement_entropy(gamma[:ell, :ell])
-        fast = xy.eigenstate_block_entropy(es, pattern, ell)
+        fast = xy.eigenstate_block_entropy(es, occupied, ell)
         assert abs(slow - fast) < 1e-10
 
 
 def test_evolution_preserves_spectrum():
     w, es = _es(9, 8)
-    gamma = xy.eigenstate_correlation_matrix(
-        es, xy.OccupationPattern.from_int(37, 9))
+    gamma = xy.eigenstate_correlation_matrix(es, _occupied(37, 9))
     evolved = xy.evolve_correlation_matrix(gamma, es, 2.3)
     a = np.sort(xy.occupation_spectra(gamma))
     b = np.sort(xy.occupation_spectra(evolved))
@@ -153,11 +157,10 @@ def test_evolution_preserves_spectrum():
 
 def test_quench_initial_gamma_block_structure():
     w = sample_field(DisorderSpec(), 8, PLAN, 9)
-    left = xy.diagonalize(xy.EffectiveHamiltonian(w.values[:3]))
-    right = xy.diagonalize(xy.EffectiveHamiltonian(w.values[3:]))
-    gamma = xy.quench_initial_gamma(
-        left, xy.OccupationPattern.from_int(0, 3),
-        right, xy.OccupationPattern.from_int(0, 5))
+    left = xy.diagonalize(w[:3])
+    right = xy.diagonalize(w[3:])
+    gamma = xy.quench_initial_gamma(left, np.zeros(3, dtype=bool),
+                                    right, np.zeros(5, dtype=bool))
     assert np.abs(gamma - np.eye(8)).max() < 1e-12
     # initial cut entropy of a product state is zero
     assert xy.entanglement_entropy(gamma[:3, :3]) < 1e-12
@@ -173,14 +176,16 @@ def test_anisotropic_block_antisymmetry():
                                     [block[:L, L:], block[:L, :L]]]).T).max() < 1e-14
 
 
-def _block_m_reference(field, gamma):
-    # the former BlockEffectiveHamiltonian.dense() body
-    L = field.values.size
+def _block_m_reference(w, gamma):
+    # the former dense builds of the anisotropic block and of M
+    L = w.size
     k = np.zeros((L, L))
     idx = np.arange(L - 1)
     k[idx, idx + 1] = -float(gamma)
     k[idx + 1, idx] = float(gamma)
-    m = xy.build_m(field).dense()
+    m = np.diag(w)
+    m[idx, idx + 1] = -1.0
+    m[idx + 1, idx] = -1.0
     return np.block([[m, k], [-k, -m]])
 
 
@@ -242,10 +247,10 @@ def _sup_per_pattern(es, ell, samples=200, rng=None):
 def _sampled_patterns(es, ell, samples, seed):
     # the patterns the sup visits: the random ones, then the straddling one
     rng = np.random.default_rng(seed)
-    rows = [rng.integers(0, 2, size=es.size) for _ in range(samples)]
+    rows = [rng.integers(0, 2, size=es.size) == 1 for _ in range(samples)]
     left = (es.eigenvectors[:ell] ** 2).sum(axis=0)
-    rows.append(((left > 0.05) & (left < 0.95)).astype(int))
-    return [xy.OccupationPattern(r) for r in rows]
+    rows.append((left > 0.05) & (left < 0.95))
+    return rows
 
 
 @pytest.mark.parametrize("field, ells, kept_range", [
@@ -256,7 +261,7 @@ def _sampled_patterns(es, ell, samples, seed):
 def test_sup_on_straddling_modes_matches_exact(field, ells, kept_range):
     n = 400
     if field == "clean":
-        es = xy.diagonalize(xy.build_m(constant_field(0.5, n)))
+        es = xy.diagonalize(constant_field(0.5, n))
     else:
         es = _es(n, 12, coupling=4.0 if field == "strong" else 1.0)[1]
     for ell in ells:
@@ -274,7 +279,7 @@ def test_sup_on_straddling_modes_matches_exact(field, ells, kept_range):
 def test_sup_exhaustive_matches_exact(monkeypatch):
     n = 10
     w, es = _es(n, 13, coupling=4.0)
-    patterns = [xy.OccupationPattern.from_int(c, n) for c in range(2 ** n)]
+    patterns = [_occupied(c, n) for c in range(2 ** n)]
     sups = []
     for ell in range(1, n):
         _, bound, _ = xy.straddling_modes(es, ell)
@@ -290,7 +295,7 @@ def test_sup_exhaustive_matches_exact(monkeypatch):
 
 def _empty_counts(es, ell, samples, seed):
     kept, _, _ = xy.straddling_modes(es, ell)
-    return np.array([(p.bits[kept] == 0).sum()
+    return np.array([(~p[kept]).sum()
                      for p in _sampled_patterns(es, ell, samples, seed)])
 
 
@@ -385,10 +390,29 @@ def test_drop_bound_covers_entropy_change(ell):
     rng = np.random.default_rng(14)
     for i in counts:
         for _ in range(20):
-            bits = rng.integers(0, 2, size=n)
-            dropped = bits.copy()
-            dropped[order[:i]] = 1          # occupied: out of the empty set
-            change = abs(
-                xy.eigenstate_block_entropy(es, xy.OccupationPattern(bits), ell)
-                - xy.eigenstate_block_entropy(es, xy.OccupationPattern(dropped), ell))
+            occupied = rng.integers(0, 2, size=n) == 1
+            dropped = occupied.copy()
+            dropped[order[:i]] = True       # occupied: out of the empty set
+            change = abs(xy.eigenstate_block_entropy(es, occupied, ell)
+                         - xy.eigenstate_block_entropy(es, dropped, ell))
             assert change <= bounds[i]
+
+
+@pytest.mark.parametrize("occupied", [np.array([1, 0, 1, 1, 0, 0]),
+                                      np.zeros(5, dtype=bool)],
+                         ids=["int01", "short"])
+@pytest.mark.parametrize("consumer", ["energy", "correlation",
+                                      "block_entropy", "quench"])
+def test_occupation_must_be_boolean_of_chain_length(consumer, occupied):
+    # checked, not cast: ~ on an int 0/1 vector would select wrong modes
+    w, es = _es(6, 16)
+    call = {
+        "energy": lambda o: xy.eigenstate_energy(es, o, -w.sum()),
+        "correlation": lambda o: xy.eigenstate_correlation_matrix(es, o),
+        "block_entropy": lambda o: xy.eigenstate_block_entropy(es, o, 3),
+        "quench": lambda o: xy.quench_initial_gamma(
+            es, o, es, np.zeros(6, dtype=bool)),
+    }[consumer]
+    with pytest.raises(ValueError, match="boolean vector of length 6"):
+        call(occupied)
+    assert np.isfinite(call(np.array([True, False, True, True, False, False]))).all()
