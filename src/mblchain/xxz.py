@@ -14,21 +14,19 @@ droplet boundary weight beta >= (1 - 1/Delta)/2 keeps every term
 nonnegative, so min spec H_N^L >= 1 - 1/Delta for N >= 1.  The vacuum
 N = 0 is the sector of one empty configuration with H_0 = 0.
 
-Everything here is validated entrywise against the N-magnon block of the
-brute-force 2^n spin Hamiltonian in the test suite; that comparison pins
-down all boundary and degree conventions.
+The test suite validates everything here entrywise against the brute-force
+2^n spin Hamiltonian.  Only V_w depends on the field; the rest is the sector
+skeleton ``enumerate_basis(N, L)``, N = 0 .. 2L + 1 (positions, bitmasks
+with site s as bit s + L, hop adjacency, degrees, wall touches, droplet
+distances, occupancy), built by numpy in lexicographic order, cached and
+read-only; a build above half the physical memory is refused from
+C(2L + 1, N) before anything is allocated (ConfigurationError, CLI exit 2).
 
-Only V_w depends on the field.  Everything else is the sector skeleton
-returned by ``enumerate_basis(N, L)`` for N = 0 .. 2L + 1: the occupied
-sites of every configuration, their integer bitmasks (site s is bit
-s + L, the one lookup key), the unit hop adjacency, graph and cluster
-degrees, wall touches, the l1 distance to the droplets and the dim x
-sites occupancy matrix.  It is built once per (N, L) and cached (the 32
-most recently used sectors of a process), so every caller shares its
-arrays and they are read-only.  numpy enumerates it in lexicographic
-order with no Python object per configuration and finds hop targets by
-rank; a build above half the physical memory is refused from C(2L + 1, N)
-before anything is allocated (ConfigurationError, CLI exit 2).
+On configurations of two or more clusters the potential is at least
+2 (1 - 1/Delta).  Windows below that are counted on the droplets (the split
+of Elgart-Klein-Stolz) and solved by Lanczos, and the Combes-Thomas
+resolvent by conjugate gradients, all certified; full spectra and windows
+ending at 2 (1 - 1/Delta) are solved dense.
 """
 
 from __future__ import annotations
@@ -183,9 +181,6 @@ class SectorHamiltonian:
     def dim(self) -> int:
         return self.basis.dim
 
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
 
 def min_boundary_weight(anisotropy: float) -> float:
     return 0.5 * (1.0 - 1.0 / anisotropy)
@@ -276,42 +271,65 @@ def require_dense(dim: int):
 def _dense_eigh(h: SectorHamiltonian):
     require_dense(h.dim)
     try:
-        return np.linalg.eigh(h.dense())
+        return np.linalg.eigh(h.matrix.toarray())
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense eigensolver failed: {exc}")
+
+
+def _certified_cg(op, rhs: np.ndarray, floor: float):
+    """CG on each column of op X = rhs to working precision, and the bound
+    |rhs - op X|_F / floor on |X - op^-1 rhs|_2 if min spec op >= floor > 0."""
+    sol = np.empty_like(rhs)
+    for col in range(rhs.shape[1]):
+        sol[:, col], info = spla.cg(op, rhs[:, col], rtol=np.finfo(float).eps,
+                                    atol=0.0)
+        if info != 0:
+            raise NumericalError(f"conjugate gradients did not converge (info {info})")
+    return sol, float(np.linalg.norm(rhs - op @ sol)) / floor
 
 
 def eigenpairs_in_window(h: SectorHamiltonian, window: EnergyWindow):
     """The window energies of the sector, ascending, and their eigenvectors
     as the columns of a matrix.
 
-    Below DENSE_DIAG_CAP, a Cholesky factorization of H - upper I that
-    succeeds certifies every eigenvalue above the window: the block is
-    empty, with no solve.  Otherwise a dense eigh gives it.  Above the cap,
-    shift-invert Lanczos around the window center: the k eigenvalues nearest
-    the center cover the window only if the farthest of them lies at least
-    half its width away; a window they do not cover raises NumericalError.
+    A = H - upper I is >= floor = 2 (1 - 1/Delta) - upper on the set T of
+    non-droplets.  If floor > 0 (I_delta, I_0_delta), the k eigenvalues <=
+    upper are the negative ones of the Schur complement of A_TT (Haynsworth
+    inertia), counted only if CG certifies all its signs.  k = 0 needs no
+    solve; else Lanczos gives k + 1 pairs, kept only if exactly k lie <=
+    upper, each with a residual below its distance to upper.  Kind I and
+    sectors with |T| <= 1 are solved dense.  NumericalError if uncertified.
     """
-    if h.dim <= DENSE_DIAG_CAP:
-        try:
-            np.linalg.cholesky((h.matrix - window.upper * sp.identity(h.dim)).toarray())
-            return np.zeros(0), np.zeros((h.dim, 0))
-        except np.linalg.LinAlgError:
-            vals, vecs = _dense_eigh(h)
+    upper = window.upper
+    floor = 2.0 * (1.0 - 1.0 / h.anisotropy) - upper
+    t = h.basis.droplet_distance > 0
+    if floor <= 0 or t.sum() <= 1:
+        vals, vecs = _dense_eigh(h)
     else:
-        sigma = 0.5 * (window.lower + window.upper)
-        k = min(h.dim - 2, 400)
+        a = (h.matrix - upper * sp.identity(h.dim)).tocsr()
+        a_st = a[~t][:, t]
+        x, error = _certified_cg(a[t][:, t], a_st.T.toarray(), floor)
+        schur = a[~t][:, ~t].toarray() - a_st @ x
+        c = np.linalg.eigvalsh(0.5 * (schur + schur.T))
+        bound = spla.norm(a_st) * error  # on the error of each eigenvalue of C
+        if np.abs(c).min() <= bound:
+            raise NumericalError(f"window count undecided at error {bound:.2e}")
+        k = int((c < 0).sum())
+        if k == 0:
+            return np.zeros(0), np.zeros((h.dim, 0))
+        # fixed pseudo-random start: bit-identical reruns, no symmetry class missed
+        v0 = np.random.default_rng(0).standard_normal(h.dim)
         try:
-            vals, vecs = spla.eigsh(h.matrix, k=k, sigma=sigma)
+            vals, vecs = spla.eigsh(h.matrix, k=k + 1, which="SA", v0=v0)
         except spla.ArpackError as exc:
             raise NumericalError(f"windowed eigensolver failed: {exc}")
-        reach = np.abs(vals - sigma).max()
-        if k < h.dim and reach < 0.5 * (window.upper - window.lower):
-            raise NumericalError(
-                f"{k} eigenpairs reach {reach:.3g} from the window center,"
-                f" less than its half-width")
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
+        below = int((vals <= upper).sum())
+        resid = np.linalg.norm(h.matrix @ vecs - vecs * vals, axis=0)[:k]
+        if below != k or np.any(resid >= upper - vals[:k]):
+            raise NumericalError(f"Lanczos pairs not certified: {below} of {k}"
+                                 f" counted, residuals up to {resid.max():.2e}")
     keep = window.contains(vals)
     vals, vecs = vals[keep], vecs[:, keep]
     if vals.size:
@@ -329,20 +347,15 @@ def droplet_profile(vectors: np.ndarray, distance: np.ndarray) -> np.ndarray:
     return np.sqrt((vectors ** 2).T @ shells)
 
 
-def _window_gap_check(energies: np.ndarray):
-    if energies.size >= 2:
-        gap = np.diff(np.sort(energies)).min()
-        if gap <= _GAP_TOL:
-            raise DegeneracyError(
-                f"window spectrum has gap {gap:.2e} <= {_GAP_TOL}")
-
-
 def window_site_masses(blocks, n_sites: int) -> np.ndarray:
     """Masses ||N_j psi|| = sqrt(psi^2 @ occupancy) of the window states,
     one row per state, from per-sector blocks (basis, energies, vectors).
     A degenerate window raises DegeneracyError: its per-state masses
     depend on the eigenbasis."""
-    _window_gap_check(np.concatenate([np.zeros(0)] + [e for _, e, _ in blocks]))
+    energies = np.sort(np.concatenate([np.zeros(0)] + [e for _, e, _ in blocks]))
+    gap = np.diff(energies).min(initial=np.inf)
+    if gap <= _GAP_TOL:
+        raise DegeneracyError(f"window spectrum has gap {gap:.2e} <= {_GAP_TOL}")
     return np.concatenate([np.zeros((0, n_sites))]
                           + [np.sqrt((v ** 2).T @ b.occupancy) for b, _, v in blocks])
 
@@ -364,13 +377,11 @@ def ct_check(h: SectorHamiltonian, energy: float, safety: float,
 
     The argument's premise (Elgart-Klein-Stolz) is that the shifted operator
     K is positive definite with min spec K >= floor = safety (1 - 1/Delta)
-    for admissible E; the tests check that floor by Lanczos.  So K needs no
-    factorization: conjugate gradients solve K x = e_y for each y in B to
-    working precision (a few more iterations keep the exponentially small
-    entries accurate), and the floor certifies them: every entry is off by
-    at most |r| / floor and the block norm by at most |R|_F / floor.
-    NumericalError if a solve does not converge, the certified error exceeds
-    _CT_TOL, or it reaches the bound (pass/fail undecided).
+    for admissible E; the tests check that floor by Lanczos.  So
+    _certified_cg solves K x = e_y for each y in B (working precision keeps
+    the exponentially small entries accurate), and the block norm is off by
+    at most its certified error.  NumericalError if a solve does not
+    converge, that error exceeds _CT_TOL, or the bound lies within it.
     """
     delta_aniso = h.anisotropy
     gap = 1.0 - 1.0 / delta_aniso
@@ -389,16 +400,9 @@ def ct_check(h: SectorHamiltonian, energy: float, safety: float,
     idx_a, idx_b = rows(set_a), rows(set_b)
     shift = np.where(basis.droplet_distance == 0, gap, 0.0)
     op = (h.matrix + sp.diags(shift - energy)).tocsr()
-    floor = safety * gap
     rhs = np.zeros((h.dim, idx_b.size))
     rhs[idx_b, np.arange(idx_b.size)] = 1.0
-    sol = np.empty_like(rhs)
-    for col in range(idx_b.size):
-        sol[:, col], info = spla.cg(op, rhs[:, col], rtol=np.finfo(float).eps,
-                                    atol=0.0)
-        if info != 0:
-            raise NumericalError(f"conjugate gradients did not converge (info {info})")
-    error = float(np.linalg.norm(rhs - op @ sol)) / floor
+    sol, error = _certified_cg(op, rhs, safety * gap)
     if error > _CT_TOL:
         raise NumericalError(f"certified resolvent error {error:.2e} > {_CT_TOL}")
     measured = float(np.linalg.norm(sol[idx_a, :], 2))
@@ -416,20 +420,15 @@ def ct_check(h: SectorHamiltonian, energy: float, safety: float,
 # full-chain direct sum over magnon sectors
 
 class ChainSpectrum:
-    """Full finite-volume XXZ chain assembled as the direct sum over all
-    magnon sectors N = 0 .. 2L+1 (particle number is conserved).
-
-    Nothing is solved up front: a sector's full spectrum is solved on first
-    request and kept, and a window block is cut from a kept spectrum or
-    else comes from eigenpairs_in_window.  The test suite checks both
-    against the brute-force engine.  A sector above DENSE_DIAG_CAP is a
-    ConfigurationError.
-    """
+    """Full finite-volume XXZ chain, the direct sum of the magnon sectors
+    N = 0 .. 2L+1 (particle number is conserved).  Nothing is solved up
+    front: a sector's full spectrum is solved dense on first request and
+    kept, and a window block is cut from a kept spectrum or else comes from
+    eigenpairs_in_window.  The tests check both against the brute force."""
 
     def __init__(self, half_length: int, anisotropy: float,
                  boundary_weight: float, w: np.ndarray):
         self.half_length = half_length
-        require_dense(comb(2 * half_length + 1, half_length))  # largest sector
         self.sectors = {n: build_h_sector(n, half_length, anisotropy,
                                           boundary_weight, w)
                         for n in range(2 * half_length + 2)}
@@ -564,6 +563,7 @@ class QuasiLocalityProbe:
 
     def __init__(self, chain: ChainSpectrum, site: int, window: EnergyWindow):
         _check_site(site, chain.half_length)
+        require_dense(comb(chain.n_sites, chain.half_length))  # largest sector
         self.chain = chain
         self.site = site
         self.window = window

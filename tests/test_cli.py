@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from mblchain import cli, experiments, oracle, xxz
-from mblchain.disorder import DisorderSpec, SeedPlan, sample_field
 from mblchain.errors import ConfigurationError
 
 
@@ -220,20 +219,38 @@ def test_unread_config_key_exits_config(tmp_path, capsys):
 
 
 def test_dense_cap_exits_config(tmp_path, capsys, monkeypatch):
+    # the cap binds full spectra and window kind I, not the droplet windows
+    monkeypatch.setattr(xxz, "DENSE_DIAG_CAP", 30)
     calls = []
-    monkeypatch.setattr(xxz, "DENSE_DIAG_CAP", 20)
-    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(a))
-    w = sample_field(DisorderSpec(), 7, SeedPlan(1), 0)
-    # sectors of dims 7, 21, 35, ...: the cap falls before the first eigh
-    with pytest.raises(ConfigurationError, match="dim 35 is above"):
-        xxz.ChainSpectrum(3, 6.0, 0.5, w)
-    assert not calls
+    eigh = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    # sectors of dims 1, 7, 21, 35, ...
     code = cli.main(["xxz-droploc", "--half-length", "3", "--anisotropy", "6.0",
-                     "--distances", "1,2", "--out-dir", str(tmp_path)])
+                     "--distances", "1,2", "--out-dir", str(tmp_path / "ok")])
+    assert code == cli.EXIT_OK
+    assert all(n <= 30 for n, _ in calls)
+    capsys.readouterr()
+    calls.clear()
+    # full spectra: refused before any sector is solved
+    code = cli.main(["quasi-locality", "--half-length", "3", "--anisotropy",
+                     "6.0", "--block-sizes", "1,2",
+                     "--out-dir", str(tmp_path / "full")])
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "DENSE_DIAG_CAP = 20" in err[0]
-    assert not list(tmp_path.iterdir()) and not calls
+    assert len(err) == 1 and "dim 35 is above DENSE_DIAG_CAP = 30" in err[0]
+    assert not calls and not (tmp_path / "full").exists()
+    code = cli.main(["xxz-profile", "--half-length", "3", "--n-particles", "3",
+                     "--window-kind", "I", "--distances", "1,2",
+                     "--out-dir", str(tmp_path / "kind_i")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "dim 35 is above DENSE_DIAG_CAP = 30" in err[0]
+    assert not calls and not (tmp_path / "kind_i").exists()
 
 
 @pytest.mark.parametrize("command, ok, over", [
@@ -292,17 +309,20 @@ def test_oracle_cap_exits_config_before_allocating(tmp_path, capsys, monkeypatch
 
 
 def test_solver_failure_exits_numerical(tmp_path, capsys, monkeypatch):
-    # any ARPACK failure of the windowed Lanczos, not only no-convergence,
-    # on a sector (dim 21) put above the dense cap
+    # any ARPACK failure of the windowed Lanczos, not only no-convergence:
+    # a weak field keeps droplet states in the window of the dim-21 sector
+    calls = []
+
     def fails(*args, **kwargs):
+        calls.append(args)
         raise xxz.spla.ArpackError(-9999)
 
     monkeypatch.setattr(xxz.spla, "eigsh", fails)
-    monkeypatch.setattr(xxz, "DENSE_DIAG_CAP", 10)
     code = cli.main(["xxz-profile", "--half-length", "3", "--n-particles", "2",
+                     "--anisotropy", "3.0", "--disorder-coupling", "0.05",
                      "--distances", "1,2", "--realizations", "1",
                      "--out-dir", str(tmp_path)])
-    assert code == cli.EXIT_NUMERICAL
+    assert code == cli.EXIT_NUMERICAL and calls
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "realization 0" in err[0] and "ARPACK error" in err[0]
 

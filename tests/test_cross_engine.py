@@ -179,7 +179,7 @@ def test_xxz_sector_blocks_match_oracle():
         numbers = oracle.eigenstate_particle_numbers(es, 2 * L + 1)
         for n_part in range(1, min(3, 2 * L + 1) + 1):
             h = xxz.build_h_sector(n_part, L, delta, beta, w)
-            sector = np.sort(np.linalg.eigvalsh(h.dense()))
+            sector = np.sort(np.linalg.eigvalsh(h.matrix.toarray()))
             block = np.sort(es.energies[numbers == n_part])
             assert sector.size == block.size
             assert np.abs(sector - block).max() < 1e-10
@@ -207,7 +207,7 @@ def test_xxz_sector_matrix_entrywise():
     n = 2 * L + 1
     rows = [_state_index(x, L) for x in _configs(h.basis)]
     block = full.matrix[np.ix_(rows, rows)].real
-    assert np.abs(h.dense() - block).max() < 1e-12
+    assert np.abs(h.matrix.toarray() - block).max() < 1e-12
 
 
 def test_vacuum_sector_matches_oracle():
@@ -218,8 +218,49 @@ def test_vacuum_sector_matches_oracle():
     h = xxz.build_h_sector(0, L, delta, beta, w)
     assert _configs(h.basis) == [()]
     assert _state_index((), L) == 0
-    assert h.dense().tolist() == [[0.0]]
+    assert h.matrix.toarray().tolist() == [[0.0]]
     assert np.abs(full.matrix[0]).max() < 1e-12
+
+
+@pytest.mark.parametrize("half_length", [2, 3, 4, 5])
+def test_window_solver_matches_dense_eigh(monkeypatch, half_length):
+    # the droplet Schur count and Lanczos pairs against a dense eigh of
+    # every sector, for clean, weak and unit random fields
+    delta, L = 3.0, half_length
+    beta = xxz.min_boundary_weight(delta)
+    dense_dims = []
+    dense_eigh = xxz._dense_eigh
+
+    def recorded(h):
+        dense_dims.append((h.dim, int((h.basis.droplet_distance == 0).sum())))
+        return dense_eigh(h)
+
+    monkeypatch.setattr(xxz, "_dense_eigh", recorded)
+    fields = [constant_field(0.0, 2 * L + 1)]
+    for coupling in (0.1, 1.0):
+        fields += [sample_field(DisorderSpec(coupling=coupling), 2 * L + 1,
+                                PLAN, index) for index in (20, 21)]
+    states = 0
+    for w in fields:
+        for n in range(2 * L + 2):
+            h = xxz.build_h_sector(n, L, delta, beta, w)
+            vals, vecs = np.linalg.eigh(h.matrix.toarray())
+            for kind in ("I_delta", "I_0_delta"):
+                window = xxz.spectral_window(delta, 0.5, kind)
+                keep = window.contains(vals)
+                e_ref, v_ref = vals[keep], vecs[:, keep]
+                energies, vectors = xxz.eigenpairs_in_window(h, window)
+                assert energies.size == e_ref.size
+                assert np.abs(energies - e_ref).max(initial=0.0) < 1e-12
+                # each vector lies in the dense eigenspace of its energy:
+                # |<psi_dense, psi>| = 1 wherever the level is simple
+                same = np.abs(e_ref[:, None] - energies[None, :]) < 1e-8
+                weight = np.sqrt((((v_ref.T @ vectors) * same) ** 2).sum(axis=0))
+                assert np.abs(weight - 1.0).max(initial=0.0) < 1e-8
+                states += energies.size
+    assert states
+    # dense only where the droplets leave no room for k + 1 Lanczos pairs
+    assert all(dim <= droplets + 1 for dim, droplets in dense_dims)
 
 
 def test_ct_check_matches_oracle_inverse():

@@ -264,7 +264,7 @@ def test_sector_positivity_and_gap():
     for delta in (2.0, 5.0):
         w = sample_field(UNIFORM, 9, PLAN, 1)
         h = xxz.build_h_sector(3, 4, delta, xxz.min_boundary_weight(delta), w)
-        vals = np.linalg.eigvalsh(h.dense())
+        vals = np.linalg.eigvalsh(h.matrix.toarray())
         assert vals.min() >= 1.0 - 1.0 / delta - 1e-10
 
 
@@ -329,7 +329,7 @@ def test_free_sector_spectrum_confined_to_band():
     for L in (10, 25, 40):
         w = constant_field(0.0, 2 * L + 1)
         h = xxz.build_h_sector(n, L, delta, xxz.min_boundary_weight(delta), w)
-        vals = np.linalg.eigvalsh(h.dense())
+        vals = np.linalg.eigvalsh(h.matrix.toarray())
         band = xxz.droplet_band(n, delta)
         window = xxz.spectral_window(delta, kind="I")
         inside = vals[window.contains(vals)]
@@ -360,7 +360,8 @@ def test_window_certificate_at_the_upper_edge(monkeypatch, offset):
     beta = xxz.min_boundary_weight(delta)
     window = xxz.spectral_window(delta, 0.5)
     w = sample_field(DisorderSpec(coupling=0.05), 2 * L + 1, PLAN, 10)
-    vals = np.linalg.eigvalsh(xxz.build_h_sector(n, L, delta, beta, w).dense())
+    h = xxz.build_h_sector(n, L, delta, beta, w)
+    vals = np.linalg.eigvalsh(h.matrix.toarray())
     assert vals[0] < window.upper - 1e-6 and vals[1] - vals[0] > 1e-6
     shift = (window.upper + offset - vals[0]) / n
     h = xxz.build_h_sector(n, L, delta, beta, w + shift)
@@ -490,22 +491,64 @@ def test_sector_correlator_disordered():
 
 
 def test_windowed_eigenpairs_above_dense_cap(monkeypatch):
-    # force shift-invert Lanczos at dim 465 (k = 400 eigenpairs)
+    # below 2 (1 - 1/Delta) the window solver needs no dense solve: a sector
+    # of dim 465 put above the cap gives the dense window pairs
     delta = 3.0
-    w = sample_field(UNIFORM, 31, PLAN, 8)
+    w = sample_field(DisorderSpec(coupling=0.1), 31, PLAN, 8)
     h = xxz.build_h_sector(2, 15, delta, xxz.min_boundary_weight(delta), w)
-    narrow = xxz.EnergyWindow(1.0, 1.4)
-    e_dense, v_dense = xxz.eigenpairs_in_window(h, narrow)
+    window = xxz.spectral_window(delta, 0.5)
+    vals, vecs = np.linalg.eigh(h.matrix.toarray())
+    keep = window.contains(vals)
     monkeypatch.setattr(xxz, "DENSE_DIAG_CAP", 100)
-    e_sparse, v_sparse = xxz.eigenpairs_in_window(h, narrow)
-    assert e_dense.size and e_sparse.size == e_dense.size
-    for e_d, psi_d, e_s, psi_s in zip(e_dense, v_dense.T, e_sparse, v_sparse.T):
-        assert abs(e_d - e_s) < 1e-10
-        assert abs(abs(psi_d @ psi_s) - 1.0) < 1e-8
-    # the 400 eigenvalues nearest the centre cannot cover a window holding
-    # all 465
-    with pytest.raises(NumericalError):
-        xxz.eigenpairs_in_window(h, xxz.EnergyWindow(0.0, 100.0))
+    energies, vectors = xxz.eigenpairs_in_window(h, window)
+    assert energies.size == keep.sum() > 0
+    assert np.abs(energies - vals[keep]).max() < 1e-12
+    assert np.abs(np.abs((vecs[:, keep] * vectors).sum(axis=0)) - 1).max() < 1e-8
+    # window kind I reaches 2 (1 - 1/Delta): dense, so refused above the cap
+    with pytest.raises(ConfigurationError, match="DENSE_DIAG_CAP = 100"):
+        xxz.eigenpairs_in_window(h, xxz.spectral_window(delta, kind="I"))
+
+
+def test_window_certificate_rejects_inexact_solves(monkeypatch):
+    import scipy.sparse.linalg as spla
+    delta = 3.0
+    w = sample_field(DisorderSpec(coupling=0.05), 13, PLAN, 2)
+    h = xxz.build_h_sector(2, 6, delta, xxz.min_boundary_weight(delta), w)
+    window = xxz.spectral_window(delta, 0.5)
+    count = xxz.eigenpairs_in_window(h, window)[0].size
+    assert count
+    cg, eigsh = spla.cg, spla.eigsh
+
+    def cg_off_by(eps):
+        def solve(op, rhs, **kwargs):
+            x, info = cg(op, rhs, **kwargs)
+            return x + eps, info
+        return solve
+
+    # a converged-looking but wrong Schur solve: the residual exposes it
+    monkeypatch.setattr(spla, "cg", cg_off_by(1e-3))
+    with pytest.raises(NumericalError, match="window count undecided"):
+        xxz.eigenpairs_in_window(h, window)
+    monkeypatch.setattr(spla, "cg", lambda op, rhs, **kw: (0 * rhs, 500))
+    with pytest.raises(NumericalError, match="did not converge"):
+        xxz.eigenpairs_in_window(h, window)
+    monkeypatch.setattr(spla, "cg", cg)
+
+    # Lanczos pairs that miss the count, or whose residuals do not place
+    # them below the upper edge
+    def eigsh_with(shift=0.0, noise=0.0):
+        def solve(*args, **kwargs):
+            vals, vecs = eigsh(*args, **kwargs)
+            vecs = vecs + noise * np.random.default_rng(1).standard_normal(vecs.shape)
+            return vals + shift, vecs
+        return solve
+
+    monkeypatch.setattr(spla, "eigsh", eigsh_with(shift=10.0))
+    with pytest.raises(NumericalError, match=f"0 of {count} counted"):
+        xxz.eigenpairs_in_window(h, window)
+    monkeypatch.setattr(spla, "eigsh", eigsh_with(noise=1e-2))
+    with pytest.raises(NumericalError, match="residuals up to"):
+        xxz.eigenpairs_in_window(h, window)
 
 
 def test_dense_cap_fits_physical_memory():
@@ -514,7 +557,7 @@ def test_dense_cap_fits_physical_memory():
     # a dense eigh at the cap: matrix, LAPACK's copy, the syevd workspace
     # (2 n^2) and the eigenvectors, in doubles
     assert 5 * 8 * xxz.DENSE_DIAG_CAP ** 2 <= physical
-    # the largest windowed sector of the acceptance suite (c09) stays dense
+    # c09's sector (dim 2 300) can still be checked against a dense eigh
     assert xxz.DENSE_DIAG_CAP >= comb(25, 3)
 
 
