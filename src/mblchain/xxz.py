@@ -16,23 +16,26 @@ N = 0 is the sector of one empty configuration with H_0 = 0.
 
 The test suite validates everything here entrywise against the brute-force
 2^n spin Hamiltonian.  Only V_w depends on the field; the rest is the sector
-skeleton ``enumerate_basis(N, L)``, N = 0 .. 2L + 1 (positions, bitmasks
-with site s as bit s + L, hop adjacency, degrees, wall touches, droplet
-distances, occupancy), built by numpy in lexicographic order, cached and
-read-only; a build above half the physical memory is refused from
-C(2L + 1, N) before anything is allocated (ConfigurationError, CLI exit 2).
+skeleton ``enumerate_basis(N, L)``, N = 0 .. 2L + 1 (positions, the CSR
+pattern of H with its diagonal slots, degrees, wall touches, droplet
+distances; bitmasks with site s as bit s + L and occupancy on first read),
+built by numpy in lexicographic order, cached and read-only; a build above
+half the physical memory is refused from C(2L + 1, N) before anything is
+allocated (ConfigurationError, CLI exit 2).  A realization fills values in
+on the pattern and does no sparse arithmetic.
 
 On configurations of two or more clusters the potential is at least
 2 (1 - 1/Delta).  Windows below that are counted on the droplets (the split
-of Elgart-Klein-Stolz) and solved by Lanczos, and the Combes-Thomas
-resolvent by conjugate gradients, all certified; full spectra and windows
-ending at 2 (1 - 1/Delta) are solved dense.
+of Elgart-Klein-Stolz, cut from the pattern once per sector) and solved by
+Lanczos, and the Combes-Thomas resolvent by conjugate gradients, all
+certified; one CG loop solves every right-hand side of a solve at once.
+Full spectra and windows ending at 2 (1 - 1/Delta) are solved dense.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import acosh, comb, sinh, tanh, cosh
 import os
 
@@ -56,19 +59,23 @@ _CT_TOL = 1e-12  # largest certified error of a Combes-Thomas block
 @dataclass(frozen=True, eq=False)
 class SectorBasis:
     """Lexicographically ordered N-particle configurations on [-L, L] and
-    their field-independent structure, one row per configuration."""
+    their field-independent structure, one row per configuration.
+
+    ``indptr`` and ``indices`` are the CSR pattern of every sector matrix:
+    each row holds, in ascending order, the targets of a particle stepping
+    left, the row itself (its slot in ``diagonal``) and the targets of a
+    particle stepping right.  A realization only fills in values."""
 
     n_particles: int
     half_length: int
     positions: np.ndarray = field(repr=False)         # occupied sites s + L
-    masks: np.ndarray = field(repr=False)             # sum of 2^(s + L)
-    occupancy: np.ndarray = field(repr=False)         # dim x sites, bool
-    adjacency: sp.csr_matrix = field(repr=False)      # unit, symmetric
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+    diagonal: np.ndarray = field(repr=False)          # slot of (i, i)
     graph_degree: np.ndarray = field(repr=False)
     cluster_degree: np.ndarray = field(repr=False)    # 2 x number of runs
     wall_touches: np.ndarray = field(repr=False)
     droplet_distance: np.ndarray = field(repr=False)  # 0 on droplets
-    mask_order: np.ndarray = field(repr=False)        # argsort of masks
 
     @property
     def dim(self) -> int:
@@ -82,6 +89,28 @@ class SectorBasis:
     def sites(self) -> range:
         return range(-self.half_length, self.half_length + 1)
 
+    # built on first read, then cached and read-only like the rest
+    @cached_property
+    def masks(self) -> np.ndarray:  # sum of 2^(s + L), Python ints past int64
+        bits = np.array([1 << p for p in range(self.n_sites)],
+                        dtype=np.int64 if self.n_sites < 63 else object)
+        return _read_only(bits[self.positions].sum(axis=1))
+
+    @cached_property
+    def mask_order(self) -> np.ndarray:
+        return _read_only(np.argsort(self.masks))
+
+    @cached_property
+    def occupancy(self) -> np.ndarray:  # dim x sites, bool
+        occupancy = np.zeros((self.dim, self.n_sites), dtype=bool)
+        np.put_along_axis(occupancy, self.positions, True, axis=1)
+        return _read_only(occupancy)
+
+    def csr(self, data: np.ndarray) -> sp.csr_matrix:
+        """The sector matrix with the values ``data`` on the pattern."""
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=(self.dim, self.dim))
+
     def locate(self, masks) -> np.ndarray:
         """Indices of the configurations with the given bitmasks."""
         # typed first: numpy reads a list of ints above 2^63 as float64
@@ -92,23 +121,40 @@ class SectorBasis:
             raise KeyError("bitmask outside the sector")
         return found
 
+    def rank(self, configs) -> np.ndarray:
+        """Indices of configurations given by their sites in [-L, L], in any
+        order: dim - 1 - sum_i C(n - 1 - x_i, N - i), x_i + L ascending."""
+        n, N, out = self.n_sites, self.n_particles, []
+        for x in configs:
+            p = sorted({int(s) + self.half_length for s in x})
+            if len(x) != N or len(p) != N or any(not 0 <= q < n for q in p):
+                raise KeyError(f"configuration {tuple(x)} outside the sector")
+            out.append(self.dim - 1 - sum(comb(n - 1 - q, N - i)
+                                          for i, q in enumerate(p)))
+        return np.array(out, dtype=np.int64)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
 
 @lru_cache(maxsize=32)
 def enumerate_basis(n_particles: int, half_length: int) -> SectorBasis:
-    """The N-particle skeleton on [-L, L]: lexicographic positions built
-    column by column, hop targets from the rank; a ConfigurationError from
-    C(2L + 1, N) alone when the build would hold over half the memory."""
+    """The N-particle skeleton on [-L, L]: lexicographic positions and the
+    hop targets of the pattern, both built column by column, the targets
+    from the rank; a ConfigurationError from C(2L + 1, N) alone when the
+    skeleton would hold over half the memory."""
     L = half_length
     n_sites = 2 * L + 1
     if not 0 <= n_particles <= n_sites:
         raise ConfigurationError(
             f"particle number {n_particles} out of range for [-{L}, {L}]")
     dim = comb(n_sites, n_particles)
-    # peak bytes, while the hop matrix is summed: per configuration positions
-    # (8 N), occupancy (n_sites), mask and a few words (128, a Python-int mask
-    # included), and per hop (at most N) about 112: source, slot, target and
-    # their index temporaries, unit weight, COO and CSR of both triangles
-    need = dim * (128 + n_sites + 120 * n_particles)
+    # peak bytes per configuration: positions (8 N), occupancy when read
+    # (n_sites), a mask and a few words (128, a Python-int mask included),
+    # and the pattern's fill: 2N + 1 int32 targets, free flags and indices
+    need = dim * (128 + n_sites + 32 * n_particles)
     if need > _HALF_MEMORY:
         raise ConfigurationError(
             f"sector of {dim} configurations needs about {need / 2**30:.3g} GiB"
@@ -123,39 +169,48 @@ def enumerate_basis(n_particles: int, half_length: int) -> SectorBasis:
         start = np.cumsum(count) - count  # first successor of each row
         last = np.arange(rows.size) + np.repeat(last + 1 - start, count)
         pos = np.column_stack([pos[rows], last])
-    occupancy = np.zeros((dim, n_sites), dtype=bool)
-    np.put_along_axis(occupancy, pos, True, axis=1)
-    # Python ints once the chain outgrows int64
-    bits = np.array([1 << p for p in range(n_sites)],
-                    dtype=np.int64 if n_sites < 63 else object)
-    masks = bits[pos].sum(axis=1)
-    # every hop pair once, as a particle stepping right onto a free site.
+    # the pattern in CSR row order: particle s stepping left at column s, the
+    # row itself at N, particle s stepping right at 2N - s, kept where `free`.
     # The rank of x is dim - 1 - sum_i C(n - 1 - x_i, N - i), so x_s -> x_s + 1
-    # adds C(n - 2 - x_s, j) = ways[j, n - 2 - x_s - j], j = N - 1 - s, with
-    # ways[j, k] = C(j + k, j) (Pascal's rule as cumulative sums; each <= dim)
-    src, slot = np.nonzero(np.diff(pos, axis=1, append=n_sites) > 1)
-    ways = np.ones((n_particles, n_sites - n_particles), dtype=np.int64)
+    # adds C(n - 2 - x_s, j) = ways[j, n - 2 - x_s - j], j = N - 1 - s, and
+    # x_s -> x_s - 1 subtracts ways[j, n - 1 - x_s - j]; ways[j, k] = C(j + k,
+    # j) by Pascal's rule, each <= dim (blocked steps read its last column)
+    n_cols = 2 * n_particles + 1
+    index = np.int32 if dim * n_cols <= np.iinfo(np.int32).max else np.int64
+    ways = np.ones((n_particles, n_sites - n_particles + 1), dtype=index)
     for i in range(1, n_particles):
         ways[i] = np.cumsum(ways[i - 1])
-    j = n_particles - 1 - slot
-    dst = src + ways[j, n_sites - 2 - pos[src, slot] - j]
-    upper = sp.coo_matrix((np.ones(src.size), (src, dst)), shape=(dim, dim))
-    adjacency = (upper + upper.T).tocsr()
-    # x_i - i is nondecreasing and constant exactly on droplets; its median
-    # (none in the vacuum) is the start of the nearest droplet
-    shifted = pos - np.arange(n_particles)
+    rank = np.arange(dim, dtype=index)
+    targets = np.empty((dim, n_cols), dtype=index)
+    free = np.ones((dim, n_cols), dtype=bool)
+    targets[:, n_particles] = rank
+    # per row: left steps, all steps, runs (particle 0 and every particle
+    # with a free site left of it start one), and the distance to the nearest
+    # droplet: x_s - s is nondecreasing, constant exactly on droplets, and its
+    # median m starts the nearest one, so the distance is sum |x_s - s - m|
+    n_left, degree, distance = (np.zeros(dim, dtype=np.int64) for _ in range(3))
+    runs = np.full(dim, min(n_particles, 1))
     median = (n_particles - 1) // 2
+    for s in range(n_particles):
+        x, j = pos[:, s], n_particles - 1 - s
+        free[:, s] = left = x - (pos[:, s - 1] if s else -1) > 1
+        free[:, n_cols - 1 - s] = right = (pos[:, s + 1] if j else n_sites) - x > 1
+        n_left += left
+        degree += left
+        degree += right
+        if s:
+            runs += left
+        k = n_sites - 2 - j - x
+        targets[:, s] = rank - ways[j, k + 1]
+        targets[:, n_cols - 1 - s] = rank + ways[j, k]
+        distance += np.abs(x - s - pos[:, median] + median)
+    indptr = np.concatenate([[0], np.cumsum(degree + 1)]).astype(index)
     arrays = dict(
-        positions=pos, masks=masks, occupancy=occupancy,
-        graph_degree=np.diff(adjacency.indptr),
-        cluster_degree=2 * (np.diff(pos, axis=1, prepend=-2) > 1).sum(axis=1),
-        wall_touches=(pos == 0).sum(axis=1) + (pos == n_sites - 1).sum(axis=1),
-        droplet_distance=np.abs(
-            shifted - shifted[:, median:median + 1]).sum(axis=1),
-        mask_order=np.argsort(masks))
-    for a in (*arrays.values(), adjacency.data, adjacency.indices, adjacency.indptr):
-        a.flags.writeable = False
-    return SectorBasis(n_particles, L, adjacency=adjacency, **arrays)
+        positions=pos, indptr=indptr, indices=targets[free],
+        diagonal=indptr[:-1] + n_left, graph_degree=degree, cluster_degree=2 * runs,
+        wall_touches=(pos[:, :1] == 0).sum(axis=1) + (pos[:, -1:] == n_sites - 1).sum(axis=1),
+        droplet_distance=distance)
+    return SectorBasis(n_particles, L, **{k: _read_only(a) for k, a in arrays.items()})
 
 
 def set_distance(a, b) -> int:
@@ -175,6 +230,8 @@ def set_distance(a, b) -> int:
 class SectorHamiltonian:
     basis: SectorBasis
     anisotropy: float
+    # values on the basis's pattern (build_h_sector); the window count and
+    # ct_check read them slot by slot
     matrix: sp.csr_matrix = field(repr=False)
 
     @property
@@ -203,13 +260,15 @@ def build_h_sector(n_particles: int, half_length: int, anisotropy: float,
         raise ConfigurationError("XXZ requires a nonnegative field")
 
     basis = enumerate_basis(n_particles, L)
+    if not n_particles:  # H_0 = 0 stores no entry
+        return SectorHamiltonian(basis, anisotropy, sp.csr_matrix((1, 1)))
     cluster_weight = min_boundary_weight(anisotropy)
-    diag = (basis.graph_degree / (2.0 * anisotropy)
-            + cluster_weight * basis.cluster_degree
-            + w[basis.positions].sum(axis=1)
-            + (boundary_weight - cluster_weight) * basis.wall_touches)
-    matrix = sp.diags(diag) - basis.adjacency / (2.0 * anisotropy)
-    return SectorHamiltonian(basis, anisotropy, matrix)
+    data = np.full(basis.indices.size, -1.0 / (2.0 * anisotropy))
+    data[basis.diagonal] = (basis.graph_degree / (2.0 * anisotropy)
+                            + cluster_weight * basis.cluster_degree
+                            + w[basis.positions].sum(axis=1)
+                            + (boundary_weight - cluster_weight) * basis.wall_touches)
+    return SectorHamiltonian(basis, anisotropy, basis.csr(data))
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +335,70 @@ def _dense_eigh(h: SectorHamiltonian):
         raise NumericalError(f"dense eigensolver failed: {exc}")
 
 
+def _cg(op, rhs: np.ndarray):
+    """Conjugate gradients on op x = b for each row b of rhs, with one sparse
+    product per step over the rows still running.  Each row keeps scipy's
+    cg arithmetic (x0 = 0, its own alpha and beta by np.dot on contiguous
+    rows, stop at |r| < eps |b|, at most 10 dim steps), so its solution is
+    scipy's bit for bit.  Returns the solutions and how many rows failed."""
+    def dots(a, b):  # np.dot per row: matmul of 1 x n by n x 1 is that dot
+        return np.matmul(a[:, None, :], b[:, :, None]).ravel()
+
+    x = np.zeros_like(rhs)
+    norms = np.sqrt(dots(rhs, rhs))
+    run = np.flatnonzero(norms > 0)  # b = 0 is solved by x = 0
+    tol, xr, r = np.finfo(float).eps * norms[run], x[run], rhs[run]
+    for step in range(10 * rhs.shape[1]):
+        rho = dots(r, r)
+        done = np.sqrt(rho) < tol
+        if done.any():
+            x[run[done]] = xr[done]
+            run, tol, xr, r, rho = (a[~done] for a in (run, tol, xr, r, rho))
+            if step:
+                p, rho_prev = p[~done], rho_prev[~done]
+        if not run.size:
+            break
+        if step:
+            p *= (rho / rho_prev)[:, None]
+            p += r
+        else:
+            p = r.copy()
+        q = np.ascontiguousarray((op @ p.T).T)
+        alpha = rho / dots(p, q)
+        xr += alpha[:, None] * p
+        r -= alpha[:, None] * q
+        rho_prev = rho
+    x[run] = xr
+    return x, run.size
+
+
 def _certified_cg(op, rhs: np.ndarray, floor: float):
-    """CG on each column of op X = rhs to working precision, and the bound
-    |rhs - op X|_F / floor on |X - op^-1 rhs|_2 if min spec op >= floor > 0."""
-    sol = np.empty_like(rhs)
-    for col in range(rhs.shape[1]):
-        sol[:, col], info = spla.cg(op, rhs[:, col], rtol=np.finfo(float).eps,
-                                    atol=0.0)
-        if info != 0:
-            raise NumericalError(f"conjugate gradients did not converge (info {info})")
-    return sol, float(np.linalg.norm(rhs - op @ sol)) / floor
+    """_cg on each row of rhs, and the bound |rhs - X op|_F / floor on
+    |X - rhs op^-1|_2 if min spec op >= floor > 0."""
+    sol, failed = _cg(op, rhs)
+    if failed:
+        raise NumericalError(f"conjugate gradients did not converge"
+                             f" ({failed} of {len(rhs)} right-hand sides)")
+    return sol, float(np.linalg.norm(rhs - (op @ sol.T).T)) / floor
+
+
+@lru_cache(maxsize=32)
+def _droplet_split(n_particles: int, half_length: int):
+    """A_TT, A_ST and A_SS as parts of the sector pattern, for the droplets S
+    and the rest T: per block the slots it takes its values from, its CSR
+    indices and row pointers, and its shape."""
+    basis = enumerate_basis(n_particles, half_length)
+    t = basis.droplet_distance > 0
+    local = (np.where(t, np.cumsum(t), np.cumsum(~t)) - 1).astype(basis.indices.dtype)
+    rows = np.repeat(np.arange(basis.dim), np.diff(basis.indptr))
+    blocks = []
+    for r, c in ((t, t), (~t, t), (~t, ~t)):
+        slots = np.flatnonzero(r[rows] & c[basis.indices])
+        counts = np.bincount(rows[slots], minlength=basis.dim)[r]
+        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(local.dtype)
+        arrays = (slots, local[basis.indices[slots]], indptr)
+        blocks.append((*map(_read_only, arrays), (int(r.sum()), int(c.sum()))))
+    return blocks
 
 
 def eigenpairs_in_window(h: SectorHamiltonian, window: EnergyWindow):
@@ -306,12 +419,18 @@ def eigenpairs_in_window(h: SectorHamiltonian, window: EnergyWindow):
     if floor <= 0 or t.sum() <= 1:
         vals, vecs = _dense_eigh(h)
     else:
-        a = (h.matrix - upper * sp.identity(h.dim)).tocsr()
-        a_st = a[~t][:, t]
-        x, error = _certified_cg(a[t][:, t], a_st.T.toarray(), floor)
-        schur = a[~t][:, ~t].toarray() - a_st @ x
+        a = h.matrix.data.copy()
+        a[h.basis.diagonal] -= upper
+        a_tt, a_st, a_ss = (
+            sp.csr_matrix((a[slots], indices, indptr), shape=shape)
+            for slots, indices, indptr, shape
+            in _droplet_split(h.basis.n_particles, h.basis.half_length))
+        x, error = _certified_cg(a_tt, a_st.toarray(), floor)
+        schur = a_ss.toarray() - a_st @ x.T
         c = np.linalg.eigvalsh(0.5 * (schur + schur.T))
-        bound = spla.norm(a_st) * error  # on the error of each eigenvalue of C
+        # each eigenvalue of C is off by at most |A_ST|_F error, and every
+        # entry of A_ST is a hop -1/(2 Delta)
+        bound = np.sqrt(a_st.nnz) / (2.0 * h.anisotropy) * error
         if np.abs(c).min() <= bound:
             raise NumericalError(f"window count undecided at error {bound:.2e}")
         k = int((c < 0).sum())
@@ -392,20 +511,17 @@ def ct_check(h: SectorHamiltonian, energy: float, safety: float,
     if not set_a or not set_b:
         raise ConfigurationError("both configuration sets must be nonempty")
     basis = h.basis
-
-    def rows(configs):
-        return np.sort(basis.locate(
-            [sum(1 << (int(s) + basis.half_length) for s in x) for x in configs]))
-
-    idx_a, idx_b = rows(set_a), rows(set_b)
-    shift = np.where(basis.droplet_distance == 0, gap, 0.0)
-    op = (h.matrix + sp.diags(shift - energy)).tocsr()
-    rhs = np.zeros((h.dim, idx_b.size))
-    rhs[idx_b, np.arange(idx_b.size)] = 1.0
-    sol, error = _certified_cg(op, rhs, safety * gap)
+    if not basis.n_particles:
+        raise ConfigurationError("Combes-Thomas decay needs at least one particle")
+    idx_a, idx_b = np.sort(basis.rank(set_a)), np.sort(basis.rank(set_b))
+    data = h.matrix.data.copy()
+    data[basis.diagonal] += np.where(basis.droplet_distance == 0, gap, 0.0) - energy
+    rhs = np.zeros((idx_b.size, h.dim))
+    rhs[np.arange(idx_b.size), idx_b] = 1.0
+    sol, error = _certified_cg(basis.csr(data), rhs, safety * gap)
     if error > _CT_TOL:
         raise NumericalError(f"certified resolvent error {error:.2e} > {_CT_TOL}")
-    measured = float(np.linalg.norm(sol[idx_a, :], 2))
+    measured = float(np.linalg.norm(sol[:, idx_a].T, 2))
     d = set_distance(basis.positions[idx_a], basis.positions[idx_b])
     rate_base = 1.0 + safety * (delta_aniso - 1.0) / 8.0
     prefactor = 16.0 * delta_aniso / (safety * (delta_aniso - 1.0))

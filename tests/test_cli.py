@@ -328,12 +328,10 @@ def test_solver_failure_exits_numerical(tmp_path, capsys, monkeypatch):
 
 
 def test_ct_solver_failure_exits_numerical(tmp_path, capsys, monkeypatch):
-    import scipy.sparse.linalg as spla
+    def stalls(op, rhs):
+        return np.zeros_like(rhs), len(rhs)
 
-    def stalls(op, rhs, **kwargs):
-        return np.zeros_like(rhs), 500
-
-    monkeypatch.setattr(spla, "cg", stalls)
+    monkeypatch.setattr(xxz, "_cg", stalls)
     code = cli.main(["xxz-ct", "--half-length", "3", "--n-particles", "2",
                      "--realizations", "2", "--out-dir", str(tmp_path)])
     assert code == cli.EXIT_NUMERICAL

@@ -131,15 +131,19 @@ def test_sector_skeleton_matches_naive_definitions(n_particles, half_length):
     dim = comb(2 * L + 1, n_particles)
     assert np.array_equal(basis.positions, np.array(
         list(combinations(range(2 * L + 1), n_particles))).reshape(dim, n_particles))
-    reference = mask_adjacency(basis)
-    for name in ("indptr", "indices", "data"):
-        got, want = getattr(basis.adjacency, name), getattr(reference, name)
+    # the pattern is the hop adjacency plus the diagonal
+    reference = (mask_adjacency(basis) + sp.identity(dim)).tocsr()
+    for name in ("indptr", "indices"):
+        got, want = getattr(basis, name), getattr(reference, name)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+    rows = np.repeat(np.arange(dim), np.diff(basis.indptr))
+    assert np.array_equal(basis.indices[basis.diagonal], np.arange(dim))
+    assert np.array_equal(rows[basis.diagonal], np.arange(dim))
     edges = {(i, j) for i, x in enumerate(configs)
              for j in basis.locate([mask(y, basis) for y in neighbors(x, basis)])}
-    adjacency = basis.adjacency.tocoo()
-    assert set(zip(adjacency.row.tolist(), adjacency.col.tolist())) == edges
-    assert adjacency.nnz == len(edges) and (adjacency.data == 1.0).all()
+    hop = rows != basis.indices
+    assert set(zip(rows[hop].tolist(), basis.indices[hop].tolist())) == edges
+    assert hop.sum() == len(edges) and hop.size == len(edges) + dim
     # the empty configuration is its own droplet
     droplets = [x for x in configs if not x or x[-1] - x[0] == n_particles - 1]
     for i, x in enumerate(configs):
@@ -150,13 +154,15 @@ def test_sector_skeleton_matches_naive_definitions(n_particles, half_length):
         assert basis.occupancy[i].tolist() == [s in x for s in basis.sites]
         assert basis.masks[i] == mask(x, basis)
     assert basis.locate(basis.masks).tolist() == list(range(basis.dim))
+    assert basis.rank(configs).tolist() == list(range(basis.dim))
     # the first case is the vacuum and the last fills the chain: one
     # configuration, no hops
     if n_particles in (0, 2 * L + 1):
-        assert basis.dim == 1 and basis.adjacency.nnz == 0
-    arrays = (basis.positions, basis.masks, basis.occupancy,
-              basis.adjacency.data, basis.adjacency.indices,
-              basis.adjacency.indptr, basis.graph_degree, basis.cluster_degree,
+        assert basis.dim == 1 and basis.indices.tolist() == [0]
+    # masks, mask_order and occupancy are built on first read
+    arrays = (basis.positions, basis.masks, basis.mask_order, basis.occupancy,
+              basis.indptr, basis.indices, basis.diagonal,
+              basis.graph_degree, basis.cluster_degree,
               basis.wall_touches, basis.droplet_distance)
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
@@ -189,6 +195,22 @@ def test_skeleton_cap_refuses_before_allocating(monkeypatch):
         xxz.enumerate_basis.__wrapped__(3, 4)
     assert not calls
     assert xxz.enumerate_basis.__wrapped__(1, 4).dim == 9 and calls
+
+
+def test_ct_path_reads_no_bitmasks_or_occupancy():
+    # the lookups a Combes-Thomas check never needs are built on first read
+    xxz.enumerate_basis.cache_clear()
+    w = sample_field(UNIFORM, 9, PLAN, 7)
+    h = xxz.build_h_sector(2, 4, 2.0, 0.25, w)
+    xxz.ct_check(h, 0.5, 0.5, [(-4, -3)], [(2, 4)])
+    assert not {"masks", "mask_order", "occupancy"} & set(vars(h.basis))
+    # rank finds configurations by their sites, in any order
+    basis = h.basis
+    i = basis.rank([(4, -2)])[0]
+    assert basis.locate([mask((-2, 4), basis)]).tolist() == [i]
+    for bad in ((0,), (0, 0), (0, 5), (-5, 0), (0, 1, 2)):
+        with pytest.raises(KeyError):
+            basis.rank([bad])
 
 
 def test_set_distances_agree():
@@ -410,6 +432,9 @@ def test_ct_check_bound_holds_and_closed_form():
     assert xxz.ct_check(h, 0.6, safety, [(-7, -8)], [(8, 6)]) == (measured, bound)
     with pytest.raises(ConfigurationError):
         xxz.ct_check(h, 0.9, safety, a, b)  # energy above the window
+    vacuum = xxz.build_h_sector(0, 8, delta, xxz.min_boundary_weight(delta), w)
+    with pytest.raises(ConfigurationError, match="particle"):
+        xxz.ct_check(vacuum, 0.6, safety, [()], [()])
     for bad in (0.0, -0.5):
         with pytest.raises(ConfigurationError, match="safety"):
             xxz.ct_check(h, 0.0, bad, a, b)
@@ -434,30 +459,71 @@ def test_ct_shifted_operator_floor_on_c08_cells():
             assert lowest >= safety * gap
 
 
+def cg_off_by(eps):
+    """xxz._cg with every solution entry moved by eps."""
+    cg = xxz._cg
+
+    def solve(op, rhs):
+        x, failed = cg(op, rhs)
+        return x + eps, failed
+    return solve
+
+
 def test_ct_check_certificate_rejects_inexact_solves(monkeypatch):
-    import scipy.sparse.linalg as spla
     delta, safety = 2.0, 0.5
     w = sample_field(UNIFORM, 9, PLAN, 7)
     h = xxz.build_h_sector(2, 4, delta, xxz.min_boundary_weight(delta), w)
     a, b = [(-4, -3)], [(2, 4)]
-    cg = spla.cg
-
-    def off_by(eps):
-        def solve(op, rhs, **kwargs):
-            x, info = cg(op, rhs, **kwargs)
-            return x + eps, info
-        return solve
-
     # a converged-looking but wrong solution: the residual exposes it
-    monkeypatch.setattr(spla, "cg", off_by(1e-9))
+    monkeypatch.setattr(xxz, "_cg", cg_off_by(1e-9))
     with pytest.raises(NumericalError, match="certified resolvent error"):
         xxz.ct_check(h, 0.5, safety, a, b)
     # an error within a (loosened) tolerance that still covers the bound
     # leaves pass/fail undecided
     monkeypatch.setattr(xxz, "_CT_TOL", 1e6)
-    monkeypatch.setattr(spla, "cg", off_by(10.0))
+    monkeypatch.setattr(xxz, "_cg", cg_off_by(10.0))
     with pytest.raises(NumericalError, match="within the certified error"):
         xxz.ct_check(h, 0.5, safety, a, b)
+    monkeypatch.setattr(xxz, "_cg", lambda op, rhs: (0 * rhs, len(rhs)))
+    with pytest.raises(NumericalError, match="did not converge"):
+        xxz.ct_check(h, 0.5, safety, a, b)
+
+
+@pytest.mark.parametrize("n_particles", [3, 4])
+def test_cg_matches_scipy_bit_for_bit(n_particles):
+    # single right-hand sides on ct_check's shifted operator K at L = 12 give
+    # scipy's cg solution exactly, and a block gives its rows' solutions
+    import scipy.sparse.linalg as spla
+    delta, safety = 2.0, 0.5
+    gap = 1.0 - 1.0 / delta
+    beta = xxz.min_boundary_weight(delta)
+    rng = np.random.default_rng(n_particles)
+    for seed in range(4):
+        w = sample_field(UNIFORM, 25, PLAN, 30 + seed)
+        h = xxz.build_h_sector(n_particles, 12, delta, beta, w)
+        shift = np.where(h.basis.droplet_distance == 0, gap, 0.0)
+        energy = rng.uniform(0.0, (2.0 - safety) * gap)
+        op = (h.matrix + sp.diags(shift - energy)).tocsr()
+        b = np.zeros(h.dim)
+        b[rng.integers(h.dim)] = 1.0
+        x, failed = xxz._cg(op, b[None, :])
+        want, info = spla.cg(op, b, rtol=np.finfo(float).eps, atol=0.0)
+        assert failed == 0 == info and np.array_equal(x[0], want)
+    # rows that converge at different steps, and a zero row
+    rhs = np.zeros((5, h.dim))
+    rhs[[0, 1, 2], rng.integers(h.dim, size=3)] = 1.0
+    rhs[3] = rhs[0] - 2.0 * rhs[1]
+    block, failed = xxz._cg(op, rhs)
+    assert failed == 0 and not block[4].any()
+    for b, x in zip(rhs, block):
+        assert np.array_equal(xxz._cg(op, b[None, :])[0][0], x)
+
+    class NoProduct:
+        def __matmul__(self, other):
+            raise AssertionError("a product with nothing left to solve")
+
+    # zero right-hand sides are solved by x = 0, with no step
+    assert xxz._cg(NoProduct(), np.zeros((2, 5)))[1] == 0
 
 
 def _sector_correlator(h, window, j, k):
@@ -517,22 +583,16 @@ def test_window_certificate_rejects_inexact_solves(monkeypatch):
     window = xxz.spectral_window(delta, 0.5)
     count = xxz.eigenpairs_in_window(h, window)[0].size
     assert count
-    cg, eigsh = spla.cg, spla.eigsh
-
-    def cg_off_by(eps):
-        def solve(op, rhs, **kwargs):
-            x, info = cg(op, rhs, **kwargs)
-            return x + eps, info
-        return solve
+    cg, eigsh = xxz._cg, spla.eigsh
 
     # a converged-looking but wrong Schur solve: the residual exposes it
-    monkeypatch.setattr(spla, "cg", cg_off_by(1e-3))
+    monkeypatch.setattr(xxz, "_cg", cg_off_by(1e-3))
     with pytest.raises(NumericalError, match="window count undecided"):
         xxz.eigenpairs_in_window(h, window)
-    monkeypatch.setattr(spla, "cg", lambda op, rhs, **kw: (0 * rhs, 500))
+    monkeypatch.setattr(xxz, "_cg", lambda op, rhs: (0 * rhs, len(rhs)))
     with pytest.raises(NumericalError, match="did not converge"):
         xxz.eigenpairs_in_window(h, window)
-    monkeypatch.setattr(spla, "cg", cg)
+    monkeypatch.setattr(xxz, "_cg", cg)
 
     # Lanczos pairs that miss the count, or whose residuals do not place
     # them below the upper edge
