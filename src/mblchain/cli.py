@@ -418,7 +418,7 @@ def _validate_checks():
         full = oracle.build_full("xxz", w, anisotropy=delta, boundary_weight=0.5)
         es = oracle.diagonalize_full(full)
         numbers = oracle.eigenstate_particle_numbers(es, 2 * L + 1)
-        sector_vals = np.sort(np.linalg.eigvalsh(h.matrix.toarray()))
+        sector_vals = np.sort(np.linalg.eigvalsh(h.basis.dense(h.data)))
         full_vals = np.sort(es.energies[numbers == n_part])
         return float(np.abs(sector_vals - full_vals).max()), 1e-10
 

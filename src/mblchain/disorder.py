@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # lazy in numpy; loaded here, not in the first draw
 
 from .errors import ConfigurationError
 

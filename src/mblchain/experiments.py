@@ -10,6 +10,7 @@ log-slopes with standard regression confidence intervals.
 
 from __future__ import annotations
 
+import importlib
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -116,6 +117,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"{self.kind} needs a nonempty time_grid")
         if "sup_samples" in reads and self.sup_samples < 1:
             raise ConfigurationError(f"{self.kind} needs sup_samples >= 1")
+        if SCIPY[self.kind]:  # here, so no import lands inside a realization
+            importlib.import_module(SCIPY[self.kind])
 
     def effective_boundary_weight(self) -> float:
         if self.boundary_weight is not None:
@@ -428,6 +431,17 @@ READS = {kind: frozenset(names.split()) for kind, names in {
     # a resolvent at energies sampled below (2 - safety) * gap: no window
     "ct_pass": "half_length anisotropy boundary_weight safety n_particles",
 }.items()}
+
+# per kind, the scipy subpackage its realizations call (quasi_locality's
+# dense spectra are numpy's), imported when a config of the kind is validated
+SCIPY = {
+    **dict.fromkeys(("eigencorrelator", "dynamical_kernel", "entropy_sup",
+                     "quench_entropy", "xy_commutator"), "scipy.linalg"),
+    **dict.fromkeys(("droplet_localization", "sector_correlator",
+                     "droplet_profile", "xxz_commutator"), "scipy.sparse.linalg"),
+    "ct_pass": "scipy.sparse",
+    "quasi_locality": None,
+}
 
 # kinds averaging over every site pair (j, j + d) of the chain
 _DISTANCE_KINDS = frozenset({"droplet_localization", "sector_correlator"})

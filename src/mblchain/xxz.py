@@ -22,7 +22,8 @@ distances; bitmasks with site s as bit s + L and occupancy on first read),
 built by numpy in lexicographic order, cached and read-only; a build above
 half the physical memory is refused from C(2L + 1, N) before anything is
 allocated (ConfigurationError, CLI exit 2).  A realization fills values in
-on the pattern and does no sparse arithmetic.
+on the pattern and does no sparse arithmetic; the dense matrix (numpy) and
+the CSR (scipy.sparse, built on first read) are both made from those values.
 
 On configurations of two or more clusters the potential is at least
 2 (1 - 1/Delta).  Windows below that are counted on the droplets (the split
@@ -40,8 +41,6 @@ from math import acosh, comb, sinh, tanh, cosh
 import os
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, DegeneracyError, NumericalError
 
@@ -106,10 +105,18 @@ class SectorBasis:
         np.put_along_axis(occupancy, self.positions, True, axis=1)
         return _read_only(occupancy)
 
-    def csr(self, data: np.ndarray) -> sp.csr_matrix:
+    def csr(self, data: np.ndarray):
         """The sector matrix with the values ``data`` on the pattern."""
-        return sp.csr_matrix((data, self.indices, self.indptr),
-                             shape=(self.dim, self.dim))
+        from scipy.sparse import csr_matrix
+        return csr_matrix((data, self.indices, self.indptr),
+                          shape=(self.dim, self.dim))
+
+    def dense(self, data: np.ndarray) -> np.ndarray:
+        """The same matrix as a dense array; the pattern holds no duplicate
+        entry, so this is csr(data).toarray() bit for bit."""
+        a = np.zeros((self.dim, self.dim))
+        a[np.repeat(np.arange(self.dim), np.diff(self.indptr)), self.indices] = data
+        return a
 
     def locate(self, masks) -> np.ndarray:
         """Indices of the configurations with the given bitmasks."""
@@ -226,17 +233,23 @@ def set_distance(a, b) -> int:
 # ---------------------------------------------------------------------------
 # sector Hamiltonian
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectorHamiltonian:
     basis: SectorBasis
     anisotropy: float
-    # values on the basis's pattern (build_h_sector); the window count and
-    # ct_check read them slot by slot
-    matrix: sp.csr_matrix = field(repr=False)
+    # values on the basis's pattern (build_h_sector); the dense solves, the
+    # window count and ct_check read them slot by slot
+    data: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
         return self.basis.dim
+
+    @cached_property
+    def matrix(self):
+        """The CSR matrix, built on first read; H_0 = 0 stores no entry."""
+        from scipy.sparse import csr_matrix
+        return self.basis.csr(self.data) if self.basis.n_particles else csr_matrix((1, 1))
 
 
 def min_boundary_weight(anisotropy: float) -> float:
@@ -260,15 +273,13 @@ def build_h_sector(n_particles: int, half_length: int, anisotropy: float,
         raise ConfigurationError("XXZ requires a nonnegative field")
 
     basis = enumerate_basis(n_particles, L)
-    if not n_particles:  # H_0 = 0 stores no entry
-        return SectorHamiltonian(basis, anisotropy, sp.csr_matrix((1, 1)))
     cluster_weight = min_boundary_weight(anisotropy)
     data = np.full(basis.indices.size, -1.0 / (2.0 * anisotropy))
     data[basis.diagonal] = (basis.graph_degree / (2.0 * anisotropy)
                             + cluster_weight * basis.cluster_degree
                             + w[basis.positions].sum(axis=1)
                             + (boundary_weight - cluster_weight) * basis.wall_touches)
-    return SectorHamiltonian(basis, anisotropy, basis.csr(data))
+    return SectorHamiltonian(basis, anisotropy, data)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +341,7 @@ def require_dense(dim: int):
 def _dense_eigh(h: SectorHamiltonian):
     require_dense(h.dim)
     try:
-        return np.linalg.eigh(h.matrix.toarray())
+        return np.linalg.eigh(h.basis.dense(h.data))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense eigensolver failed: {exc}")
 
@@ -419,10 +430,12 @@ def eigenpairs_in_window(h: SectorHamiltonian, window: EnergyWindow):
     if floor <= 0 or t.sum() <= 1:
         vals, vecs = _dense_eigh(h)
     else:
-        a = h.matrix.data.copy()
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.linalg import ArpackError, eigsh
+        a = h.data.copy()
         a[h.basis.diagonal] -= upper
         a_tt, a_st, a_ss = (
-            sp.csr_matrix((a[slots], indices, indptr), shape=shape)
+            csr_matrix((a[slots], indices, indptr), shape=shape)
             for slots, indices, indptr, shape
             in _droplet_split(h.basis.n_particles, h.basis.half_length))
         x, error = _certified_cg(a_tt, a_st.toarray(), floor)
@@ -439,8 +452,8 @@ def eigenpairs_in_window(h: SectorHamiltonian, window: EnergyWindow):
         # fixed pseudo-random start: bit-identical reruns, no symmetry class missed
         v0 = np.random.default_rng(0).standard_normal(h.dim)
         try:
-            vals, vecs = spla.eigsh(h.matrix, k=k + 1, which="SA", v0=v0)
-        except spla.ArpackError as exc:
+            vals, vecs = eigsh(h.matrix, k=k + 1, which="SA", v0=v0)
+        except ArpackError as exc:
             raise NumericalError(f"windowed eigensolver failed: {exc}")
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
@@ -514,7 +527,7 @@ def ct_check(h: SectorHamiltonian, energy: float, safety: float,
     if not basis.n_particles:
         raise ConfigurationError("Combes-Thomas decay needs at least one particle")
     idx_a, idx_b = np.sort(basis.rank(set_a)), np.sort(basis.rank(set_b))
-    data = h.matrix.data.copy()
+    data = h.data.copy()
     data[basis.diagonal] += np.where(basis.droplet_distance == 0, gap, 0.0) - energy
     rhs = np.zeros((idx_b.size, h.dim))
     rhs[np.arange(idx_b.size), idx_b] = 1.0
@@ -654,6 +667,28 @@ def windowed_commutator_norms(energies, x_mat, y_mat, time_grid):
 
 # -- quasi-locality of the dynamics -----------------------------------------
 
+@lru_cache(maxsize=32)
+def _trace_classes(half_length: int, site: int, ell: int):
+    """Number of inner sites of S = [site - ell, site + ell] and, per
+    sector n, its configurations split by inner weight k: {k: members}, the
+    members ordered by (outer, inner) pattern.  Every weight k from
+    max(0, n - n_outer) to min(n, n_inner) occurs."""
+    L = half_length
+    lo = max(-L, site - ell) + L
+    n_inner = min(L, site + ell) + L + 1 - lo
+    n_outer = 2 * L + 1 - n_inner
+    inner = (1 << n_inner) - 1
+    tables = {}
+    for n in range(2 * L + 2):
+        basis = enumerate_basis(n, L)
+        order = np.lexsort(((basis.masks >> lo) & inner,
+                            basis.masks & ~(inner << lo)))
+        weight = basis.occupancy[order, lo:lo + n_inner].sum(axis=1)
+        tables[n] = {k: _read_only(order[weight == k])
+                     for k in range(max(0, n - n_outer), min(n, n_inner) + 1)}
+    return n_inner, tables
+
+
 class QuasiLocalityProbe:
     """Windowed error of the conditional-expectation approximant of
     tau_t(N_site), truncated to sites within distance ell of the site.
@@ -687,7 +722,6 @@ class QuasiLocalityProbe:
         self._spectra = {n: chain.spectrum(n) for n in chain.sectors}
         self.energies, self._number = chain.window_number_operator(window, site)
         self._blocks = chain.window_blocks(window)[1]
-        self._tables = {}
 
     def _evolved(self, t: float):
         """Per sector the factor C of tau_t(X) = C C^dagger, and tau_t(X) on
@@ -702,47 +736,26 @@ class QuasiLocalityProbe:
             factors[n] = re_im[:, :wt.shape[1]] + 1j * re_im[:, wt.shape[1]:]
         return factors, evolve_window_observable(self.energies, self._number, t)
 
-    def _trace_tables(self, ell: int):
-        """Number of inner sites of S and, per sector, its configurations
-        split by inner weight k: {k: members}, the members ordered by
-        (outer, inner) pattern.  Only the weights the window reads are
-        listed.  Built once per radius."""
-        if ell not in self._tables:
-            L = self.chain.half_length
-            lo = max(-L, self.site - ell) + L
-            n_inner = min(L, self.site + ell) + L + 1 - lo
-            n_outer = self.chain.n_sites - n_inner
-            read = {k for n in self._blocks
-                    for k in range(max(0, n - n_outer), min(n, n_inner) + 1)}
-            inner = (1 << n_inner) - 1
-            tables = {}
-            for n, h in self.chain.sectors.items():
-                order = np.lexsort(((h.basis.masks >> lo) & inner,
-                                    h.basis.masks & ~(inner << lo)))
-                weight = h.basis.occupancy[order, lo:lo + n_inner].sum(axis=1)
-                tables[n] = {k: order[weight == k] for k in np.unique(weight)
-                             if k in read}
-            self._tables[ell] = n_inner, tables
-        return self._tables[ell]
-
     def _error(self, ell: int, factors: dict[int, np.ndarray],
                exact: np.ndarray) -> float:
         chain = self.chain
-        n_inner, tables = self._trace_tables(ell)
+        n_inner, tables = _trace_classes(chain.half_length, self.site, ell)
         if n_inner == chain.n_sites:
             return 0.0
 
         # partial trace of tau_t(X) over the outer sites, one block per
-        # inner weight k accumulated over every sector (sectors without
-        # window states still contribute), indexed by the C(n_inner, k)
-        # inner patterns of weight k in ascending order
+        # inner weight k the window sectors hold, accumulated over every
+        # sector (sectors without window states still contribute), indexed
+        # by the C(n_inner, k) inner patterns of weight k in ascending order
+        read = {k for n in self._blocks for k in tables[n]}
         m_a = {}
         for n, classes in tables.items():
             for k, members in classes.items():
-                na = comb(n_inner, k)
-                c = factors[n][members].reshape(members.size // na, na, -1)
-                c = c.swapaxes(0, 1).reshape(na, -1)
-                m_a[k] = m_a.get(k, 0) + c @ c.conj().T
+                if k in read:
+                    na = comb(n_inner, k)
+                    c = factors[n][members].reshape(members.size // na, na, -1)
+                    c = c.swapaxes(0, 1).reshape(na, -1)
+                    m_a[k] = m_a.get(k, 0) + c @ c.conj().T
 
         # the approximant on the window: m_a acts on the inner index of
         # every class

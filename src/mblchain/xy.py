@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import DegeneracyError, NumericalError
 from .xxz import require_dense
@@ -96,6 +95,7 @@ def diagonalize(diagonal: np.ndarray) -> EigenSystem:
     if d.size == 1:
         vals, vecs = d.copy(), np.ones((1, 1))
     else:
+        from scipy.linalg import eigh_tridiagonal
         try:
             vals, vecs = eigh_tridiagonal(d, np.full(d.size - 1, -1.0))
         except np.linalg.LinAlgError as exc:  # pragma: no cover

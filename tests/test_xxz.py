@@ -269,6 +269,17 @@ def test_sector_matrix_bit_identical_to_coo_assembly(n_particles, half_length):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
+@pytest.mark.parametrize("half_length", [1, 2, 3, 4])
+def test_dense_fill_bit_identical_to_csr(half_length):
+    # every sector, the vacuum included: numpy's fill of the pattern values
+    # is the CSR's dense form, bit for bit
+    w = sample_field(UNIFORM, 2 * half_length + 1, PLAN, 13)
+    for n_particles in range(2 * half_length + 2):
+        h = xxz.build_h_sector(n_particles, half_length, 3.0, 0.7, w)
+        dense, want = h.basis.dense(h.data), h.matrix.toarray()
+        assert dense.dtype == want.dtype and dense.tobytes() == want.tobytes()
+
+
 def test_sector_build_reuses_the_skeleton(monkeypatch):
     w = sample_field(UNIFORM, 7, PLAN, 12)
     xxz.enumerate_basis(3, 3)  # the skeleton, cached
@@ -539,8 +550,9 @@ def test_sector_correlator_degeneracy_guard():
     # a fabricated sector operator with an exactly repeated window level
     delta = 2.0
     basis = xxz.enumerate_basis(1, 1)
-    degenerate = xxz.SectorHamiltonian(
-        basis, delta, sp.csr_matrix(np.diag([0.6, 0.6, 2.0])))
+    levels = np.zeros(basis.indices.size)
+    levels[basis.diagonal] = [0.6, 0.6, 2.0]
+    degenerate = xxz.SectorHamiltonian(basis, delta, levels)
     window = xxz.spectral_window(delta, kind="I")
     with pytest.raises(DegeneracyError):
         _sector_correlator(degenerate, window, 0, 1)

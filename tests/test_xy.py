@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mblchain import cli, xy
 from mblchain.disorder import DisorderSpec, SeedPlan, constant_field, sample_field
@@ -40,14 +41,16 @@ def test_diagonalize_rejects_swapped_eigenvectors(monkeypatch, capsys,
     # swapping two eigenvector columns keeps O orthogonal, so only the
     # residual (the tridiagonal stencil, or xy-aniso's dense check) can
     # catch it
-    name, solver = (("eigh", np.linalg.eigh) if dense
-                    else ("eigh_tridiagonal", xy.eigh_tridiagonal))
+    # diagonalize imports eigh_tridiagonal at call time, so patching the
+    # module attribute reaches it
+    module, name = (np.linalg, "eigh") if dense else (scipy.linalg, "eigh_tridiagonal")
+    solver = getattr(module, name)
 
     def swapped(*args):
         vals, vecs = solver(*args)
         return vals, vecs[:, [1, 0, *range(2, vals.size)]]
 
-    monkeypatch.setattr(np.linalg if dense else xy, name, swapped)
+    monkeypatch.setattr(module, name, swapped)
     if dense:
         code = cli.main(["xy-aniso", "--chain-length", "25", "--gamma", "0.3",
                          "--out-dir", str(tmp_path)])
