@@ -63,13 +63,13 @@ _SCHEMA = {
 
 
 def _convert(key: str, raw: str):
-    kind, _ = _SCHEMA[key]
+    kind, default = _SCHEMA[key]
     try:
         if kind == "int_list":
             return tuple(int(tok) for tok in raw.split(",") if tok.strip())
         if kind == "float_list":
             value = tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        elif kind is float and raw.lower() == "none":
+        elif kind is float and default is None and raw.lower() == "none":
             return None
         else:
             value = kind(raw)
@@ -262,7 +262,8 @@ def cmd_xxz_bands(settings):
     for n in range(1, settings["n_max"] + 1):
         band = xxz.droplet_band(n, delta)
         rows.append((n, band.lower, band.upper))
-    limit = float(np.sqrt(1.0 - 1.0 / delta ** 2))
+    # 1 - 1/Delta^2 is 1.0 in double from Delta = 1e9 on, long before Delta^2 overflows
+    limit = float(np.sqrt(1.0 - 1.0 / min(delta, 1e9) ** 2))
     return (["n_particles", "lower", "upper"], rows, {"band_limit": limit})
 
 

@@ -78,6 +78,10 @@ class SeedPlan:
 
     base_seed: int
 
+    def __post_init__(self):
+        if self.base_seed < 0:  # SeedSequence takes nonnegative entropy only
+            raise ConfigurationError(f"seed {self.base_seed} is negative")
+
     def stream_seed(self, index: int, tag: int = 0) -> int:
         """Seed of the stream for one realization.  tag 0 is the field
         stream; other tags give further independent streams for the same

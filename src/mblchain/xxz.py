@@ -18,8 +18,8 @@ The test suite validates everything here entrywise against the brute-force
 2^n spin Hamiltonian.  Only V_w depends on the field; the rest is the sector
 skeleton ``enumerate_basis(N, L)``, N = 0 .. 2L + 1 (positions, the CSR
 pattern of H with its diagonal slots, degrees, wall touches, droplet
-distances; bitmasks with site s as bit s + L and occupancy on first read),
-built by numpy in lexicographic order, cached and read-only; a build above
+distances; occupancy on first read), built by numpy in lexicographic order
+and indexed by that order's rank, cached and read-only; a build above
 half the physical memory is refused from C(2L + 1, N) before anything is
 allocated (ConfigurationError, CLI exit 2).  A realization fills values in
 on the pattern and does no sparse arithmetic; the dense matrix (numpy) and
@@ -88,18 +88,7 @@ class SectorBasis:
     def sites(self) -> range:
         return range(-self.half_length, self.half_length + 1)
 
-    # built on first read, then cached and read-only like the rest
-    @cached_property
-    def masks(self) -> np.ndarray:  # sum of 2^(s + L), Python ints past int64
-        bits = np.array([1 << p for p in range(self.n_sites)],
-                        dtype=np.int64 if self.n_sites < 63 else object)
-        return _read_only(bits[self.positions].sum(axis=1))
-
-    @cached_property
-    def mask_order(self) -> np.ndarray:
-        return _read_only(np.argsort(self.masks))
-
-    @cached_property
+    @cached_property  # built on first read, then read-only like the rest
     def occupancy(self) -> np.ndarray:  # dim x sites, bool
         occupancy = np.zeros((self.dim, self.n_sites), dtype=bool)
         np.put_along_axis(occupancy, self.positions, True, axis=1)
@@ -118,32 +107,39 @@ class SectorBasis:
         a[np.repeat(np.arange(self.dim), np.diff(self.indptr)), self.indices] = data
         return a
 
-    def locate(self, masks) -> np.ndarray:
-        """Indices of the configurations with the given bitmasks."""
-        # typed first: numpy reads a list of ints above 2^63 as float64
-        masks = np.asarray(masks, dtype=self.masks.dtype)
-        at = np.searchsorted(self.masks, masks, sorter=self.mask_order)
-        found = self.mask_order[at % self.dim]
-        if np.any(self.masks[found] != masks):
-            raise KeyError("bitmask outside the sector")
-        return found
-
     def rank(self, configs) -> np.ndarray:
         """Indices of configurations given by their sites in [-L, L], in any
         order: dim - 1 - sum_i C(n - 1 - x_i, N - i), x_i + L ascending."""
-        n, N, out = self.n_sites, self.n_particles, []
-        for x in configs:
-            p = sorted({int(s) + self.half_length for s in x})
-            if len(x) != N or len(p) != N or any(not 0 <= q < n for q in p):
-                raise KeyError(f"configuration {tuple(x)} outside the sector")
-            out.append(self.dim - 1 - sum(comb(n - 1 - q, N - i)
-                                          for i, q in enumerate(p)))
-        return np.array(out, dtype=np.int64)
+        n, N, L = self.n_sites, self.n_particles, self.half_length
+        try:
+            p = np.sort(np.asarray(configs, dtype=np.int64).reshape(len(configs), N)) + L
+        except ValueError:
+            raise KeyError(f"configurations of {N} sites expected") from None
+        # sorted sites lie in [0, n) and differ iff each step from -1 to n is >= 1
+        bad = (np.diff(p, prepend=-1, append=n) < 1).any(axis=1)
+        if bad.any():
+            raise KeyError(f"configuration {(p[bad][0] - L).tolist()} outside the sector")
+        i = np.arange(N)
+        return self.dim - 1 - _binomials(n, N)[N - i, n - N + i - p].sum(axis=1)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+@lru_cache(maxsize=32)
+def _binomials(n_sites: int, n_particles: int) -> np.ndarray:
+    """C(b + m - 1, b) at [b, m], b = 0 .. N, m = 0 .. n - N + 1 (0 at m = 0):
+    every binomial the lexicographic rank reads, each at most C(n, N) = dim,
+    so kept in the skeleton's index dtype (int32 while dim (2N + 1) fits)."""
+    N = n_particles
+    index = np.int32 if comb(n_sites, N) * (2 * N + 1) <= np.iinfo(np.int32).max else np.int64
+    table = np.zeros((N + 1, n_sites - N + 2), dtype=index)
+    table[0, 1:] = 1
+    for b in range(1, N + 1):  # Pascal's rule
+        table[b] = np.cumsum(table[b - 1])
+    return _read_only(table)
 
 
 @lru_cache(maxsize=32)
@@ -159,8 +155,8 @@ def enumerate_basis(n_particles: int, half_length: int) -> SectorBasis:
             f"particle number {n_particles} out of range for [-{L}, {L}]")
     dim = comb(n_sites, n_particles)
     # peak bytes per configuration: positions (8 N), occupancy when read
-    # (n_sites), a mask and a few words (128, a Python-int mask included),
-    # and the pattern's fill: 2N + 1 int32 targets, free flags and indices
+    # (n_sites), a few words (128), and the pattern's fill: 2N + 1 int32
+    # targets, free flags and indices
     need = dim * (128 + n_sites + 32 * n_particles)
     if need > _HALF_MEMORY:
         raise ConfigurationError(
@@ -178,15 +174,12 @@ def enumerate_basis(n_particles: int, half_length: int) -> SectorBasis:
         pos = np.column_stack([pos[rows], last])
     # the pattern in CSR row order: particle s stepping left at column s, the
     # row itself at N, particle s stepping right at 2N - s, kept where `free`.
-    # The rank of x is dim - 1 - sum_i C(n - 1 - x_i, N - i), so x_s -> x_s + 1
-    # adds C(n - 2 - x_s, j) = ways[j, n - 2 - x_s - j], j = N - 1 - s, and
-    # x_s -> x_s - 1 subtracts ways[j, n - 1 - x_s - j]; ways[j, k] = C(j + k,
-    # j) by Pascal's rule, each <= dim (blocked steps read its last column)
+    # With j = N - 1 - s, x_s -> x_s + 1 adds C(n - 2 - x_s, j) to the rank
+    # and x_s -> x_s - 1 subtracts C(n - 1 - x_s, j); a blocked step reads
+    # some entry of the table and is dropped by `free`
     n_cols = 2 * n_particles + 1
-    index = np.int32 if dim * n_cols <= np.iinfo(np.int32).max else np.int64
-    ways = np.ones((n_particles, n_sites - n_particles + 1), dtype=index)
-    for i in range(1, n_particles):
-        ways[i] = np.cumsum(ways[i - 1])
+    binomials = _binomials(n_sites, n_particles)
+    index = binomials.dtype
     rank = np.arange(dim, dtype=index)
     targets = np.empty((dim, n_cols), dtype=index)
     free = np.ones((dim, n_cols), dtype=bool)
@@ -207,9 +200,9 @@ def enumerate_basis(n_particles: int, half_length: int) -> SectorBasis:
         degree += right
         if s:
             runs += left
-        k = n_sites - 2 - j - x
-        targets[:, s] = rank - ways[j, k + 1]
-        targets[:, n_cols - 1 - s] = rank + ways[j, k]
+        k = n_sites - 1 - j - x
+        targets[:, s] = rank - binomials[j, k + 1]
+        targets[:, n_cols - 1 - s] = rank + binomials[j, k]
         distance += np.abs(x - s - pos[:, median] + median)
     indptr = np.concatenate([[0], np.cumsum(degree + 1)]).astype(index)
     arrays = dict(
@@ -306,7 +299,8 @@ def droplet_band(n_particles: int, anisotropy: float) -> EnergyWindow:
     if n_particles < 1:
         raise ConfigurationError("particle number must be >= 1")
     rho = acosh(anisotropy)
-    nr = n_particles * rho
+    # (cosh -+ 1) / sinh is 1.0 in double from 40 on, and cosh overflows past 710
+    nr = min(n_particles * rho, 40.0)
     lo = tanh(rho) * (cosh(nr) - 1.0) / sinh(nr)
     hi = tanh(rho) * (cosh(nr) + 1.0) / sinh(nr)
     return EnergyWindow(lo, hi)
@@ -628,17 +622,17 @@ class ChainSpectrum:
         adds or removes one particle at the site, so it couples adjacent
         sectors, vacuum included."""
         _check_site(site, self.half_length)
-        bit = 1 << (site + self.half_length)
         energies, blocks = self.window_blocks(window)
         raising = np.zeros((energies.size, energies.size))
         for n, (src_rows, src_vecs) in blocks.items():
             if n + 1 not in blocks:
                 continue
             dst_rows, dst_vecs = blocks[n + 1]
-            src = self.sectors[n].basis.masks
-            free = (src & bit) == 0
+            src = self.sectors[n].basis
+            free = ~src.occupancy[:, site + self.half_length]
+            sites = np.c_[src.positions[free] - self.half_length, np.full(free.sum(), site)]
             lifted = np.zeros((len(dst_vecs), src_vecs.shape[1]))
-            lifted[self.sectors[n + 1].basis.locate(src[free] | bit)] = src_vecs[free]
+            lifted[self.sectors[n + 1].basis.rank(sites)] = src_vecs[free]
             raising[dst_rows, src_rows] = dst_vecs.T @ lifted
         return energies, raising + raising.T
 
@@ -677,12 +671,12 @@ def _trace_classes(half_length: int, site: int, ell: int):
     lo = max(-L, site - ell) + L
     n_inner = min(L, site + ell) + L + 1 - lo
     n_outer = 2 * L + 1 - n_inner
-    inner = (1 << n_inner) - 1
+    # sort keys, least significant first: inner sites, then outer ones
+    keys = np.r_[lo:lo + n_inner, :lo, lo + n_inner:2 * L + 1]
     tables = {}
     for n in range(2 * L + 2):
         basis = enumerate_basis(n, L)
-        order = np.lexsort(((basis.masks >> lo) & inner,
-                            basis.masks & ~(inner << lo)))
+        order = np.lexsort(basis.occupancy[:, keys].T)
         weight = basis.occupancy[order, lo:lo + n_inner].sum(axis=1)
         tables[n] = {k: _read_only(order[weight == k])
                      for k in range(max(0, n - n_outer), min(n, n_inner) + 1)}

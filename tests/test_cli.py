@@ -160,6 +160,15 @@ def test_unread_flag_exits_config(tmp_path, capsys, extra):
     (["xxz-droploc", "--anisotropy", "nan"], "'anisotropy': 'nan' is not finite"),
     (["xxz-bands", "--anisotropy", "NaN"], "'anisotropy': 'NaN' is not finite"),
     (["xy-kernel", "--time-grid", "0.5,nan"], "'time_grid': '0.5,nan' is not finite"),
+    # `none` is a value only of settings whose default is None
+    (["xxz-bands", "--anisotropy", "none"], "'anisotropy': cannot parse 'none'"),
+    (["xxz-ct", "--disorder-coupling", "none"],
+     "'disorder_coupling': cannot parse 'none'"),
+    (["xy-aniso", "--disorder-min", "None"], "'disorder_min': cannot parse 'None'"),
+    (["xxz-ct", "--safety", "none"], "'safety': cannot parse 'none'"),
+    (["xy-aniso", "--gamma", "none"], "'gamma': cannot parse 'none'"),
+    (["xy-ecorr", "--chain-length", "10", "--distances", "1,2", "--seed", "-1"],
+     "seed -1 is negative"),
 ])
 def test_parse_errors_print_one_line(tmp_path, monkeypatch, capsys, args, message):
     monkeypatch.chdir(tmp_path)      # nothing may be written, even on failure
@@ -167,6 +176,14 @@ def test_parse_errors_print_one_line(tmp_path, monkeypatch, capsys, args, messag
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and message in err[0]
     assert not list(tmp_path.iterdir())
+
+
+def test_boundary_weight_none_is_the_default(tmp_path):
+    args = ["xxz-ct", "--half-length", "3", "--n-particles", "2"]
+    for out, extra in (("none", ["--boundary-weight", "none"]), ("default", [])):
+        assert cli.main([*args, *extra, "--out-dir", str(tmp_path / out)]) == cli.EXIT_OK
+    assert ((tmp_path / "none" / "xxz-ct.csv").read_bytes()
+            == (tmp_path / "default" / "xxz-ct.csv").read_bytes())
 
 
 def test_non_finite_config_value_exits_config(tmp_path, capsys):

@@ -391,12 +391,18 @@ def test_sector_correlator_metric_matches_oracle():
             assert abs(fast[d] - slow) < 1e-8
 
 
-def test_windowed_commutator_matches_oracle():
+@pytest.mark.parametrize("kind", ["I", "I_delta", "I_0_delta"])
+def test_windowed_commutator_matches_oracle(kind):
+    # a weak field puts window states in adjacent sectors, so sigma^x lifts
+    # between them, out of the vacuum in I_0_delta
     L, delta, beta = 2, 6.0, 0.5
-    w = sample_field(UNIFORM, 2 * L + 1, PLAN, 14)
+    w = sample_field(DisorderSpec(coupling=0.1), 2 * L + 1, PLAN, 14)
     chain = xxz.ChainSpectrum(L, delta, beta, w)
-    window = xxz.spectral_window(delta, 0.5)
+    window = xxz.spectral_window(delta, 0.5, kind)
     energies, x_mat = chain.window_sigma_x(window, -1)
+    assert np.abs(x_mat).max() > 0.1
+    sectors = set(chain.window_blocks(window)[1])
+    assert {1, 2} <= sectors and (0 in sectors) == (kind == "I_0_delta")
     _, y_mat = chain.window_sigma_x(window, 2)
     grid = (0.0, 0.7, 3.0)
     fast = xxz.windowed_commutator_norms(energies, x_mat, y_mat, grid)

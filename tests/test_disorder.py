@@ -71,3 +71,5 @@ def test_validation_errors():
         DisorderSpec(support_min=-1.0).require_nonnegative()
     with pytest.raises(ConfigurationError):
         SeedPlan(5).stream_seed(-1)
+    with pytest.raises(ConfigurationError, match="seed -1 is negative"):
+        SeedPlan(-1)

@@ -22,8 +22,10 @@ def configurations(basis) -> list:
     return [tuple(int(p) - basis.half_length for p in row) for row in basis.positions]
 
 
-def mask(x, basis) -> int:
-    return sum(1 << (s + basis.half_length) for s in x)
+def row_index(basis) -> dict:
+    """Row of each configuration, from itertools rather than the package's
+    rank: combinations of the ascending sites come in lexicographic order."""
+    return {x: i for i, x in enumerate(combinations(basis.sites, basis.n_particles))}
 
 
 def component_degree(x) -> int:
@@ -47,20 +49,17 @@ def neighbors(x, basis) -> list:
     return out
 
 
-def mask_adjacency(basis) -> sp.csr_matrix:
-    """The unit hop adjacency found by bitmask lookup: a particle at p
-    stepping right onto a free site adds 2^p to the mask, and searchsorted
-    over the masks finds the target."""
-    pos, masks, order = basis.positions, basis.masks, basis.mask_order
-    n_sites = basis.n_sites
-    rows = np.arange(basis.dim)[:, None]
-    free = (pos + 1 < n_sites) & ~basis.occupancy[rows, np.minimum(pos + 1, n_sites - 1)]
-    src, slot = np.nonzero(free)
-    bits = np.array([1 << p for p in range(n_sites)], dtype=masks.dtype)
-    moved = masks[src] + bits[pos[src, slot]]
-    dst = order[np.searchsorted(masks, moved, sorter=order)]
-    upper = sp.coo_matrix((np.ones(src.size), (src, dst)), shape=(basis.dim,) * 2)
-    return (upper + upper.T).tocsr()
+def hop_pairs(basis) -> set:
+    """The (row, row) pairs of single-particle hops, from the naive neighbor
+    relation and the test-local row index."""
+    index = row_index(basis)
+    return {(i, index[y]) for x, i in index.items() for y in neighbors(x, basis)}
+
+
+def naive_adjacency(basis) -> sp.csr_matrix:
+    """The unit hop adjacency, assembled by scipy from the hop pairs."""
+    i, j = np.array(sorted(hop_pairs(basis)), dtype=np.int64).reshape(-1, 2).T
+    return sp.coo_matrix((np.ones(i.size), (i, j)), shape=(basis.dim,) * 2).tocsr()
 
 
 def set_distance_bfs(a, b, basis) -> int:
@@ -88,7 +87,8 @@ def test_basis_enumeration():
     configs = configurations(basis)
     assert configs[0] == (-2, -1)
     assert configs[-1] == (1, 2)
-    assert basis.locate([mask((-1, 2), basis)]).tolist() == [configs.index((-1, 2))]
+    assert row_index(basis)[(-1, 2)] == configs.index((-1, 2))
+    assert basis.rank([(2, -1)]).tolist() == [configs.index((-1, 2))]
     with pytest.raises(ConfigurationError):
         xxz.enumerate_basis(6, 2)
     with pytest.raises(ConfigurationError):
@@ -108,14 +108,15 @@ def test_neighbors_hard_core_and_walls():
     # left particle blocked by wall and by the right particle;
     # right particle can only move right
     assert set(nbrs) == {(-2, 0)}
-    basis.locate([mask(y, basis) for y in nbrs])  # all in the sector
+    assert set(nbrs) <= set(row_index(basis))  # all in the sector
 
 
 def test_droplet_geometry_distances():
     basis = xxz.enumerate_basis(3, 3)
     for x in basis.positions[basis.droplet_distance == 0]:
         assert all(b - a == 1 for a, b in zip(x, x[1:]))
-    i, j = basis.locate([mask((-3, 0, 3), basis), mask((-1, 0, 1), basis)])
+    index = row_index(basis)
+    i, j = index[(-3, 0, 3)], index[(-1, 0, 1)]
     # nearest droplet around the middle particle: (-1, 0, 1)
     assert basis.droplet_distance[i] == 4
     assert basis.droplet_distance[j] == 0
@@ -132,15 +133,14 @@ def test_sector_skeleton_matches_naive_definitions(n_particles, half_length):
     assert np.array_equal(basis.positions, np.array(
         list(combinations(range(2 * L + 1), n_particles))).reshape(dim, n_particles))
     # the pattern is the hop adjacency plus the diagonal
-    reference = (mask_adjacency(basis) + sp.identity(dim)).tocsr()
+    reference = (naive_adjacency(basis) + sp.identity(dim)).tocsr()
     for name in ("indptr", "indices"):
         got, want = getattr(basis, name), getattr(reference, name)
         assert got.dtype == want.dtype and np.array_equal(got, want)
     rows = np.repeat(np.arange(dim), np.diff(basis.indptr))
     assert np.array_equal(basis.indices[basis.diagonal], np.arange(dim))
     assert np.array_equal(rows[basis.diagonal], np.arange(dim))
-    edges = {(i, j) for i, x in enumerate(configs)
-             for j in basis.locate([mask(y, basis) for y in neighbors(x, basis)])}
+    edges = hop_pairs(basis)
     hop = rows != basis.indices
     assert set(zip(rows[hop].tolist(), basis.indices[hop].tolist())) == edges
     assert hop.sum() == len(edges) and hop.size == len(edges) + dim
@@ -152,15 +152,16 @@ def test_sector_skeleton_matches_naive_definitions(n_particles, half_length):
         assert basis.wall_touches[i] == (-L in x) + (L in x)
         assert basis.droplet_distance[i] == xxz.set_distance([x], droplets)
         assert basis.occupancy[i].tolist() == [s in x for s in basis.sites]
-        assert basis.masks[i] == mask(x, basis)
-    assert basis.locate(basis.masks).tolist() == list(range(basis.dim))
+    # rank reads sites in any order, as tuples or as an array
     assert basis.rank(configs).tolist() == list(range(basis.dim))
+    assert basis.rank([x[::-1] for x in configs]).tolist() == list(range(basis.dim))
+    assert np.array_equal(basis.rank(basis.positions - L), np.arange(dim))
     # the first case is the vacuum and the last fills the chain: one
     # configuration, no hops
     if n_particles in (0, 2 * L + 1):
         assert basis.dim == 1 and basis.indices.tolist() == [0]
-    # masks, mask_order and occupancy are built on first read
-    arrays = (basis.positions, basis.masks, basis.mask_order, basis.occupancy,
+    # occupancy is built on first read
+    arrays = (basis.positions, basis.occupancy,
               basis.indptr, basis.indices, basis.diagonal,
               basis.graph_degree, basis.cluster_degree,
               basis.wall_touches, basis.droplet_distance)
@@ -170,17 +171,14 @@ def test_sector_skeleton_matches_naive_definitions(n_particles, half_length):
     assert xxz.enumerate_basis(n_particles, half_length) is basis
 
 
-def test_skeleton_masks_beyond_int64():
-    # 81 sites: bitmasks are Python ints and lookups still work
+def test_rank_beyond_int64():
+    # 81 sites, more than the bits of an int64: the rank needs no bit per site
     basis = xxz.enumerate_basis(2, 40)
-    i = configurations(basis).index((-40, 40))
-    assert basis.masks[i] == 1 + (1 << 80)
-    assert basis.locate([1 + (1 << 80)]).tolist() == [i]
-    # a list of masks under 2^64 must not pass through float64
-    j = configurations(basis).index((-40, 23))
-    assert basis.locate([1 + (1 << 63)]).tolist() == [j]
+    configs = configurations(basis)
+    i, j = configs.index((-40, 40)), configs.index((-40, 23))
+    assert basis.rank([(-40, 40), (23, -40)]).tolist() == [i, j]
     with pytest.raises(KeyError):
-        basis.locate([1])
+        basis.rank([(-40,)])
 
 
 def test_skeleton_cap_refuses_before_allocating(monkeypatch):
@@ -198,16 +196,16 @@ def test_skeleton_cap_refuses_before_allocating(monkeypatch):
 
 
 def test_ct_path_reads_no_bitmasks_or_occupancy():
-    # the lookups a Combes-Thomas check never needs are built on first read
+    # the occupancy table a Combes-Thomas check never needs is built on
+    # first read
     xxz.enumerate_basis.cache_clear()
     w = sample_field(UNIFORM, 9, PLAN, 7)
     h = xxz.build_h_sector(2, 4, 2.0, 0.25, w)
     xxz.ct_check(h, 0.5, 0.5, [(-4, -3)], [(2, 4)])
-    assert not {"masks", "mask_order", "occupancy"} & set(vars(h.basis))
+    assert "occupancy" not in vars(h.basis)
     # rank finds configurations by their sites, in any order
     basis = h.basis
-    i = basis.rank([(4, -2)])[0]
-    assert basis.locate([mask((-2, 4), basis)]).tolist() == [i]
+    assert basis.rank([(4, -2)]).tolist() == [row_index(basis)[(-2, 4)]]
     for bad in ((0,), (0, 0), (0, 5), (-5, 0), (0, 1, 2)):
         with pytest.raises(KeyError):
             basis.rank([bad])
@@ -228,7 +226,8 @@ def test_sector_diagonal_hand_value():
     # no field, wall touch
     w = constant_field(0.0, 3)
     h = xxz.build_h_sector(1, 1, 2.0, 0.25, w)
-    i, j = h.basis.locate([mask((-1,), h.basis), mask((0,), h.basis)])
+    index = row_index(h.basis)
+    i, j = index[(-1,)], index[(0,)]
     # hop term 1/(2*2), cluster term (1/2)(1 - 1/2)*2, wall weight 0
     assert h.matrix[i, i] == pytest.approx(0.75)
     # interior site: hop degree 2, no wall touch
@@ -241,9 +240,7 @@ def coo_assembly(n_particles, half_length, anisotropy, boundary_weight, w):
     neighbor relation as an upper-triangle COO matrix, plus its transpose
     and the diagonal, converted to CSR."""
     basis = xxz.enumerate_basis(n_particles, half_length)
-    pairs = [(i, j) for i, x in enumerate(configurations(basis))
-             for j in basis.locate([mask(y, basis) for y in neighbors(x, basis)])
-             if j > i]
+    pairs = sorted((i, j) for i, j in hop_pairs(basis) if j > i)
     i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     hop = np.full(i.size, -1.0 / (2.0 * anisotropy))
     upper = sp.coo_matrix((hop, (i, j)), shape=(basis.dim, basis.dim))
@@ -325,6 +322,16 @@ def test_droplet_band_closed_forms():
         b3 = xxz.droplet_band(3, delta)
         assert abs(b3.lower - (1 - 1 / (2 * delta ** 2 - delta))) < 1e-12
         assert abs(b3.upper - (1 - 1 / (2 * delta ** 2 + delta))) < 1e-12
+    # n rho past cosh's overflow at 710: finite, nested bands around the
+    # limit sqrt(1 - 1/Delta^2) (equal to it up to rounding)
+    for delta, n_max in ((2.0, 540), (1e6, 49), (1e300, 2)):
+        limit = np.sqrt(1 - delta ** -2.0)
+        bands = [xxz.droplet_band(n, delta) for n in range(1, n_max + 1)]
+        for outer, band in zip(bands, bands[1:]):
+            assert outer.lower <= band.lower and band.upper <= outer.upper
+        for band in bands:
+            assert np.isfinite([band.lower, band.upper]).all()
+            assert band.lower <= limit + 1e-15 and limit <= band.upper + 1e-15
 
 
 def test_droplet_band_nesting_and_limit():
