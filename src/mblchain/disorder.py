@@ -43,6 +43,9 @@ class DisorderSpec:
             raise ConfigurationError(f"unknown disorder kind {self.kind!r}")
         if self.coupling < 0:
             raise ConfigurationError("coupling must be nonnegative")
+        lo, hi, c = float(self.support_min), float(self.support_max), float(self.coupling)
+        if not np.isfinite([c * lo, c * hi, hi - lo]).all():  # Python floats: no warning
+            raise ConfigurationError(f"disorder support [{lo}, {hi}] times {c} overflows")
         if self.kind == "constant":
             if self.support_max != self.support_min:
                 raise ConfigurationError(

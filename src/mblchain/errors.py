@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one memory rule:
+require_memory refuses (ConfigurationError, CLI exit 2) to allocate more
+than MEMORY_BUDGET, half the physical memory, before anything is allocated."""
+
+import os
+
+MEMORY_BUDGET = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 
 class ConfigurationError(ValueError):
@@ -15,3 +21,19 @@ class DegeneracyError(RuntimeError):
     Continuous disorder makes degeneracies a probability-zero event; clean
     chains (constant field) can trigger this deliberately.
     """
+
+
+def require_memory(nbytes: int, what: str) -> None:
+    """Raise ConfigurationError, naming `what`, if allocating nbytes would
+    exceed MEMORY_BUDGET."""
+    if nbytes > MEMORY_BUDGET:  # an int: 2^n leaves the range of a float at n = 1024
+        need = (f"{nbytes / 2 ** 30:.4g} GiB" if nbytes < 2 ** 1000
+                else f"2^{nbytes.bit_length() - 1} bytes")
+        raise ConfigurationError(f"{what} needs about {need}, above half the physical"
+                                 f" memory ({MEMORY_BUDGET / 2 ** 30:.4g} GiB)")
+
+
+def require_dense(dim: int, what: str | None = None) -> None:
+    # a dense eigh holds 5 dim^2 doubles: the matrix, LAPACK's copy, 2 dim^2
+    # of syevd workspace and the eigenvectors
+    require_memory(5 * 8 * dim * dim, what or f"dense diagonalization at dim {dim}")

@@ -235,23 +235,20 @@ def _field(config: ExperimentConfig, index: int, length: int) -> np.ndarray:
 
 
 def _metric_eigencorrelator(config: ExperimentConfig, index: int):
-    w = _field(config, index, config.chain_length)
-    es = xy.diagonalize(w)
+    es = xy.diagonalize(_field(config, index, config.chain_length))
     j = config.probe_site
     return {d: xy.eigencorrelator(es, j, j + d) for d in config.distances}
 
 
 def _metric_dynamical_kernel(config: ExperimentConfig, index: int):
-    w = _field(config, index, config.chain_length)
-    es = xy.diagonalize(w)
+    es = xy.diagonalize(_field(config, index, config.chain_length))
     j = config.probe_site
     return {d: xy.dynamical_kernel(es, config.time_grid, j, j + d)
             for d in config.distances}
 
 
 def _metric_entropy_sup(config: ExperimentConfig, index: int):
-    w = _field(config, index, config.chain_length)
-    es = xy.diagonalize(w)
+    es = xy.diagonalize(_field(config, index, config.chain_length))
     out = {}
     for ell in config.block_sizes:
         rng = config.seeds.generator(index, tag=1)
@@ -469,8 +466,9 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleSummary:
 
     Realizations hitting a degenerate spectrum are resampled with a
     substitute index far outside the normal range (recorded in the
-    summary).  A solver failure aborts as NumericalError with the
-    realization index attached; any other exception propagates unchanged.
+    summary).  A solver failure or a non-finite value aborts as
+    NumericalError with the realization index attached; any other exception
+    propagates unchanged.
     """
     metric = METRICS[config.kind]
     results: dict[int, dict] = {}
@@ -481,26 +479,26 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleSummary:
             try:
                 with realization_failures(index):
                     results[index] = metric(config, attempt)
+                    for key, value in results[index].items():
+                        if not np.isfinite(value):
+                            raise NumericalError(f"key {key} has value {value}")
                 break
             except DegeneracyError:
                 if retry == MAX_RESAMPLES:
                     raise
                 attempt = index + SUBSTITUTE_OFFSET * (retry + 1)
                 substituted.append((index, attempt))
+    # one row per realization, NaN where a key is missing (each is in some row)
     keys = sorted({k for r in results.values() for k in r})
-    table = np.full((config.realizations, len(keys)), np.nan)
-    for index in range(config.realizations):
-        for col, key in enumerate(keys):
-            table[index, col] = results[index].get(key, np.nan)
+    table = np.array([[r.get(k, np.nan) for k in keys] for r in results.values()],
+                     dtype=float)
     valid = ~np.isnan(table)
     counts = valid.sum(axis=0)
-    safe = np.where(valid, table, 0.0)
-    mean = safe.sum(axis=0) / np.maximum(counts, 1)
+    mean = np.where(valid, table, 0.0).sum(axis=0) / counts
     centered = np.where(valid, table - mean, 0.0)
-    with np.errstate(invalid="ignore"):
-        std = np.sqrt((centered ** 2).sum(axis=0) / np.maximum(counts - 1, 1))
-    stderr = std / np.sqrt(np.maximum(counts, 1))
-    maxima = np.where(counts > 0, np.where(valid, table, -np.inf).max(axis=0), np.nan)
+    std = np.sqrt((centered ** 2).sum(axis=0) / np.maximum(counts - 1, 1))
+    stderr = std / np.sqrt(counts)
+    maxima = np.where(valid, table, -np.inf).max(axis=0)
     return EnsembleSummary(config.kind, np.asarray(keys, dtype=float), mean,
                            stderr, maxima, config.realizations,
                            tuple(substituted), config)

@@ -3,9 +3,9 @@
 Everything here is deliberately dense and spectral: build the exact
 Hamiltonian matrix, diagonalize it, and compute dynamics, commutators,
 energy-window restrictions, correlations, and partial-trace entropies
-directly.  Chains are capped at DEFAULT_CAP sites, the largest n with 2^n
-<= xxz.DENSE_DIAG_CAP; the free fermion and magnon-sector engines carry
-all large-scale work and are validated against this module.
+directly, on chains whose 2^n dense matrices the memory rule
+(errors.require_dense) admits; the free fermion and magnon-sector engines
+carry all large-scale work and are validated against this module.
 
 Basis conventions: qubit basis index 1 means a down spin (a particle),
 so the local number operator is diag(0, 1).  Site 0 occupies the most
@@ -20,10 +20,8 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
-from .xxz import DENSE_DIAG_CAP
+from .errors import ConfigurationError, NumericalError, require_dense, require_memory
 
-DEFAULT_CAP = DENSE_DIAG_CAP.bit_length() - 1
 # largest particle-number variance of an eigenvector read as sharp
 _SHARP_NUMBER_TOL = 1e-9
 
@@ -45,10 +43,9 @@ _KIND_MATRICES = {
 
 
 def _check_cap(n: int):
-    if n > DEFAULT_CAP:
-        raise ConfigurationError(f"chain length {n} exceeds dense cap {DEFAULT_CAP}")
     if n < 1:
         raise ConfigurationError("need at least one site")
+    require_dense(2 ** n, f"the dense {n}-site chain")
 
 
 @dataclass(frozen=True)
@@ -87,8 +84,13 @@ def _bond(a: np.ndarray, b: np.ndarray, j: int, n: int) -> np.ndarray:
 
 def _occupations(n: int) -> np.ndarray:
     """(2^n, n) table of the down spins (particles) of each basis state,
-    site 0 the most significant bit as in embed_site."""
-    return ((np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1) == 1
+    site 0 the most significant bit as in embed_site, filled a column at a
+    time from a uint32 index (n <= 32 under the memory rule)."""
+    index = np.arange(2 ** n, dtype=np.uint32)
+    occ = np.empty((2 ** n, n), dtype=bool, order="F")
+    for j in range(n):
+        occ[:, j] = (index >> (n - 1 - j)) & 1
+    return occ
 
 
 @dataclass(frozen=True)
@@ -254,11 +256,6 @@ def heisenberg(es: ManyBodyEigenSystem, op: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def _both_norms(op: np.ndarray) -> tuple[float, float]:
-    s = np.linalg.svd(op, compute_uv=False)
-    return float(s.max(initial=0.0)), float(s.sum())
-
-
 def commutator_norms(es: ManyBodyEigenSystem, x: np.ndarray, y: np.ndarray,
                      time_grid, window: tuple[float, float] | None = None):
     """Per-t (operator norm, trace norm) of [tau_t(X'), Y'], where the
@@ -270,7 +267,8 @@ def commutator_norms(es: ManyBodyEigenSystem, x: np.ndarray, y: np.ndarray,
     out = []
     for t in np.asarray(time_grid, dtype=float):
         xt = heisenberg(es, x, t)
-        out.append(_both_norms(xt @ y - y @ xt))
+        s = np.linalg.svd(xt @ y - y @ xt, compute_uv=False)
+        out.append((float(s.max(initial=0.0)), float(s.sum())))
     return out
 
 
@@ -392,15 +390,16 @@ def ising_exact(w: np.ndarray):
     """
     w = np.asarray(w, dtype=float)
     n = w.size
-    if n > 24:
-        raise ConfigurationError(f"chain length {n} exceeds enumeration cap 24")
+    # peak bytes per state: table n, run count 1, energies and a product 8 each, a bool 1
+    require_memory(2 ** n * (n + 18), f"the {n}-site Ising spectrum")
     occ = _occupations(n)
-    # runs of consecutive down spins: sites minus adjacent down-down pairs
-    runs = occ.sum(axis=1) - (occ[:, :-1] & occ[:, 1:]).sum(axis=1)
-    field_sum = np.zeros(2 ** n)
+    runs, energies = np.zeros(2 ** n, dtype=np.int8), np.zeros(2 ** n)
     for j in range(n):
-        field_sum += w[j] * occ[:, j]
-    return runs.astype(float) + field_sum, np.arange(2 ** n, dtype=np.uint64)
+        # a run of down spins starts at each down spin after an up spin or the end
+        runs += occ[:, j] > occ[:, j - 1] if j else occ[:, 0]
+        energies += w[j] * occ[:, j]
+    energies += runs
+    return energies, np.arange(2 ** n, dtype=np.uint64)
 
 
 def droplet_state(block: tuple[int, int], n: int) -> np.ndarray:

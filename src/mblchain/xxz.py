@@ -19,11 +19,12 @@ The test suite validates everything here entrywise against the brute-force
 skeleton ``enumerate_basis(N, L)``, N = 0 .. 2L + 1 (positions, the CSR
 pattern of H with its diagonal slots, degrees, wall touches, droplet
 distances; occupancy on first read), built by numpy in lexicographic order
-and indexed by that order's rank, cached and read-only; a build above
-half the physical memory is refused from C(2L + 1, N) before anything is
-allocated (ConfigurationError, CLI exit 2).  A realization fills values in
-on the pattern and does no sparse arithmetic; the dense matrix (numpy) and
-the CSR (scipy.sparse, built on first read) are both made from those values.
+and indexed by that order's rank, cached and read-only; the memory rule
+(errors) refuses an oversize skeleton from C(2L + 1, N) alone, and a dense
+solve from its dimension, before anything is allocated.  A realization
+fills values in on the pattern and does no sparse arithmetic; the dense
+matrix (numpy) and the CSR (scipy.sparse, built on first read) are both
+made from those values.
 
 On configurations of two or more clusters the potential is at least
 2 (1 - 1/Delta).  Windows below that are counted on the droplets (the split
@@ -38,16 +39,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import acosh, comb, sinh, tanh, cosh
-import os
 
 import numpy as np
 
-from .errors import ConfigurationError, DegeneracyError, NumericalError
+from .errors import (ConfigurationError, DegeneracyError, NumericalError,
+                     require_dense, require_memory)
 
-_HALF_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
-# dense eigh at dimension n holds 5 n^2 doubles (matrix, LAPACK's copy, 2 n^2
-# syevd workspace, eigenvectors); at the cap that is half the physical memory
-DENSE_DIAG_CAP = int((_HALF_MEMORY / (5 * 8)) ** 0.5)
 _GAP_TOL = 1e-12
 _CT_TOL = 1e-12  # largest certified error of a Combes-Thomas block
 
@@ -147,7 +144,7 @@ def enumerate_basis(n_particles: int, half_length: int) -> SectorBasis:
     """The N-particle skeleton on [-L, L]: lexicographic positions and the
     hop targets of the pattern, both built column by column, the targets
     from the rank; a ConfigurationError from C(2L + 1, N) alone when the
-    skeleton would hold over half the memory."""
+    memory rule refuses the skeleton."""
     L = half_length
     n_sites = 2 * L + 1
     if not 0 <= n_particles <= n_sites:
@@ -157,11 +154,8 @@ def enumerate_basis(n_particles: int, half_length: int) -> SectorBasis:
     # peak bytes per configuration: positions (8 N), occupancy when read
     # (n_sites), a few words (128), and the pattern's fill: 2N + 1 int32
     # targets, free flags and indices
-    need = dim * (128 + n_sites + 32 * n_particles)
-    if need > _HALF_MEMORY:
-        raise ConfigurationError(
-            f"sector of {dim} configurations needs about {need / 2**30:.3g} GiB"
-            f" to build, above half the physical memory")
+    require_memory(dim * (128 + n_sites + 32 * n_particles),
+                   f"sector of {dim} configurations")
     # lexicographic order by columns: a row whose last particle sits at `last`
     # extends to the `count` sites after it that leave room for the rest
     pos = np.zeros((1, 0), dtype=np.int64)
@@ -326,12 +320,6 @@ def spectral_window(anisotropy: float, safety: float = 0.0,
 # ---------------------------------------------------------------------------
 # spectra and correlators
 
-def require_dense(dim: int):
-    if dim > DENSE_DIAG_CAP:
-        raise ConfigurationError(f"dense diagonalization at dim {dim} is above"
-                                 f" DENSE_DIAG_CAP = {DENSE_DIAG_CAP}")
-
-
 def _dense_eigh(h: SectorHamiltonian):
     require_dense(h.dim)
     try:
@@ -438,7 +426,7 @@ def eigenpairs_in_window(h: SectorHamiltonian, window: EnergyWindow):
         # each eigenvalue of C is off by at most |A_ST|_F error, and every
         # entry of A_ST is a hop -1/(2 Delta)
         bound = np.sqrt(a_st.nnz) / (2.0 * h.anisotropy) * error
-        if np.abs(c).min() <= bound:
+        if not np.abs(c).min() > bound:
             raise NumericalError(f"window count undecided at error {bound:.2e}")
         k = int((c < 0).sum())
         if k == 0:
@@ -453,14 +441,14 @@ def eigenpairs_in_window(h: SectorHamiltonian, window: EnergyWindow):
         vals, vecs = vals[order], vecs[:, order]
         below = int((vals <= upper).sum())
         resid = np.linalg.norm(h.matrix @ vecs - vecs * vals, axis=0)[:k]
-        if below != k or np.any(resid >= upper - vals[:k]):
+        if below != k or not np.all(resid < upper - vals[:k]):
             raise NumericalError(f"Lanczos pairs not certified: {below} of {k}"
                                  f" counted, residuals up to {resid.max():.2e}")
     keep = window.contains(vals)
     vals, vecs = vals[keep], vecs[:, keep]
     if vals.size:
         ortho = np.abs(vecs.T @ vecs - np.eye(vals.size)).max()
-        if ortho > 1e-9:
+        if not ortho <= 1e-9:
             raise NumericalError(f"window eigenvectors not orthonormal: {ortho:.2e}")
     return vals, vecs
 
@@ -480,7 +468,7 @@ def window_site_masses(blocks, n_sites: int) -> np.ndarray:
     depend on the eigenbasis."""
     energies = np.sort(np.concatenate([np.zeros(0)] + [e for _, e, _ in blocks]))
     gap = np.diff(energies).min(initial=np.inf)
-    if gap <= _GAP_TOL:
+    if not gap > _GAP_TOL:
         raise DegeneracyError(f"window spectrum has gap {gap:.2e} <= {_GAP_TOL}")
     return np.concatenate([np.zeros((0, n_sites))]
                           + [np.sqrt((v ** 2).T @ b.occupancy) for b, _, v in blocks])
@@ -526,14 +514,14 @@ def ct_check(h: SectorHamiltonian, energy: float, safety: float,
     rhs = np.zeros((idx_b.size, h.dim))
     rhs[np.arange(idx_b.size), idx_b] = 1.0
     sol, error = _certified_cg(basis.csr(data), rhs, safety * gap)
-    if error > _CT_TOL:
+    if not error <= _CT_TOL:
         raise NumericalError(f"certified resolvent error {error:.2e} > {_CT_TOL}")
     measured = float(np.linalg.norm(sol[:, idx_a].T, 2))
     d = set_distance(basis.positions[idx_a], basis.positions[idx_b])
     rate_base = 1.0 + safety * (delta_aniso - 1.0) / 8.0
     prefactor = 16.0 * delta_aniso / (safety * (delta_aniso - 1.0))
     bound = prefactor * rate_base ** (-d)
-    if abs(bound - measured) <= error:
+    if not abs(bound - measured) > error:
         raise NumericalError(f"bound {bound:.3e} within the certified error"
                              f" {error:.1e} of the measured norm")
     return measured, bound
@@ -711,7 +699,6 @@ class QuasiLocalityProbe:
         require_dense(comb(chain.n_sites, chain.half_length))  # largest sector
         self.chain = chain
         self.site = site
-        self.window = window
         # full spectra first, so the window blocks are cut from them
         self._spectra = {n: chain.spectrum(n) for n in chain.sectors}
         self.energies, self._number = chain.window_number_operator(window, site)

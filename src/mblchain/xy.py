@@ -20,8 +20,8 @@ E0 = -sum(w).  An eigenstate is its boolean occupation vector of length L
 (True: the mode is occupied).  Gamma is L x L, and the reduced state of a
 block of sites is its principal slice (gamma[:ell, :ell] for the cut at
 ell).  Entropies are in nats.  block_m(w, gamma) builds the 2L x 2L matrix
-of the anisotropic chain.  The eigenvectors hold L^2 doubles, so an L (or
-2L) above xxz.DENSE_DIAG_CAP is a ConfigurationError.
+of the anisotropic chain.  A dense solve at L (or 2L) above the memory rule
+(errors.require_dense) is a ConfigurationError.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, NumericalError
-from .xxz import require_dense
+from .errors import DegeneracyError, NumericalError, require_dense
 
 _GAP_TOL = 1e-12
 _EIG_CLAMP = 1e-10
@@ -46,8 +45,8 @@ def block_m(w: np.ndarray, gamma: float) -> np.ndarray:
 
     M has diagonal w and -1 hopping; K is the antisymmetric tridiagonal
     anisotropy coupling (-gamma above the diagonal, +gamma below).  The
-    spectrum is symmetric about zero.  A 2L above DENSE_DIAG_CAP is a
-    ConfigurationError, raised before anything is allocated.
+    spectrum is symmetric about zero.  A 2L above the dense memory rule is
+    a ConfigurationError, raised before anything is allocated.
     """
     w = np.asarray(w, dtype=float)
     L = w.size
@@ -71,25 +70,20 @@ class EigenSystem:
     def size(self) -> int:
         return self.eigenvalues.size
 
-    def min_gap(self) -> float:
-        if self.size < 2:
-            return np.inf
-        return float(np.diff(self.eigenvalues).min())
-
 
 def check_eigenpairs(vecs: np.ndarray, resid: float, scale: float) -> None:
     """Raise NumericalError unless the residual |A O - O Lambda| is within
-    1e-9 of the matrix scale and the columns of O are orthonormal."""
+    1e-9 of the matrix scale and the columns of O are orthonormal (NaN fails)."""
     ortho = np.abs(vecs.T @ vecs - np.eye(vecs.shape[1])).max()
-    if resid > 1e-9 * scale or ortho > 1e-10:
+    if not (resid <= 1e-9 * scale and ortho <= 1e-10):
         raise NumericalError(
             f"diagonalization out of tolerance: resid={resid:.2e} ortho={ortho:.2e}")
 
 
 def diagonalize(diagonal: np.ndarray) -> EigenSystem:
     """Diagonalize M = O Lambda O^T, the one-particle matrix with the given
-    diagonal and -1 hopping.  O holds L^2 doubles, so an L above
-    DENSE_DIAG_CAP is a ConfigurationError."""
+    diagonal and -1 hopping.  O holds L^2 doubles, so an L above the dense
+    memory rule is a ConfigurationError."""
     d = np.asarray(diagonal, dtype=float)
     require_dense(d.size)
     if d.size == 1:
@@ -169,16 +163,16 @@ def eigenstate_energy(es: EigenSystem, occupied: np.ndarray,
 def occupation_spectra(gammas: np.ndarray) -> np.ndarray:
     """Spectra of a (..., n, n) stack of Gammas, checked and clipped to [0, 1]."""
     vals = np.linalg.eigvalsh(gammas)
-    if vals.min() < -_EIG_CLAMP or vals.max() > 1 + _EIG_CLAMP:
+    if not (vals.min() >= -_EIG_CLAMP and vals.max() <= 1 + _EIG_CLAMP):
         raise NumericalError(
             f"correlation spectrum outside [0,1]: [{vals.min()}, {vals.max()}]")
     return np.clip(vals, 0.0, 1.0)
 
 
 def _require_simple(es: EigenSystem) -> None:
-    if es.min_gap() <= _GAP_TOL:
-        raise DegeneracyError(
-            f"one-particle spectrum has gap {es.min_gap():.2e} <= {_GAP_TOL}")
+    gap = np.diff(es.eigenvalues).min(initial=np.inf)
+    if not gap > _GAP_TOL:
+        raise DegeneracyError(f"one-particle spectrum has gap {gap:.2e} <= {_GAP_TOL}")
 
 
 def eigenstate_correlation_matrix(es: EigenSystem,

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -169,6 +170,15 @@ def test_unread_flag_exits_config(tmp_path, capsys, extra):
     (["xy-aniso", "--gamma", "none"], "'gamma': cannot parse 'none'"),
     (["xy-ecorr", "--chain-length", "10", "--distances", "1,2", "--seed", "-1"],
      "seed -1 is negative"),
+    # a field past the range of a double
+    *[([*command, "--disorder-coupling", "1e308", "--disorder-max", "1e308"],
+       "disorder support [0.0, 1e+308] times 1e+308 overflows")
+      for command in (["xy-entropy", "--chain-length", "20", "--block-sizes", "5"],
+                      ["xy-aniso", "--chain-length", "10"],
+                      ["xxz-ct", "--half-length", "3", "--n-particles", "2"])],
+    (["xy-ecorr", "--chain-length", "10", "--distances", "1",
+      "--disorder-min=-1e308", "--disorder-max", "1e308"],
+     "disorder support [-1e+308, 1e+308] times 1.0 overflows"),
 ])
 def test_parse_errors_print_one_line(tmp_path, monkeypatch, capsys, args, message):
     monkeypatch.chdir(tmp_path)      # nothing may be written, even on failure
@@ -236,9 +246,10 @@ def test_unread_config_key_exits_config(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_dense_cap_exits_config(tmp_path, capsys, monkeypatch):
-    # the cap binds full spectra and window kind I, not the droplet windows
-    monkeypatch.setattr(xxz, "DENSE_DIAG_CAP", 30)
+def test_dense_cap_exits_config(tmp_path, capsys, monkeypatch, memory_budget):
+    # the dense rule binds full spectra and window kind I, not the droplet
+    # windows: a budget that admits dense solves up to dim 30
+    memory_budget(5 * 8 * 30 ** 2)
     calls = []
     eigh = np.linalg.eigh
 
@@ -260,14 +271,14 @@ def test_dense_cap_exits_config(tmp_path, capsys, monkeypatch):
                      "--out-dir", str(tmp_path / "full")])
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "dim 35 is above DENSE_DIAG_CAP = 30" in err[0]
+    assert len(err) == 1 and "dense diagonalization at dim 35 needs" in err[0]
     assert not calls and not (tmp_path / "full").exists()
     code = cli.main(["xxz-profile", "--half-length", "3", "--n-particles", "3",
                      "--window-kind", "I", "--distances", "1,2",
                      "--out-dir", str(tmp_path / "kind_i")])
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "dim 35 is above DENSE_DIAG_CAP = 30" in err[0]
+    assert len(err) == 1 and "dense diagonalization at dim 35 needs" in err[0]
     assert not calls and not (tmp_path / "kind_i").exists()
 
 
@@ -275,13 +286,13 @@ def test_dense_cap_exits_config(tmp_path, capsys, monkeypatch):
     (["xy-ecorr", "--distances", "1,2"], 30, 40),
     (["xy-aniso", "--gamma", "0.3"], 15, 20),   # the block matrix is 2L x 2L
 ])
-def test_xy_cap_exits_config(tmp_path, capsys, monkeypatch, command, ok, over):
-    monkeypatch.setattr(xxz, "DENSE_DIAG_CAP", 30)
+def test_xy_cap_exits_config(tmp_path, capsys, memory_budget, command, ok, over):
+    memory_budget(5 * 8 * 30 ** 2)  # dense solves up to dim 30
     code = cli.main([*command, "--chain-length", str(over),
                      "--out-dir", str(tmp_path / "over")])
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "DENSE_DIAG_CAP = 30" in err[0]
+    assert len(err) == 1 and "dense diagonalization at dim 40 needs" in err[0]
     assert not (tmp_path / "over").exists()
     code = cli.main([*command, "--chain-length", str(ok),
                      "--out-dir", str(tmp_path / "ok")])
@@ -298,10 +309,11 @@ def test_skeleton_cap_exits_config(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_oracle_cap_exits_config_before_allocating(tmp_path, capsys, monkeypatch):
-    cap = oracle.DEFAULT_CAP
-    # the longest chain whose 2^n matrix meets the dense memory rule
-    assert 2 ** cap <= xxz.DENSE_DIAG_CAP < 2 ** (cap + 1)
+def test_oracle_cap_exits_config_before_allocating(tmp_path, capsys, monkeypatch,
+                                                   memory_budget):
+    # a budget whose longest oracle chain (2^n dense matrix) has 5 sites
+    cap = 5
+    memory_budget(5 * 8 * 4 ** cap)
     zeros, eye = np.zeros, np.eye
 
     def small(shape, *args, **kwargs):
@@ -315,15 +327,55 @@ def test_oracle_cap_exits_config_before_allocating(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(np, "zeros", small)
     monkeypatch.setattr(np, "eye", small_eye)
     # an interior probe runs the oracle on the whole chain
-    code = cli.main(["lr-lightcone", "--model", "xy", "--chain-length",
-                     str(cap + 1), "--probe-site", "3", "--distances", "1,2",
-                     "--out-dir", str(tmp_path)])
+    args = ["lr-lightcone", "--model", "xy", "--probe-site", "3", "--distances", "1"]
+    code = cli.main([*args, "--chain-length", str(cap + 1),
+                     "--out-dir", str(tmp_path / "over")])
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and f"exceeds dense cap {cap}" in err[0]
-    assert not list(tmp_path.iterdir())
-    with pytest.raises(ConfigurationError, match="dense cap"):
+    assert len(err) == 1 and f"the dense {cap + 1}-site chain needs" in err[0]
+    assert not (tmp_path / "over").exists()
+    with pytest.raises(ConfigurationError, match=f"dense {cap + 1}-site chain"):
         oracle.jordan_wigner_modes(cap + 1)
+    code = cli.main([*args, "--chain-length", str(cap), "--out-dir", str(tmp_path / "ok")])
+    assert code == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("args, ok, message", [
+    # at least 14 GB at 28 sites (2^28 states)
+    (["ising", "--chain-length", "28"], ["ising", "--chain-length", "8"],
+     "the 28-site Ising spectrum needs"),
+    (["xxz-bands", "--n-max", "100000000"], ["xxz-bands", "--n-max", "1000"],
+     "xxz-bands --n-max 100000000 needs"),
+])
+def test_ising_and_bands_refused_before_allocating(tmp_path, capsys, memory_budget,
+                                                   args, ok, message):
+    memory_budget(2 ** 32)  # half of an 8 GiB machine
+    started = time.perf_counter()
+    code = cli.main([*args, "--out-dir", str(tmp_path / "over")])
+    assert code == cli.EXIT_CONFIG and time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and message in err[0]
+    assert not (tmp_path / "over").exists()
+    assert cli.main([*ok, "--out-dir", str(tmp_path / "ok")]) == cli.EXIT_OK
+
+
+def test_ising_peak_memory(tmp_path):
+    # the occupation table and the run count are built a column at a time:
+    # at 22 sites the whole process stays below 400 MB, where a (2^n, n)
+    # int64 shift table alone would take 738 MB
+    probe = ("import resource, sys\n"
+             "from mblchain import cli\n"
+             "assert cli.main(sys.argv[1:]) == cli.EXIT_OK\n"
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", probe, "ising", "--chain-length", "22",
+         "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, check=True, env=env, timeout=120).stdout
+    peak_kib = int(out.splitlines()[-1])
+    assert peak_kib < 400 * 1024, f"peak RSS {peak_kib / 1024:.0f} MiB"
 
 
 def test_solver_failure_exits_numerical(tmp_path, capsys, monkeypatch):
@@ -357,6 +409,21 @@ def test_ct_solver_failure_exits_numerical(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert "realization 0" in err[0] and "did not converge" in err[0]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args, message", [
+    # a NaN residual fails the eigenpair certificate
+    (["xy-aniso", "--chain-length", "10", "--gamma", "1e308"],
+     "diagonalization out of tolerance: resid=nan"),
+    # a NaN value is not read as a missing key
+    (["xy-kernel", "--chain-length", "10", "--distances", "1,2,3",
+      "--time-grid", "1e308"], "realization 0: key 1 has value nan"),
+])
+def test_non_finite_results_exit_numerical(tmp_path, capsys, args, message):
+    assert cli.main([*args, "--out-dir", str(tmp_path)]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and message in err[0]
     assert not list(tmp_path.iterdir())
 
 

@@ -73,3 +73,12 @@ def test_validation_errors():
         SeedPlan(5).stream_seed(-1)
     with pytest.raises(ConfigurationError, match="seed -1 is negative"):
         SeedPlan(-1)
+    # a scaled support past the range of a double, or a support wider than it
+    for kwargs in (dict(coupling=1e308, support_max=1e308),
+                   dict(coupling=2.0, support_min=-1e308),
+                   dict(support_min=-1e308, support_max=1e308),
+                   dict(kind="constant", support_min=1e200, support_max=1e200,
+                        coupling=1e200)):
+        with pytest.raises(ConfigurationError, match="overflows"):
+            DisorderSpec(**kwargs)
+    assert DisorderSpec(support_min=-1e307, support_max=1e307, coupling=10.0)

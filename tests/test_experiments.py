@@ -103,6 +103,24 @@ def test_solver_failure_becomes_numerical_error(monkeypatch):
         experiments.run_ensemble(_config())
 
 
+def test_non_finite_value_is_not_a_missing_key(monkeypatch):
+    # NaN marks a key a realization did not return; a metric's own NaN or
+    # inf is a numerical failure of that realization
+    def partial(config, index):
+        return {1: 1.0, 2: 2.0} if index else {1: 3.0}
+
+    monkeypatch.setitem(experiments.METRICS, "eigencorrelator", partial)
+    summary = experiments.run_ensemble(_config(realizations=2))
+    assert summary.mean.tolist() == [2.0, 2.0]
+    assert summary.max_value.tolist() == [3.0, 2.0]
+    assert summary.stderr.tolist() == [1.0, 0.0]
+    for bad in (np.nan, np.inf, -np.inf):
+        monkeypatch.setitem(experiments.METRICS, "eigencorrelator",
+                            lambda config, index: {1: 1.0, 2: bad if index else 0.5})
+        with pytest.raises(NumericalError, match=f"realization 1: key 2 has value {bad}"):
+            experiments.run_ensemble(_config(realizations=2))
+
+
 def test_run_ensemble_single_realization_matches_direct():
     config = _config(realizations=1)
     summary = experiments.run_ensemble(config)

@@ -175,6 +175,23 @@ def test_ising_exact_formula():
     assert counts[list(values).index(1.0)] == 55
 
 
+def test_ising_exact_matches_the_table_formula():
+    # the column-at-a-time build gives, bit for bit, the whole-table formula
+    # (runs = sites minus adjacent pairs on the (2^n, n) occupation table)
+    rng = np.random.default_rng(3)
+    for n in range(1, 17):
+        occ = ((np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1) == 1
+        assert np.array_equal(oracle._occupations(n), occ)
+        runs = occ.sum(axis=1) - (occ[:, :-1] & occ[:, 1:]).sum(axis=1)
+        for w in (rng.uniform(0.0, 3.0, n), rng.uniform(-1.0, 1.0, n)):
+            field_sum = np.zeros(2 ** n)
+            for j in range(n):
+                field_sum += w[j] * occ[:, j]
+            energies, labels = oracle.ising_exact(w)
+            assert np.array_equal(energies, runs.astype(float) + field_sum)
+            assert np.array_equal(labels, np.arange(2 ** n, dtype=np.uint64))
+
+
 def test_droplet_superposition_paths_and_growth():
     for ell in (1, 2, 4, 6):
         closed = oracle.droplet_superposition_entropy(ell, max(2 * ell, 2), "closed")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mblchain import xxz
+from mblchain import errors, oracle, xxz
 from mblchain.disorder import (DisorderSpec, SeedPlan, constant_field,
                                sample_field)
 from mblchain.errors import ConfigurationError, DegeneracyError, NumericalError
@@ -181,14 +181,14 @@ def test_rank_beyond_int64():
         basis.rank([(-40,)])
 
 
-def test_skeleton_cap_refuses_before_allocating(monkeypatch):
+def test_skeleton_cap_refuses_before_allocating(monkeypatch, memory_budget):
     calls, zeros = [], np.zeros
     monkeypatch.setattr(np, "zeros", lambda *a, **k: calls.append(a) or zeros(*a, **k))
     # C(81, 20) ~ 4.7e18 configurations: refused from the count alone
     with pytest.raises(ConfigurationError, match="above half the physical memory"):
         xxz.enumerate_basis(20, 40)
-    # a lower cap refuses a small sector (uncached builds)
-    monkeypatch.setattr(xxz, "_HALF_MEMORY", 10_000)
+    # a lower budget refuses a small sector (uncached builds)
+    memory_budget(10_000)
     with pytest.raises(ConfigurationError, match="sector of 84 configurations"):
         xxz.enumerate_basis.__wrapped__(3, 4)
     assert not calls
@@ -507,6 +507,40 @@ def test_ct_check_certificate_rejects_inexact_solves(monkeypatch):
         xxz.ct_check(h, 0.5, safety, a, b)
 
 
+def test_certificates_fail_on_nan(monkeypatch):
+    # every certificate comparison is written so that NaN fails it
+    import scipy.sparse.linalg as spla
+    delta = 3.0
+    w = sample_field(DisorderSpec(coupling=0.05), 13, PLAN, 2)
+    h = xxz.build_h_sector(2, 6, delta, xxz.min_boundary_weight(delta), w)
+    window = xxz.spectral_window(delta, 0.5)
+    certified = xxz._certified_cg
+    monkeypatch.setattr(xxz, "_certified_cg",
+                        lambda *args: (certified(*args)[0], np.nan))
+    with pytest.raises(NumericalError, match="window count undecided at error nan"):
+        xxz.eigenpairs_in_window(h, window)
+    monkeypatch.setattr(xxz, "_certified_cg", certified)
+
+    def nan_vectors(solver):
+        def solve(*args, **kwargs):
+            vals, vecs = solver(*args, **kwargs)
+            return vals, np.full_like(vecs, np.nan)
+        return solve
+
+    monkeypatch.setattr(spla, "eigsh", nan_vectors(spla.eigsh))
+    with pytest.raises(NumericalError, match="residuals up to nan"):
+        xxz.eigenpairs_in_window(h, window)
+    monkeypatch.setattr(np.linalg, "eigh", nan_vectors(np.linalg.eigh))
+    with pytest.raises(NumericalError, match="not orthonormal: nan"):
+        xxz.eigenpairs_in_window(h, xxz.spectral_window(delta, kind="I"))
+    monkeypatch.setattr(xxz, "_cg", cg_off_by(np.nan))
+    with pytest.raises(NumericalError, match="certified resolvent error nan"):
+        xxz.ct_check(h, 0.5, 0.5, [(-6, -5)], [(2, 4)])
+    with pytest.raises(DegeneracyError, match="gap nan"):
+        xxz.window_site_masses(
+            [(h.basis, np.array([0.5, np.nan]), np.zeros((h.dim, 2)))], 13)
+
+
 @pytest.mark.parametrize("n_particles", [3, 4])
 def test_cg_matches_scipy_bit_for_bit(n_particles):
     # single right-hand sides on ct_check's shifted operator K at L = 12 give
@@ -575,22 +609,22 @@ def test_sector_correlator_disordered():
     assert q00 >= q04 >= 0.0
 
 
-def test_windowed_eigenpairs_above_dense_cap(monkeypatch):
+def test_windowed_eigenpairs_above_dense_cap(memory_budget):
     # below 2 (1 - 1/Delta) the window solver needs no dense solve: a sector
-    # of dim 465 put above the cap gives the dense window pairs
+    # of dim 465 above the dense rule gives the dense window pairs
     delta = 3.0
     w = sample_field(DisorderSpec(coupling=0.1), 31, PLAN, 8)
     h = xxz.build_h_sector(2, 15, delta, xxz.min_boundary_weight(delta), w)
     window = xxz.spectral_window(delta, 0.5)
     vals, vecs = np.linalg.eigh(h.matrix.toarray())
     keep = window.contains(vals)
-    monkeypatch.setattr(xxz, "DENSE_DIAG_CAP", 100)
+    memory_budget(5 * 8 * 100 ** 2)  # dense solves up to dim 100
     energies, vectors = xxz.eigenpairs_in_window(h, window)
     assert energies.size == keep.sum() > 0
     assert np.abs(energies - vals[keep]).max() < 1e-12
     assert np.abs(np.abs((vecs[:, keep] * vectors).sum(axis=0)) - 1).max() < 1e-8
-    # window kind I reaches 2 (1 - 1/Delta): dense, so refused above the cap
-    with pytest.raises(ConfigurationError, match="DENSE_DIAG_CAP = 100"):
+    # window kind I reaches 2 (1 - 1/Delta): dense, so refused
+    with pytest.raises(ConfigurationError, match="dense diagonalization at dim 465"):
         xxz.eigenpairs_in_window(h, xxz.spectral_window(delta, kind="I"))
 
 
@@ -630,14 +664,35 @@ def test_window_certificate_rejects_inexact_solves(monkeypatch):
         xxz.eigenpairs_in_window(h, window)
 
 
-def test_dense_cap_fits_physical_memory():
-    import os
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    # a dense eigh at the cap: matrix, LAPACK's copy, the syevd workspace
-    # (2 n^2) and the eigenvectors, in doubles
-    assert 5 * 8 * xxz.DENSE_DIAG_CAP ** 2 <= physical
+def test_dense_cap_fits_physical_memory(memory_budget):
     # c09's sector (dim 2 300) can still be checked against a dense eigh
-    assert xxz.DENSE_DIAG_CAP >= comb(25, 3)
+    errors.require_dense(comb(25, 3))
+    # the one rule at the budget of a 7.8 GiB machine (half its memory): a
+    # dense eigh holds 5 n^2 doubles up to n = 10 258, and the oracle's
+    # 2^n matrix admits 13 sites
+    memory_budget(4_209_827_840)
+    errors.require_dense(10_258)
+    with pytest.raises(ConfigurationError, match="dense diagonalization at dim 10259"
+                       " needs about 3.921 GiB, above half the physical memory"
+                       r" \(3.921 GiB\)"):
+        errors.require_dense(10_259)
+    oracle._check_cap(13)
+    with pytest.raises(ConfigurationError, match="the dense 14-site chain"):
+        oracle._check_cap(14)
+    # 2^n (n + 18) bytes for the Ising spectrum: 26 sites, not 27
+    with pytest.raises(ConfigurationError, match="27-site Ising spectrum needs about 5.625"):
+        oracle.ising_exact(np.zeros(27))
+    # a count past a float's range is named in powers of two
+    with pytest.raises(ConfigurationError, match=r"the dense 2000-site chain needs"
+                       r" about 2\^4005 bytes"):
+        oracle._check_cap(2000)
+    # the skeleton's formula, dim (128 + sites + 32 N) bytes: 84 (128 + 9 + 96)
+    # at (3, 4), refused one byte below
+    memory_budget(84 * 233)
+    assert xxz.enumerate_basis.__wrapped__(3, 4).dim == 84
+    memory_budget(84 * 233 - 1)
+    with pytest.raises(ConfigurationError, match="sector of 84 configurations"):
+        xxz.enumerate_basis.__wrapped__(3, 4)
 
 
 def test_chain_spectrum_window_blocks_and_vacuum():

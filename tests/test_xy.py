@@ -29,6 +29,20 @@ def test_effective_hamiltonian_structure():
     assert xy.eigenstate_energy(es, np.zeros(4, dtype=bool), -w.sum()) == -2.0
 
 
+def test_certificates_fail_on_nan(monkeypatch):
+    # every certificate comparison is written so that NaN fails it
+    with pytest.raises(NumericalError, match="resid=nan"):
+        xy.check_eigenpairs(np.eye(3), np.nan, 1.0)
+    with pytest.raises(NumericalError, match="ortho=nan"):
+        xy.check_eigenpairs(np.full((3, 3), np.nan), 0.0, 1.0)
+    with pytest.raises(DegeneracyError, match="gap nan"):
+        xy.eigenstate_block_entropy(xy.EigenSystem(np.array([0.0, np.nan]), np.eye(2)),
+                                    np.zeros(2, dtype=bool), 1)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.array([0.5, np.nan]))
+    with pytest.raises(NumericalError, match="outside"):
+        xy.occupation_spectra(np.eye(2) / 2)
+
+
 def test_diagonalize_matches_dense():
     w, es = _es(50, 1)
     dense_vals = np.linalg.eigvalsh(xy.block_m(w, 0.0)[:50, :50])
