@@ -306,9 +306,9 @@ def cmd_ising(settings):
     # the length and block sizes used are the ones echoed
     n = settings["chain_length"] = settings["chain_length"] or 10
     w = sample_field(_disorder(settings), n, SeedPlan(settings["seed"]), 0)
-    formula, _ = oracle.ising_exact(w)
     meta = {}
     if n <= 12:
+        formula, _ = oracle.ising_exact(w)
         energies = oracle.full_energies(oracle.build_full("ising", w))
         meta["spectrum_max_deviation"] = float(
             np.abs(np.sort(formula) - energies).max())

@@ -103,13 +103,12 @@ class ExperimentConfig:
         if self.kind == "droplet_profile" and min(self.distances, default=0) < 0:
             raise ConfigurationError(
                 f"droplet distances {[d for d in self.distances if d < 0]} below 0")
-        if "block_sizes" in reads and "chain_length" in reads:
-            outside = [ell for ell in self.block_sizes
-                       if not 1 <= ell <= self.chain_length - 1]
+        # XY blocks cut the chain; XXZ truncation radii are any ell >= 0
+        if "block_sizes" in reads:
+            lo, hi = (1, self.chain_length - 1) if "chain_length" in reads else (0, math.inf)
+            outside = [ell for ell in self.block_sizes if not lo <= ell <= hi]
             if outside:
-                raise ConfigurationError(
-                    f"block sizes {outside} outside 1..{self.chain_length - 1}"
-                    " (chain_length - 1)")
+                raise ConfigurationError(f"block sizes {outside} outside {lo}..{hi}")
         for keys in ("distances", "block_sizes"):
             if keys in reads and not getattr(self, keys):
                 raise ConfigurationError(f"{self.kind} needs a nonempty {keys} list")

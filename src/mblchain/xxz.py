@@ -682,7 +682,9 @@ class QuasiLocalityProbe:
 
     X = N_site is a projector, so in each sector tau_t(X) = C C^dagger with
     C = V e^{iEt} V[occ, :]^T, the columns of e^{iHt} at the configurations
-    that occupy the site; no dim x dim evolved operator is formed.  A class
+    that occupy the site, not a dim x dim evolved operator: one real product
+    per sector and time, added at once to the partial traces of every radius
+    and released before the next sector's.  A class
     of configurations with fixed inner weight is ordered by (outer pattern
     o, inner pattern a), so C on it is c[o, a, k], and the partial trace
     over the outer sites, sum_{o, k} c[o, a, k] conj(c[o, b, k]), is one
@@ -696,66 +698,64 @@ class QuasiLocalityProbe:
 
     def __init__(self, chain: ChainSpectrum, site: int, window: EnergyWindow):
         _check_site(site, chain.half_length)
-        require_dense(comb(chain.n_sites, chain.half_length))  # largest sector
-        self.chain = chain
-        self.site = site
+        # all sectors' eigenvectors, C(2n, n) doubles, are kept; on top come the
+        # largest sector's dense solve (5 dim^2 doubles) and evolution (a real
+        # product and the complex C, 2 dim C(n - 1, L) doubles each)
+        n, dim = chain.n_sites, comb(chain.n_sites, chain.half_length)
+        require_memory(8 * (comb(2 * n, n) + 5 * dim ** 2 + 4 * dim * comb(n - 1, n // 2)),
+                       f"the quasi-locality probe of the {n}-site chain")
+        self.chain, self.site = chain, site
         # full spectra first, so the window blocks are cut from them
         self._spectra = {n: chain.spectrum(n) for n in chain.sectors}
         self.energies, self._number = chain.window_number_operator(window, site)
         self._blocks = chain.window_blocks(window)[1]
 
-    def _evolved(self, t: float):
-        """Per sector the factor C of tau_t(X) = C C^dagger, and tau_t(X) on
-        the window."""
-        col = self.site + self.chain.half_length
-        factors = {}
-        for n, (energies, vectors) in self._spectra.items():
-            # one real product V [cos(Et) W^T | sin(Et) W^T], W = V[occ, :]
-            occupied = self.chain.sectors[n].basis.occupancy[:, col]
-            wt, et = vectors[occupied].T, energies[:, None] * t
-            re_im = vectors @ np.hstack([np.cos(et) * wt, np.sin(et) * wt])
-            factors[n] = re_im[:, :wt.shape[1]] + 1j * re_im[:, wt.shape[1]:]
-        return factors, evolve_window_observable(self.energies, self._number, t)
-
-    def _error(self, ell: int, factors: dict[int, np.ndarray],
-               exact: np.ndarray) -> float:
-        chain = self.chain
-        n_inner, tables = _trace_classes(chain.half_length, self.site, ell)
-        if n_inner == chain.n_sites:
-            return 0.0
-
-        # partial trace of tau_t(X) over the outer sites, one block per
-        # inner weight k the window sectors hold, accumulated over every
-        # sector (sectors without window states still contribute), indexed
-        # by the C(n_inner, k) inner patterns of weight k in ascending order
-        read = {k for n in self._blocks for k in tables[n]}
-        m_a = {}
-        for n, classes in tables.items():
-            for k, members in classes.items():
-                if k in read:
-                    na = comb(n_inner, k)
-                    c = factors[n][members].reshape(members.size // na, na, -1)
-                    c = c.swapaxes(0, 1).reshape(na, -1)
-                    m_a[k] = m_a.get(k, 0) + c @ c.conj().T
-
-        # the approximant on the window: m_a acts on the inner index of
-        # every class
-        w = self.energies.size
-        approx = np.zeros((w, w), dtype=complex)
-        for n, (rows, vecs) in self._blocks.items():
-            for k, members in tables[n].items():
-                v = vecs[members]
-                mv = m_a[k] @ v.reshape(-1, m_a[k].shape[0], v.shape[1])
-                approx[rows, rows] += v.T @ mv.reshape(members.size, -1)
-        approx /= 2.0 ** (chain.n_sites - n_inner)
-        return float(np.linalg.norm(approx - exact, 2)) if w else 0.0
-
     def errors_profile(self, ells, time_grid) -> dict[int, float]:
-        """Per truncation radius, the max over the time grid of the windowed
-        error; the evolved operators are shared across radii."""
+        """Per truncation radius, the max over the time grid of the windowed error."""
+        chain, w = self.chain, self.energies.size
+        col = self.site + chain.half_length
         out = {ell: 0.0 for ell in ells}
+        # radii whose S is not the whole chain (there the error is 0): their
+        # classes and the inner weights k the window sectors read
+        cuts = {}
+        for ell in out:
+            n_inner, tables = _trace_classes(chain.half_length, self.site, ell)
+            if n_inner < chain.n_sites:
+                cuts[ell] = n_inner, tables, {k for n in self._blocks for k in tables[n]}
+        if not (cuts and w):
+            return out
         for t in np.asarray(time_grid, dtype=float):
-            evolved = self._evolved(t)
-            for ell in ells:
-                out[ell] = max(out[ell], self._error(ell, *evolved))
+            # per radius and inner weight k read, the partial trace of tau_t(X)
+            # over the outer sites, summed over all sectors (window states or not)
+            # in ascending order, on the ascending inner patterns of weight k
+            m_a = {ell: {} for ell in cuts}
+            for n, (energies, vectors) in self._spectra.items():
+                # one real product V [cos(Et) W^T | sin(Et) W^T], W = V[occ, :]
+                wt = vectors[chain.sectors[n].basis.occupancy[:, col]].T
+                et = energies[:, None] * t
+                re_im = vectors @ np.hstack([np.cos(et) * wt, np.sin(et) * wt])
+                c = np.empty(wt.shape, dtype=complex)
+                c.real, c.imag = np.hsplit(re_im, 2)
+                del wt, re_im
+                for ell, (n_inner, tables, read) in cuts.items():
+                    for k, members in tables[n].items():
+                        if k in read:
+                            na = comb(n_inner, k)
+                            ck = c[members].reshape(members.size // na, na, -1)
+                            ck = ck.swapaxes(0, 1).reshape(na, -1)
+                            m_a[ell][k] = m_a[ell].get(k, 0) + ck @ ck.conj().T
+                c = ck = None  # released before the next sector's factor
+
+            # the approximant on the window: m_a acts on the inner index of
+            # every class
+            exact = evolve_window_observable(self.energies, self._number, t)
+            for ell, (n_inner, tables, _) in cuts.items():
+                approx = np.zeros((w, w), dtype=complex)
+                for n, (rows, vecs) in self._blocks.items():
+                    for k, members in tables[n].items():
+                        v, m = vecs[members], m_a[ell][k]
+                        mv = m @ v.reshape(-1, m.shape[0], v.shape[1])
+                        approx[rows, rows] += v.T @ mv.reshape(members.size, -1)
+                approx /= 2.0 ** (chain.n_sites - n_inner)
+                out[ell] = max(out[ell], float(np.linalg.norm(approx - exact, 2)))
         return out

@@ -118,6 +118,9 @@ def test_probed_site_outside_chain_exits_config(tmp_path, capsys, args):
     (["xy-ecorr", "--chain-length", "10", "--distances", "1",
       "--disorder-kind", "table"],
      "disorder kind 'table' is library-only"),
+    (["quasi-locality", "--half-length", "3", "--anisotropy", "6.0",
+      "--block-sizes=-2,-1,0,1,2", "--time-grid", "0.5,5", "--realizations", "2"],
+     "block sizes [-2, -1] outside 0..inf"),
 ])
 def test_range_errors_exit_config(tmp_path, capsys, args, message):
     assert cli.main(args + ["--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
@@ -271,7 +274,7 @@ def test_dense_cap_exits_config(tmp_path, capsys, monkeypatch, memory_budget):
                      "--out-dir", str(tmp_path / "full")])
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "dense diagonalization at dim 35 needs" in err[0]
+    assert len(err) == 1 and "quasi-locality probe of the 7-site chain needs" in err[0]
     assert not calls and not (tmp_path / "full").exists()
     code = cli.main(["xxz-profile", "--half-length", "3", "--n-particles", "3",
                      "--window-kind", "I", "--distances", "1,2",
@@ -280,6 +283,27 @@ def test_dense_cap_exits_config(tmp_path, capsys, monkeypatch, memory_budget):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "dense diagonalization at dim 35 needs" in err[0]
     assert not calls and not (tmp_path / "kind_i").exists()
+
+
+def test_quasi_locality_counts_every_sector(tmp_path, capsys, monkeypatch,
+                                            memory_budget):
+    # at L = 3 the largest dense solve (dim 35) takes 49 000 B, and the kept
+    # eigenvectors of all sectors C(14, 7) doubles, 27 456 B more: a budget
+    # between the two is refused before any sector is solved
+    memory_budget(60_000)
+    calls, eigh = [], np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    code = cli.main(["quasi-locality", "--half-length", "3", "--anisotropy", "6.0",
+                     "--block-sizes", "0,1", "--out-dir", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "quasi-locality probe of the 7-site chain needs" in err[0]
+    assert not calls and not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command, ok, over", [
@@ -341,9 +365,9 @@ def test_oracle_cap_exits_config_before_allocating(tmp_path, capsys, monkeypatch
 
 
 @pytest.mark.parametrize("args, ok, message", [
-    # at least 14 GB at 28 sites (2^28 states)
-    (["ising", "--chain-length", "28"], ["ising", "--chain-length", "8"],
-     "the 28-site Ising spectrum needs"),
+    # ising checks its subset spectrum against the oracle up to 12 sites
+    # only, so at 28 sites it builds none (it would take at least 14 GB)
+    (["ising", "--chain-length", "28"], ["ising", "--chain-length", "8"], None),
     (["xxz-bands", "--n-max", "100000000"], ["xxz-bands", "--n-max", "1000"],
      "xxz-bands --n-max 100000000 needs"),
 ])
@@ -352,28 +376,31 @@ def test_ising_and_bands_refused_before_allocating(tmp_path, capsys, memory_budg
     memory_budget(2 ** 32)  # half of an 8 GiB machine
     started = time.perf_counter()
     code = cli.main([*args, "--out-dir", str(tmp_path / "over")])
-    assert code == cli.EXIT_CONFIG and time.perf_counter() - started < 1.0
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and message in err[0]
-    assert not (tmp_path / "over").exists()
+    assert time.perf_counter() - started < 1.0
+    if message is None:
+        assert code == cli.EXIT_OK
+    else:
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and message in err[0]
+        assert not (tmp_path / "over").exists()
     assert cli.main([*ok, "--out-dir", str(tmp_path / "ok")]) == cli.EXIT_OK
 
 
-def test_ising_peak_memory(tmp_path):
+def test_ising_peak_memory():
     # the occupation table and the run count are built a column at a time:
     # at 22 sites the whole process stays below 400 MB, where a (2^n, n)
     # int64 shift table alone would take 738 MB
-    probe = ("import resource, sys\n"
-             "from mblchain import cli\n"
-             "assert cli.main(sys.argv[1:]) == cli.EXIT_OK\n"
+    probe = ("import resource\n"
+             "import numpy as np\n"
+             "from mblchain import oracle\n"
+             "assert oracle.ising_exact(np.zeros(22))[0].size == 2 ** 22\n"
              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c", probe, "ising", "--chain-length", "22",
-         "--out-dir", str(tmp_path)],
-        capture_output=True, text=True, check=True, env=env, timeout=120).stdout
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env=env, timeout=120).stdout
     peak_kib = int(out.splitlines()[-1])
     assert peak_kib < 400 * 1024, f"peak RSS {peak_kib / 1024:.0f} MiB"
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import deque
 from itertools import combinations
 from math import comb
@@ -738,6 +739,25 @@ def test_window_observables_reject_sites_outside_chain():
             chain.window_sigma_x(window, site)
         with pytest.raises(ConfigurationError):
             xxz.QuasiLocalityProbe(chain, site, window)
+
+
+@pytest.mark.parametrize("half_length", [4, 5])
+def test_quasi_locality_streams_the_sector_factors(half_length):
+    # one time's factors C over all sectors take C(2n - 1, n) complex numbers
+    # (Vandermonde: sum_N C(n, N) C(n - 1, N - 1)); each sector's factor is
+    # folded into the partial traces and released, so the profile stays well
+    # below that, where keeping every sector's factor reaches 2.6-3.2 times it
+    delta, n = 6.0, 2 * half_length + 1
+    w = sample_field(UNIFORM, n, PLAN, 5)
+    chain = xxz.ChainSpectrum(half_length, delta, xxz.min_boundary_weight(delta), w)
+    probe = xxz.QuasiLocalityProbe(chain, 0, xxz.spectral_window(delta, 0.5))
+    tracemalloc.start()
+    try:
+        probe.errors_profile(range(half_length), (0.5, 5.0, 50.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 16 * comb(2 * n - 1, n), f"traced peak {peak} B"
 
 
 @pytest.mark.parametrize("half_length", [2, 3])
