@@ -36,6 +36,7 @@ _GAP_TOL = 1e-12
 _EIG_CLAMP = 1e-10
 # entropy error allowed for dropping the modes that do not straddle the cut
 _TRUNC_TOL = 1e-10
+_SCREEN_TOL = 1e-2  # the looser one of the sup's screen
 _STACK_ENTRIES = 2 ** 22  # matrix entries of one stacked eigvalsh (32 MB)
 _EXHAUSTIVE_LIMIT = 14  # the sup visits all 2^L patterns up to this L
 
@@ -264,10 +265,11 @@ def _drop_bound(masses: np.ndarray, sites: int) -> np.ndarray:
     return np.maximum.accumulate(bound)
 
 
-def straddling_modes(es: EigenSystem, ell: int) -> tuple[np.ndarray, float, np.ndarray]:
+def straddling_modes(es: EigenSystem, ell: int, tol=_TRUNC_TOL) -> tuple:
     """Modes kept for the [0, ell) block entropy of every eigenstate, a bound
-    (<= _TRUNC_TOL) on the entropy error of dropping the others, and the left
-    masses m_k of every mode.
+    (<= tol) on the entropy error of dropping the others, and the left
+    masses m_k of every mode; for a tuple of tolerances, the kept modes and
+    the bound at each in turn, then the masses, computed once.
 
     Gamma_A = O_{A,S} O_{A,S}^T for the empty modes S, O_A the first ell rows
     of the eigenvectors.  Dropping modes Z from S is a PSD change of rank
@@ -284,8 +286,9 @@ def straddling_modes(es: EigenSystem, ell: int) -> tuple[np.ndarray, float, np.n
     from the block [ell, L) of equal entropy: n_1 h(delta_1 / n_1), n_1 =
     min(L - ell, |U|).  K is the fewest modes, dropping the smallest left
     masses into Z and the smallest right masses into U, with the sum of
-    both bounds within _TRUNC_TOL; an eigenstate then needs only the
-    spectrum of G_K[S cap K, S cap K], G_K = O_{A,K}^T O_{A,K}.
+    both bounds within tol; an eigenstate then needs only the spectrum of
+    G_K[S cap K, S cap K], G_K = O_{A,K}^T O_{A,K}.  The bound holds for
+    every eigenstate at any tol, which the sup's screen relies on.
     """
     L, o = es.size, es.eigenvectors
     if not 1 <= ell < L:
@@ -295,24 +298,48 @@ def straddling_modes(es: EigenSystem, ell: int) -> tuple[np.ndarray, float, np.n
     order = np.argsort(left)
     low = _drop_bound(left[order], ell)
     high = _drop_bound((o[ell:, order[::-1]] ** 2).sum(axis=0), L - ell)
-    # for each count dropped from the bottom, the most from the top within
-    # the tolerance; never a mode twice, as each bottom one has left mass
-    # <= 1/2 and each top one right mass <= 1/2
-    top = np.searchsorted(high, _TRUNC_TOL - low, side="right") - 1
-    bottom = int(np.argmax(np.where(top >= 0, np.arange(L + 1) + top, -1)))
-    return order[bottom:L - top[bottom]], float(low[bottom] + high[top[bottom]]), left
+    cuts = []
+    for t in np.atleast_1d(tol):
+        # for each count dropped from the bottom, the most from the top
+        # within t; never a mode twice, as each bottom one has left mass
+        # <= 1/2 and each top one right mass <= 1/2
+        top = np.searchsorted(high, t - low, side="right") - 1
+        bottom = int(np.argmax(np.where(top >= 0, np.arange(L + 1) + top, -1)))
+        cuts += [order[bottom:L - top[bottom]], float(low[bottom] + high[top[bottom]])]
+    return *cuts, left
 
 
 def _random_pattern_chunks(rng, samples: int, L: int, chunk: int,
-                           straddling: np.ndarray, kept: np.ndarray):
-    """Empty kept modes of `samples` random patterns, drawn `chunk` at a
-    time (consecutive draws: the same stream as one call), then of the
+                           straddling: np.ndarray):
+    """Empty modes of `samples` random patterns, drawn `chunk` at a time
+    (consecutive draws: the same stream as one call), then of the
     straddling pattern, which rides on the last chunk."""
     for start in range(0, max(samples, 1), chunk):
         occupied = rng.integers(0, 2, size=(min(chunk, samples - start), L)) == 1
         if start + chunk >= samples:
             occupied = np.vstack([occupied, straddling])
-        yield ~occupied[:, kept]
+        yield ~occupied
+
+
+def _stacked_entropies(o_a: np.ndarray, empty: np.ndarray) -> np.ndarray:
+    # [0, ell) block entropy of each row's empty modes among the columns of
+    # o_a (0 for none), one stacked eigvalsh for each count c of them
+    ell = o_a.shape[0]
+    counts = empty.sum(axis=1)
+    gram = o_a.T @ o_a if ((counts > 0) & (counts <= ell)).any() else None
+    out = np.zeros(len(empty))
+    for c in np.unique(counts[counts > 0]):
+        at = np.flatnonzero(counts == c)
+        step = max(1, _STACK_ENTRIES // min(c, ell) ** 2)
+        for part in np.split(at, range(step, at.size, step)):
+            if c > ell:
+                # not a batched matmul: that rounds differently from a @ a.T
+                blocks = np.array([o_a[:, e] @ o_a[:, e].T for e in empty[part]])
+            else:
+                idx = np.nonzero(empty[part])[1].reshape(-1, c)
+                blocks = gram[idx[:, :, None], idx[:, None, :]]
+            out[part] = binary_entropy(occupation_spectra(blocks)).sum(axis=1)
+    return out
 
 
 def sample_eigenstate_entropy_sup(es: EigenSystem, ell: int, samples: int = 200,
@@ -324,15 +351,20 @@ def sample_eigenstate_entropy_sup(es: EigenSystem, ell: int, samples: int = 200,
     deterministic cut-straddling heuristic.  Each pattern's entropy is taken
     on the modes that straddle the cut, within a certified _TRUNC_TOL of
     eigenstate_block_entropy (straddling_modes); the patterns with c empty
-    kept modes share one stacked eigvalsh.
+    kept modes share one stacked eigvalsh.  A screen on the few modes kept
+    at _SCREEN_TOL passes on only the patterns within twice both bounds (and
+    2 _TRUNC_TOL of rounding) of its running maximum: no other can hold it.
     """
     L = es.size
-    kept, _, left = straddling_modes(es, ell)
+    screen, err_s, kept, err, left = straddling_modes(es, ell, (_SCREEN_TOL, _TRUNC_TOL))
     chunk = max(1, _STACK_ENTRIES // L)   # patterns held at once
     if L <= _EXHAUSTIVE_LIMIT or 2 ** L <= samples:
-        k = kept.size  # all 2^L patterns restrict to all 2^k on the kept modes
-        chunks = (((np.arange(start, min(start + chunk, 2 ** k))[:, None]
-                    >> np.arange(k)) & 1) == 0 for start in range(0, 2 ** k, chunk))
+        # all 2^L patterns restrict to all 2^k on the kept modes; each other
+        # mode is shifted to bit k, always set (occupied: any extension will do)
+        k, bit = kept.size, np.full(L, kept.size)
+        bit[kept] = np.arange(k)
+        chunks = (((((np.arange(start, min(start + chunk, 2 ** k)) | 2 ** k)[:, None]
+                     >> bit) & 1) == 0) for start in range(0, 2 ** k, chunk))
     else:
         if rng is None:
             rng = np.random.default_rng(0)
@@ -340,22 +372,13 @@ def sample_eigenstate_entropy_sup(es: EigenSystem, ell: int, samples: int = 200,
         # weight on both sides of the cut: the ones that can contribute
         # near-half-filled block eigenvalues and hence the largest entropy
         chunks = _random_pattern_chunks(rng, samples, L, chunk,
-                                        (left > 0.05) & (left < 0.95), kept)
-    o_a = es.eigenvectors[:ell, kept]
-    gram = o_a.T @ o_a
-    best = 0.0
+                                        (left > 0.05) & (left < 0.95))
+    o = es.eigenvectors[:ell]
+    margin = 2.0 * (err_s + err + _TRUNC_TOL)
+    top = best = 0.0
     for empty in chunks:
-        counts = empty.sum(axis=1)
-        for c in np.unique(counts[counts > 0]):
-            rows = empty[counts == c]
-            step = max(1, _STACK_ENTRIES // min(c, ell) ** 2)
-            for part in np.split(rows, range(step, len(rows), step)):
-                if c > ell:
-                    # not a batched matmul: that rounds differently from a @ a.T
-                    blocks = np.array([o_a[:, e] @ o_a[:, e].T for e in part])
-                else:
-                    idx = np.nonzero(part)[1].reshape(-1, c)
-                    blocks = gram[idx[:, :, None], idx[:, None, :]]
-                vals = occupation_spectra(blocks)
-                best = max(best, float(binary_entropy(vals).sum(axis=1).max()))
+        s = _stacked_entropies(o[:, screen], empty[:, screen])
+        top = max(top, float(s.max()))
+        full = _stacked_entropies(o[:, kept], empty[s >= top - margin][:, kept])
+        best = max(best, float(full.max(initial=0.0)))
     return best

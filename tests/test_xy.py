@@ -234,9 +234,23 @@ def test_correlation_matrix_validation():
         xy.entanglement_entropy(np.diag([1.5, 0.2]))
 
 
+def _entropies_on(es, ell, modes, occupied):
+    # one eigvalsh per pattern, on the given modes only, in the stacked
+    # sup's arithmetic: the gram gather for c <= ell, o_a o_a^T for c > ell
+    o_a = es.eigenvectors[:ell, modes]
+    gram = o_a.T @ o_a
+    out = np.zeros(len(occupied))
+    for i, empty in enumerate(~np.asarray(occupied)[:, modes]):
+        if empty.sum() > ell:
+            out[i] = xy.entanglement_entropy(o_a[:, empty] @ o_a[:, empty].T)
+        elif empty.any():
+            out[i] = xy.entanglement_entropy(gram[np.ix_(empty, empty)])
+    return out
+
+
 def _sup_per_pattern(es, ell, samples=200, rng=None):
-    # the former loop, one eigvalsh per pattern: the bit-identity reference
-    # for the stacked sup
+    # the former loop, one eigvalsh per pattern and no screen: the
+    # bit-identity reference for the stacked, screened sup
     L = es.size
     kept, _, _ = xy.straddling_modes(es, ell)
     if L <= xy._EXHAUSTIVE_LIMIT or 2 ** L <= samples:
@@ -247,18 +261,7 @@ def _sup_per_pattern(es, ell, samples=200, rng=None):
         occupied = np.array([rng.integers(0, 2, size=L) == 1
                              for _ in range(samples)]
                             + [(left > 0.05) & (left < 0.95)])
-    o_a = es.eigenvectors[:ell, kept]
-    gram = o_a.T @ o_a
-    best = 0.0
-    for empty in ~occupied[:, kept]:
-        if empty.sum() > ell:
-            block = o_a[:, empty] @ o_a[:, empty].T
-        elif empty.any():
-            block = gram[np.ix_(empty, empty)]
-        else:
-            continue
-        best = max(best, xy.entanglement_entropy(block))
-    return best
+    return max(0.0, float(_entropies_on(es, ell, kept, occupied).max()))
 
 
 def _sampled_patterns(es, ell, samples, seed):
@@ -363,6 +366,9 @@ def test_one_call_pattern_draw_matches_row_draws(seed):
 
 
 def test_stacked_sup_calls_eigvalsh_once_per_empty_count(monkeypatch):
+    # two passes: the screen over every pattern on the modes kept at
+    # _SCREEN_TOL, then the full solve over the few it passes on; each makes
+    # one stacked eigvalsh per distinct empty count among the patterns it sees
     es = _es(400, 12, coupling=4.0)[1]
     shapes = []
     eigvalsh = np.linalg.eigvalsh
@@ -371,16 +377,61 @@ def test_stacked_sup_calls_eigvalsh_once_per_empty_count(monkeypatch):
         shapes.append(a.shape)
         return eigvalsh(a)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     for ell in (25, 200):
-        counts = _empty_counts(es, ell, 200, ell)
-        counts = counts[counts > 0]
+        screen, err_s, kept, err, _ = xy.straddling_modes(
+            es, ell, (xy._SCREEN_TOL, xy._TRUNC_TOL))
+        patterns = np.array(_sampled_patterns(es, ell, 200, ell))
+        s = _entropies_on(es, ell, screen, patterns)
+        seen = s >= s.max() - 2 * (err_s + err + xy._TRUNC_TOL)
+        assert 1 <= seen.sum() <= 5 and screen.size < kept.size
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         shapes.clear()
         xy.sample_eigenstate_entropy_sup(es, ell, rng=np.random.default_rng(ell))
-        assert len(shapes) == np.unique(counts).size
-        assert sum(s[0] for s in shapes) == counts.size
-        assert (sorted(s[1] for s in shapes)
-                == sorted(min(c, ell) for c in np.unique(counts)))
+        monkeypatch.undo()
+        for modes, rows in ((screen, patterns), (kept, patterns[seen])):
+            counts = (~rows[:, modes]).sum(axis=1)
+            counts = np.unique(counts[counts > 0], return_counts=True)
+            calls, shapes[:] = shapes[:counts[0].size], shapes[counts[0].size:]
+            assert sum(c[0] for c in calls) == counts[1].sum()
+            assert sorted(c[1] for c in calls) == sorted(min(c, ell) for c in counts[0])
+        assert shapes == []
+
+
+@pytest.mark.parametrize("field", ["strong", "weak", "clean", "exhaustive"])
+def test_screen_never_moves_the_sup(monkeypatch, field):
+    # the screen only prunes patterns that cannot hold the maximum, at any
+    # screening tolerance, also when the running maximum crosses chunks
+    if field == "exhaustive":        # rng and samples unused: all 2^10
+        es, ells = _es(10, 13, coupling=4.0)[1], range(1, 10)
+    else:
+        es = (xy.diagonalize(constant_field(0.5, 400)) if field == "clean"
+              else _es(400, 12, coupling=4.0 if field == "strong" else 1.0)[1])
+        ells = (25, 200)
+    for ell in ells:
+        exact = _sup_per_pattern(es, ell, 200, np.random.default_rng(ell))
+        for tol, stack in ((0.3, None), (1e-2, None), (1e-6, None), (1e-2, 20 * es.size)):
+            monkeypatch.setattr(xy, "_SCREEN_TOL", tol)
+            if stack:                     # chunks of 20 patterns
+                monkeypatch.setattr(xy, "_STACK_ENTRIES", stack)
+            assert xy.sample_eigenstate_entropy_sup(
+                es, ell, 200, np.random.default_rng(ell)) == exact
+            monkeypatch.undo()
+
+
+def test_screen_certificate_at_loose_tolerance():
+    # every pattern's screened entropy lies within the two bounds of its
+    # full-precision one, and within the screen's bound of the exact one
+    es = _es(400, 12, coupling=4.0)[1]
+    ell = 25
+    screen, err_s, kept, err, _ = xy.straddling_modes(es, ell, (1e-2, xy._TRUNC_TOL))
+    assert 1e-4 < err_s <= 1e-2 and screen.size < kept.size
+    patterns = np.array(_sampled_patterns(es, ell, 200, ell))
+    s_screen = _entropies_on(es, ell, screen, patterns)
+    s_full = _entropies_on(es, ell, kept, patterns)
+    exact = np.array([xy.eigenstate_block_entropy(es, p, ell) for p in patterns])
+    assert np.abs(s_screen - s_full).max() <= err_s + err + 1e-12
+    assert np.abs(s_screen - exact).max() <= err_s + 1e-12
+    assert np.abs(s_screen - s_full).max() > 1e-6   # the screen does truncate
 
 
 @pytest.mark.parametrize("outside", [-1e-9, 1 + 1e-9])
