@@ -116,7 +116,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"{self.kind} needs a nonempty time_grid")
         if "sup_samples" in reads and self.sup_samples < 1:
             raise ConfigurationError(f"{self.kind} needs sup_samples >= 1")
-        if SCIPY[self.kind]:  # here, so no import lands inside a realization
+        if SCIPY[self.kind] and ("half_length" in reads or self.chain_length > xy.DENSE_LIMIT):
             importlib.import_module(SCIPY[self.kind])
 
     def effective_boundary_weight(self) -> float:
@@ -428,8 +428,8 @@ READS = {kind: frozenset(names.split()) for kind, names in {
     "ct_pass": "half_length anisotropy boundary_weight safety n_particles",
 }.items()}
 
-# per kind, the scipy subpackage its realizations call (quasi_locality's
-# dense spectra are numpy's), imported when a config of the kind is validated
+# per kind, the scipy subpackage its realizations call, imported when a config
+# is validated (never inside a realization); XY kinds only above xy.DENSE_LIMIT
 SCIPY = {
     **dict.fromkeys(("eigencorrelator", "dynamical_kernel", "entropy_sup",
                      "quench_entropy", "xy_commutator"), "scipy.linalg"),

@@ -688,24 +688,32 @@ print(json.dumps({"inside": inside,
 def test_bench_commands_never_import_scipy_special(tmp_path):
     # each bench command loads only the scipy subpackage its realizations
     # call, in setup: an import inside a realization would be timed with it.
-    # scipy.special (about 4 MB and 50-70 ms of import) stays out of all four
+    # scipy.special (about 4 MB and 50-70 ms of import) stays out of every run.
+    # An XY chain up to xy.DENSE_LIMIT sites loads no scipy at all, whether
+    # through the closed form (probe site 0), the oracle (an interior probe)
+    # or validate's 6-site checks
+    ensemble = ["--realizations", "2"]
     runs = {
         "xy-entropy": (["xy-entropy", "--chain-length", "40", "--block-sizes",
-                        "5,10", "--sup-samples", "20"], "scipy.sparse"),
-        "xxz-ct": (["xxz-ct", "--half-length", "5", "--n-particles", "2"],
-                   "scipy.linalg"),
+                        "5,10", "--sup-samples", "20", *ensemble], "scipy.sparse"),
+        "xxz-ct": (["xxz-ct", "--half-length", "5", "--n-particles", "2",
+                    *ensemble], "scipy.linalg"),
         "quasi-locality": (["quasi-locality", "--half-length", "3",
                             "--anisotropy", "6.0", "--block-sizes", "0,1,2",
-                            "--time-grid", "0.5,5.0"], "scipy"),
+                            "--time-grid", "0.5,5.0", *ensemble], "scipy"),
         "xy-lightcone": (["lr-lightcone", "--model", "xy", "--chain-length",
-                          "6", "--distances", "2,4", "--probe-site", "0"],
-                         "scipy.sparse"),
+                          "6", "--distances", "2,4", "--probe-site", "0",
+                          *ensemble], "scipy"),
+        "xy-lightcone-interior": (["lr-lightcone", "--model", "xy",
+                                   "--chain-length", "6", "--distances", "2,4",
+                                   "--probe-site", "1", *ensemble], "scipy"),
+        "validate": (["validate"], "scipy"),
     }
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     for name, (args, banned) in runs.items():
-        argv = [*args, "--realizations", "2", "--out-dir", str(tmp_path / name)]
+        argv = [*args, "--out-dir", str(tmp_path / name)]
         done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
                                json.dumps(argv)],
                               env=env, capture_output=True, text=True, timeout=120)

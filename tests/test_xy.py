@@ -70,9 +70,27 @@ def test_diagonalize_rejects_swapped_eigenvectors(monkeypatch, capsys,
                          "--out-dir", str(tmp_path)])
         assert code == cli.EXIT_NUMERICAL
         assert "resid" in capsys.readouterr().err
+        # numpy's eigh also solves every chain up to DENSE_LIMIT
+        with pytest.raises(NumericalError, match="resid"):
+            _es(xy.DENSE_LIMIT - 1, 1)
     else:
         with pytest.raises(NumericalError, match="resid"):
-            xy.diagonalize(_es(50, 1)[0])
+            _es(xy.DENSE_LIMIT + 1, 1)
+
+
+@pytest.mark.parametrize("coupling", [0.0, 1.0, 4.0])
+def test_diagonalize_paths_match_eigh_tridiagonal(coupling):
+    # numpy's dense eigh up to DENSE_LIMIT, eigh_tridiagonal above: the same
+    # eigenpairs to rounding (bit equality would pin numpy and scipy to one
+    # LAPACK build), each eigenvector up to its sign
+    for n in (1, 2, xy.DENSE_LIMIT, xy.DENSE_LIMIT + 1):
+        w = (sample_field(DisorderSpec(coupling=coupling), n, PLAN, n) if coupling
+             else constant_field(0.0, n))
+        es = xy.diagonalize(w)
+        vals, vecs = scipy.linalg.eigh_tridiagonal(w, np.full(n - 1, -1.0))
+        assert np.abs(es.eigenvalues - vals).max() <= 1e-12, n
+        signs = np.sign(np.sum(es.eigenvectors * vecs, axis=0))
+        assert np.abs(es.eigenvectors - vecs * signs).max() <= 1e-12, n
 
 
 def test_eigencorrelator_bounds_functions():
