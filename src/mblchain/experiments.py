@@ -248,12 +248,8 @@ def _metric_dynamical_kernel(config: ExperimentConfig, index: int):
 
 def _metric_entropy_sup(config: ExperimentConfig, index: int):
     es = xy.diagonalize(_field(config, index, config.chain_length))
-    out = {}
-    for ell in config.block_sizes:
-        rng = config.seeds.generator(index, tag=1)
-        out[ell] = xy.sample_eigenstate_entropy_sup(es, ell, config.sup_samples,
-                                                    rng)
-    return out
+    return xy.sample_eigenstate_entropy_sup(es, config.block_sizes, config.sup_samples,
+                                            config.seeds.generator(index, tag=1))
 
 
 def _metric_quench_entropy(config: ExperimentConfig, index: int):

@@ -27,6 +27,7 @@ of the anisotropic chain.  A dense solve at L (or 2L) above the memory rule
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -36,7 +37,7 @@ _GAP_TOL = 1e-12
 _EIG_CLAMP = 1e-10
 # entropy error allowed for dropping the modes that do not straddle the cut
 _TRUNC_TOL = 1e-10
-_SCREEN_TOL = 1e-2  # the looser one of the sup's screen
+_SCREEN_TOL = (1e-1, 1e-2)  # the sup's screens, loosest first
 _STACK_ENTRIES = 2 ** 22  # matrix entries of one stacked eigvalsh (32 MB)
 _EXHAUSTIVE_LIMIT = 14  # the sup visits all 2^L patterns up to this L
 # diagonalize's numpy eigh vs eigh_tridiagonal at 1 BLAS thread (2-core x86-64):
@@ -293,7 +294,7 @@ def straddling_modes(es: EigenSystem, ell: int, tol=_TRUNC_TOL) -> tuple:
     masses into Z and the smallest right masses into U, with the sum of
     both bounds within tol; an eigenstate then needs only the spectrum of
     G_K[S cap K, S cap K], G_K = O_{A,K}^T O_{A,K}.  The bound holds for
-    every eigenstate at any tol, which the sup's screen relies on.
+    every eigenstate at any tol, which the sup's screens rely on.
     """
     L, o = es.size, es.eigenvectors
     if not 1 <= ell < L:
@@ -302,7 +303,7 @@ def straddling_modes(es: EigenSystem, ell: int, tol=_TRUNC_TOL) -> tuple:
     left = (o[:ell] ** 2).sum(axis=0)
     order = np.argsort(left)
     low = _drop_bound(left[order], ell)
-    high = _drop_bound((o[ell:, order[::-1]] ** 2).sum(axis=0), L - ell)
+    high = _drop_bound((o[ell:] ** 2).sum(axis=0)[order[::-1]], L - ell)
     cuts = []
     for t in np.atleast_1d(tol):
         # for each count dropped from the bottom, the most from the top
@@ -314,76 +315,89 @@ def straddling_modes(es: EigenSystem, ell: int, tol=_TRUNC_TOL) -> tuple:
     return *cuts, left
 
 
-def _random_pattern_chunks(rng, samples: int, L: int, chunk: int,
-                           straddling: np.ndarray):
-    """Empty modes of `samples` random patterns, drawn `chunk` at a time
-    (consecutive draws: the same stream as one call), then of the
-    straddling pattern, which rides on the last chunk."""
-    for start in range(0, max(samples, 1), chunk):
-        occupied = rng.integers(0, 2, size=(min(chunk, samples - start), L)) == 1
-        if start + chunk >= samples:
-            occupied = np.vstack([occupied, straddling])
-        yield ~occupied
-
-
-def _stacked_entropies(o_a: np.ndarray, empty: np.ndarray) -> np.ndarray:
-    # [0, ell) block entropy of each row's empty modes among the columns of
-    # o_a (0 for none), one stacked eigvalsh for each count c of them
-    ell = o_a.shape[0]
-    counts = empty.sum(axis=1)
-    gram = o_a.T @ o_a if ((counts > 0) & (counts <= ell)).any() else None
-    out = np.zeros(len(empty))
-    for c in np.unique(counts[counts > 0]):
-        at = np.flatnonzero(counts == c)
-        step = max(1, _STACK_ENTRIES // min(c, ell) ** 2)
+def _stacked_entropies(jobs) -> list:
+    # [0, ell) block entropy of each row's empty modes (0 for none) for every
+    # job (o = eigenvectors[:ell], modes, empty over modes); the blocks of
+    # one size n = min(count, ell), over all jobs, share one stacked eigvalsh
+    counts = np.concatenate([empty.sum(axis=1) for *_, empty in jobs])
+    start = np.cumsum([0] + [len(empty) for *_, empty in jobs])
+    job = np.repeat(np.arange(len(jobs)), np.diff(start))
+    size = np.minimum(counts, np.array([o.shape[0] for o, *_ in jobs])[job])
+    # for count <= ell, from the grams o_a^T o_a (o_a = o[:, modes]), stacked:
+    # gram[a, b] of a job is grams[lead + a, b]; else o_a o_a^T
+    lead = np.cumsum([0] + [modes.size for _, modes, _ in jobs])
+    grams = np.zeros((lead[-1], np.diff(lead).max(initial=0)))
+    for (o, modes, _), a, b in zip(jobs, lead, lead[1:]):
+        o_a = o[:, modes]
+        grams[a:b, :b - a] = o_a.T @ o_a
+    col = [np.nonzero(empty)[1] for *_, empty in jobs]   # each row's, in turn
+    row, col = np.concatenate([a + c for a, c in zip(lead, col)]), np.concatenate(col)
+    first = np.cumsum(counts) - counts   # each row's first entry
+    out = np.zeros(size.size)
+    for n in np.unique(size[size > 0]):
+        at = np.flatnonzero(size == n)
+        step = max(1, _STACK_ENTRIES // n ** 2)
         for part in np.split(at, range(step, at.size, step)):
-            if c > ell:
+            blocks, wide = np.empty((part.size, n, n)), counts[part] > n
+            entry = first[part[~wide], None] + np.arange(n)
+            blocks[~wide] = grams[row[entry][:, :, None], col[entry][:, None, :]]
+            for i, g in zip(np.flatnonzero(wide), part[wide]):
+                (o, modes, empty), r = jobs[job[g]], g - start[job[g]]
                 # not a batched matmul: that rounds differently from a @ a.T
-                blocks = np.array([o_a[:, e] @ o_a[:, e].T for e in empty[part]])
-            else:
-                idx = np.nonzero(empty[part])[1].reshape(-1, c)
-                blocks = gram[idx[:, :, None], idx[:, None, :]]
+                blocks[i] = o[:, modes[empty[r]]] @ o[:, modes[empty[r]]].T
             out[part] = binary_entropy(occupation_spectra(blocks)).sum(axis=1)
-    return out
+    return np.split(out, start[1:-1])
 
 
-def sample_eigenstate_entropy_sup(es: EigenSystem, ell: int, samples: int = 200,
-                                  rng: np.random.Generator | None = None) -> float:
-    """Lower estimate of the sup over eigenstates of the [0, ell) block entropy.
+def sample_eigenstate_entropy_sup(es: EigenSystem, block_sizes, samples: int = 200,
+                                  rng: np.random.Generator | None = None) -> dict:
+    """{ell: lower estimate of the sup over eigenstates of the [0, ell) block
+    entropy} for each block size ell.
 
-    Exhaustive over all 2^L patterns when L <= _EXHAUSTIVE_LIMIT or
-    2^L <= samples; otherwise `samples` random patterns plus the
-    deterministic cut-straddling heuristic.  Each pattern's entropy is taken
-    on the modes that straddle the cut, within a certified _TRUNC_TOL of
-    eigenstate_block_entropy (straddling_modes); the patterns with c empty
-    kept modes share one stacked eigvalsh.  A screen on the few modes kept
-    at _SCREEN_TOL passes on only the patterns within twice both bounds (and
-    2 _TRUNC_TOL of rounding) of its running maximum: no other can hold it.
+    Exhaustive over all 2^L patterns when L <= _EXHAUSTIVE_LIMIT or 2^L <=
+    samples; otherwise `samples` random patterns, drawn once for all cuts, and
+    per cut the straddling pattern, occupying the modes of left mass in (0.05,
+    0.95): seldom the maximum, it is one more candidate.  A pattern's entropy
+    is taken on the modes that straddle the cut, within a certified _TRUNC_TOL
+    of eigenstate_block_entropy (straddling_modes).  Screens on the fewer
+    modes kept at each _SCREEN_TOL in turn pass on only the patterns within
+    twice that level's and the final bound (and 2 _TRUNC_TOL of rounding) of
+    the level's running maximum, as no other can hold the sup.  Blocks of one
+    size, over all cuts, share one stacked eigvalsh per level.
     """
     L = es.size
-    screen, err_s, kept, err, left = straddling_modes(es, ell, (_SCREEN_TOL, _TRUNC_TOL))
+    ells = list(dict.fromkeys(block_sizes))
+    cuts = [straddling_modes(es, ell, (*_SCREEN_TOL, _TRUNC_TOL)) for ell in ells]
     chunk = max(1, _STACK_ENTRIES // L)   # patterns held at once
     if L <= _EXHAUSTIVE_LIMIT or 2 ** L <= samples:
         # all 2^L patterns restrict to all 2^k on the kept modes; each other
         # mode is shifted to bit k, always set (occupied: any extension will do)
-        k, bit = kept.size, np.full(L, kept.size)
-        bit[kept] = np.arange(k)
-        chunks = (((((np.arange(start, min(start + chunk, 2 ** k)) | 2 ** k)[:, None]
-                     >> bit) & 1) == 0) for start in range(0, 2 ** k, chunk))
+        def codes(kept):
+            k, bit = kept.size, np.full(L, kept.size)
+            bit[kept] = np.arange(k)
+            return (((((np.arange(start, min(start + chunk, 2 ** k)) | 2 ** k)[:, None]
+                       >> bit) & 1) == 0) for start in range(0, 2 ** k, chunk))
+        rounds = zip_longest(*(codes(c[-3]) for c in cuts),
+                             fillvalue=np.zeros((0, L), dtype=bool))
     else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        # the straddling pattern occupies exactly the modes carrying genuine
-        # weight on both sides of the cut: the ones that can contribute
-        # near-half-filled block eigenvalues and hence the largest entropy
-        chunks = _random_pattern_chunks(rng, samples, L, chunk,
-                                        (left > 0.05) & (left < 0.95))
-    o = es.eigenvectors[:ell]
-    margin = 2.0 * (err_s + err + _TRUNC_TOL)
-    top = best = 0.0
-    for empty in chunks:
-        s = _stacked_entropies(o[:, screen], empty[:, screen])
-        top = max(top, float(s.max()))
-        full = _stacked_entropies(o[:, kept], empty[s >= top - margin][:, kept])
-        best = max(best, float(full.max(initial=0.0)))
-    return best
+        rng = np.random.default_rng(0) if rng is None else rng
+        straddling = [~((c[-1] > 0.05) & (c[-1] < 0.95)) for c in cuts]
+
+        def draws():    # consecutive draws: the same stream as one call
+            for start in range(0, max(samples, 1), chunk):
+                empty = rng.integers(0, 2, size=(min(chunk, samples - start), L)) == 0
+                yield [np.vstack([empty, s]) if start + chunk >= samples else empty
+                       for s in straddling]
+        rounds = draws()
+    # per level, per cut: the level's modes and its margin
+    levels = [[(c[k], 2.0 * (c[k + 1] + c[-2] + _TRUNC_TOL)) for c in cuts]
+              for k in range(0, 2 * len(_SCREEN_TOL) + 1, 2)]
+    top = np.zeros((len(levels), len(ells)))  # running maxima; the last row is the sup
+    for empty in rounds:
+        for k, level in enumerate(levels):
+            s = _stacked_entropies([(es.eigenvectors[:ell], modes, e[:, modes])
+                                    for ell, (modes, _), e in zip(ells, level, empty)])
+            top[k] = np.maximum(top[k], [x.max(initial=0.0) for x in s])
+            empty = [e[x >= t - margin] for e, x, t, (_, margin)
+                     in zip(empty, s, top[k], level)]
+    return {ell: float(sup) for ell, sup in zip(ells, top[-1])}

@@ -237,10 +237,10 @@ def test_block_m_matches_reference(gamma, L):
 def test_sup_strategy_exhaustive_vs_sampled(monkeypatch):
     w, es = _es(10, 11, coupling=4.0)
     assert es.size <= xy._EXHAUSTIVE_LIMIT
-    exhaustive = xy.sample_eigenstate_entropy_sup(es, 5)
+    exhaustive = xy.sample_eigenstate_entropy_sup(es, [5])[5]
     monkeypatch.setattr(xy, "_EXHAUSTIVE_LIMIT", 2)
     sampled = xy.sample_eigenstate_entropy_sup(
-        es, 5, 400, rng=np.random.default_rng(5))
+        es, [5], 400, rng=np.random.default_rng(5))[5]
     assert sampled <= exhaustive + 1e-12
     assert sampled >= 0.5 * exhaustive
 
@@ -283,7 +283,8 @@ def _sup_per_pattern(es, ell, samples=200, rng=None):
 
 
 def _sampled_patterns(es, ell, samples, seed):
-    # the patterns the sup visits: the random ones, then the straddling one
+    # the patterns the sup visits at the cut: the random ones, drawn once for
+    # every cut, then the cut's straddling one
     rng = np.random.default_rng(seed)
     rows = [rng.integers(0, 2, size=es.size) == 1 for _ in range(samples)]
     left = (es.eigenvectors[:ell] ** 2).sum(axis=0)
@@ -302,33 +303,57 @@ def test_sup_on_straddling_modes_matches_exact(field, ells, kept_range):
         es = xy.diagonalize(constant_field(0.5, n))
     else:
         es = _es(n, 12, coupling=4.0 if field == "strong" else 1.0)[1]
+    fast = xy.sample_eigenstate_entropy_sup(es, ells, 40, rng=np.random.default_rng(7))
+    assert list(fast) == list(ells)
+    tols = (*xy._SCREEN_TOL, xy._TRUNC_TOL)
     for ell in ells:
         kept, bound, left = xy.straddling_modes(es, ell)
         assert np.array_equal(left, (es.eigenvectors[:ell] ** 2).sum(axis=0))
         assert kept_range[0] <= kept.size <= kept_range[1]
         assert bound <= xy._TRUNC_TOL
-        fast = xy.sample_eigenstate_entropy_sup(
-            es, ell, 40, rng=np.random.default_rng(ell))
+        # the same kept modes, bounds and masses as from a gathered copy
+        ladder = xy.straddling_modes(es, ell, tols)
+        reference = _straddling_reference(es, ell, tols)
+        assert len(ladder) == len(reference) == 2 * len(tols) + 1
+        for got, want in zip(ladder, reference):
+            assert np.array_equal(got, want) and type(got) is type(want)
         exact = max(xy.eigenstate_block_entropy(es, p, ell)
-                    for p in _sampled_patterns(es, ell, 40, ell))
-        assert abs(fast - exact) <= bound + 1e-11
+                    for p in _sampled_patterns(es, ell, 40, 7))
+        assert abs(fast[ell] - exact) <= bound + 1e-11
+
+
+def _straddling_reference(es, ell, tols):
+    # straddling_modes with the right masses summed over the gathered
+    # (L - ell) x L copy o[ell:, order[::-1]], the former arithmetic
+    L, o = es.size, es.eigenvectors
+    left = (o[:ell] ** 2).sum(axis=0)
+    order = np.argsort(left)
+    low = xy._drop_bound(left[order], ell)
+    high = xy._drop_bound((o[ell:, order[::-1]] ** 2).sum(axis=0), L - ell)
+    out = []
+    for t in tols:
+        top = np.searchsorted(high, t - low, side="right") - 1
+        bottom = int(np.argmax(np.where(top >= 0, np.arange(L + 1) + top, -1)))
+        out += [order[bottom:L - top[bottom]], float(low[bottom] + high[top[bottom]])]
+    return *out, left
 
 
 def test_sup_exhaustive_matches_exact(monkeypatch):
     n = 10
     w, es = _es(n, 13, coupling=4.0)
     patterns = [_occupied(c, n) for c in range(2 ** n)]
-    sups = []
+    sups = xy.sample_eigenstate_entropy_sup(es, range(1, n))
+    assert list(sups) == list(range(1, n))
     for ell in range(1, n):
         _, bound, _ = xy.straddling_modes(es, ell)
         assert bound <= xy._TRUNC_TOL
-        fast = xy.sample_eigenstate_entropy_sup(es, ell)
-        assert fast == _sup_per_pattern(es, ell)
+        assert sups[ell] == _sup_per_pattern(es, ell)
         exact = max(xy.eigenstate_block_entropy(es, p, ell) for p in patterns)
-        assert abs(fast - exact) <= bound + 1e-11
-        sups.append(fast)
-    monkeypatch.setattr(xy, "_STACK_ENTRIES", 3 * n)   # three codes per chunk
-    assert sups == [xy.sample_eigenstate_entropy_sup(es, ell) for ell in range(1, n)]
+        assert abs(sups[ell] - exact) <= bound + 1e-11
+    # three codes per chunk: the cuts, of 2^k codes each for different k,
+    # run out of chunks at different rounds
+    monkeypatch.setattr(xy, "_STACK_ENTRIES", 3 * n)
+    assert xy.sample_eigenstate_entropy_sup(es, range(1, n)) == sups
 
 
 def _empty_counts(es, ell, samples, seed):
@@ -353,26 +378,40 @@ def test_stacked_sup_is_bit_identical_on_random_patterns(monkeypatch,
     if stack_entries:                # split every stack into several calls
         monkeypatch.setattr(xy, "_STACK_ENTRIES", stack_entries)
     es = _es(400, 12, coupling=4.0)[1]
-    samples = 200
+    samples, ells, seed = 200, (25, 50, 100, 200), 9
+    rng = _RecordingRng(seed)
+    stacked = xy.sample_eigenstate_entropy_sup(es, ells, samples, rng)
+    assert list(stacked) == list(ells)
     wide = narrow = False            # blocks from o_a o_a^T, from the gram
-    for ell in (25, 50, 100, 200):
-        rng = _RecordingRng(ell)
-        stacked = xy.sample_eigenstate_entropy_sup(es, ell, samples, rng)
-        assert stacked == _sup_per_pattern(es, ell, samples,
-                                           np.random.default_rng(ell))
-        # the draws come in chunks of at most _STACK_ENTRIES entries, and
-        # leave the generator where one call for all patterns would
-        assert all(np.prod(size) <= max(xy._STACK_ENTRIES, 400)
-                   for size in rng.sizes)
-        assert sum(rows for rows, _ in rng.sizes) == samples
-        assert len(rng.sizes) == (samples if stack_entries else 1)
-        whole = np.random.default_rng(ell)
-        whole.integers(0, 2, size=(samples, 400))
-        assert rng.generator.bit_generator.state == whole.bit_generator.state
-        counts = _empty_counts(es, ell, samples, ell)
+    for ell in ells:
+        assert stacked[ell] == _sup_per_pattern(es, ell, samples,
+                                                np.random.default_rng(seed))
+        counts = _empty_counts(es, ell, samples, seed)
         wide |= (counts > ell).any()
         narrow |= ((counts > 0) & (counts <= ell)).any()
     assert wide and narrow
+    # one set of patterns for all cuts, drawn in chunks of at most
+    # _STACK_ENTRIES entries, leaves the generator where one call would
+    assert all(np.prod(size) <= max(xy._STACK_ENTRIES, 400) for size in rng.sizes)
+    assert sum(rows for rows, _ in rng.sizes) == samples
+    assert len(rng.sizes) == (samples if stack_entries else 1)
+    whole = np.random.default_rng(seed)
+    whole.integers(0, 2, size=(samples, 400))
+    assert rng.generator.bit_generator.state == whole.bit_generator.state
+
+
+def test_sup_takes_unsorted_repeated_block_sizes():
+    # one entry per distinct size, in first-seen order, each the float of a
+    # call for that size alone, and still one draw of all the patterns
+    es = _es(400, 12, coupling=4.0)[1]
+    rng = _RecordingRng(3)
+    sups = xy.sample_eigenstate_entropy_sup(es, (200, 25, 25), 200, rng)
+    assert list(sups) == [200, 25]
+    for ell in (200, 25):
+        assert sups[ell] == _sup_per_pattern(es, ell, 200, np.random.default_rng(3))
+        assert sups[ell] == xy.sample_eigenstate_entropy_sup(
+            es, [ell], 200, np.random.default_rng(3))[ell]
+    assert rng.sizes == [(200, 400)]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -384,10 +423,27 @@ def test_one_call_pattern_draw_matches_row_draws(seed):
 
 
 def test_stacked_sup_calls_eigvalsh_once_per_empty_count(monkeypatch):
-    # two passes: the screen over every pattern on the modes kept at
-    # _SCREEN_TOL, then the full solve over the few it passes on; each makes
-    # one stacked eigvalsh per distinct empty count among the patterns it sees
+    # one pass per level: the screens at each _SCREEN_TOL over the patterns
+    # the level before passed on (the first over all), then the full solve;
+    # each pass makes one stacked eigvalsh per distinct block size
+    # min(count, ell) over all cuts, in ascending size
     es = _es(400, 12, coupling=4.0)[1]
+    ells, tols = (25, 50, 100, 200), (*xy._SCREEN_TOL, xy._TRUNC_TOL)
+    cuts = [xy.straddling_modes(es, ell, tols) for ell in ells]
+    rows = [np.array(_sampled_patterns(es, ell, 200, 4)) for ell in ells]
+    expected = []
+    for k in range(0, 2 * len(tols), 2):
+        sizes = []
+        for i, (ell, c) in enumerate(zip(ells, cuts)):
+            counts = (~rows[i][:, c[k]]).sum(axis=1)
+            sizes += list(np.minimum(counts, ell)[counts > 0])
+            s = _entropies_on(es, ell, c[k], rows[i])
+            rows[i] = rows[i][s >= s.max() - 2 * (c[k + 1] + c[-2] + xy._TRUNC_TOL)]
+        n, depth = np.unique(sizes, return_counts=True)
+        expected += [(d, m, m) for m, d in zip(n, depth)]
+    # the screens pass on fewer and fewer patterns, the full solve 1-5 per cut
+    assert all(1 <= len(r) <= 5 for r in rows)
+    assert all(c[0].size < c[2].size < c[4].size for c in cuts)
     shapes = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -395,44 +451,30 @@ def test_stacked_sup_calls_eigvalsh_once_per_empty_count(monkeypatch):
         shapes.append(a.shape)
         return eigvalsh(a)
 
-    for ell in (25, 200):
-        screen, err_s, kept, err, _ = xy.straddling_modes(
-            es, ell, (xy._SCREEN_TOL, xy._TRUNC_TOL))
-        patterns = np.array(_sampled_patterns(es, ell, 200, ell))
-        s = _entropies_on(es, ell, screen, patterns)
-        seen = s >= s.max() - 2 * (err_s + err + xy._TRUNC_TOL)
-        assert 1 <= seen.sum() <= 5 and screen.size < kept.size
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        shapes.clear()
-        xy.sample_eigenstate_entropy_sup(es, ell, rng=np.random.default_rng(ell))
-        monkeypatch.undo()
-        for modes, rows in ((screen, patterns), (kept, patterns[seen])):
-            counts = (~rows[:, modes]).sum(axis=1)
-            counts = np.unique(counts[counts > 0], return_counts=True)
-            calls, shapes[:] = shapes[:counts[0].size], shapes[counts[0].size:]
-            assert sum(c[0] for c in calls) == counts[1].sum()
-            assert sorted(c[1] for c in calls) == sorted(min(c, ell) for c in counts[0])
-        assert shapes == []
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    xy.sample_eigenstate_entropy_sup(es, ells, rng=np.random.default_rng(4))
+    monkeypatch.undo()
+    assert shapes == expected
 
 
 @pytest.mark.parametrize("field", ["strong", "weak", "clean", "exhaustive"])
 def test_screen_never_moves_the_sup(monkeypatch, field):
-    # the screen only prunes patterns that cannot hold the maximum, at any
-    # screening tolerance, also when the running maximum crosses chunks
+    # the screens only prune patterns that cannot hold the maximum, for any
+    # ladder of screening tolerances, also when the running maxima cross chunks
     if field == "exhaustive":        # rng and samples unused: all 2^10
         es, ells = _es(10, 13, coupling=4.0)[1], range(1, 10)
     else:
         es = (xy.diagonalize(constant_field(0.5, 400)) if field == "clean"
               else _es(400, 12, coupling=4.0 if field == "strong" else 1.0)[1])
         ells = (25, 200)
-    for ell in ells:
-        exact = _sup_per_pattern(es, ell, 200, np.random.default_rng(ell))
-        for tol, stack in ((0.3, None), (1e-2, None), (1e-6, None), (1e-2, 20 * es.size)):
-            monkeypatch.setattr(xy, "_SCREEN_TOL", tol)
-            if stack:                     # chunks of 20 patterns
+    exact = {ell: _sup_per_pattern(es, ell, 200, np.random.default_rng(6)) for ell in ells}
+    for ladder in ((0.3, 1e-2), (1e-2,), (1e-6,), (1e-1, 1e-2)):
+        for stack in (None, 20 * es.size):  # chunks of 20 patterns
+            monkeypatch.setattr(xy, "_SCREEN_TOL", ladder)
+            if stack:
                 monkeypatch.setattr(xy, "_STACK_ENTRIES", stack)
             assert xy.sample_eigenstate_entropy_sup(
-                es, ell, 200, np.random.default_rng(ell)) == exact
+                es, ells, 200, np.random.default_rng(6)) == exact
             monkeypatch.undo()
 
 
@@ -441,15 +483,16 @@ def test_screen_certificate_at_loose_tolerance():
     # full-precision one, and within the screen's bound of the exact one
     es = _es(400, 12, coupling=4.0)[1]
     ell = 25
-    screen, err_s, kept, err, _ = xy.straddling_modes(es, ell, (1e-2, xy._TRUNC_TOL))
-    assert 1e-4 < err_s <= 1e-2 and screen.size < kept.size
     patterns = np.array(_sampled_patterns(es, ell, 200, ell))
-    s_screen = _entropies_on(es, ell, screen, patterns)
-    s_full = _entropies_on(es, ell, kept, patterns)
     exact = np.array([xy.eigenstate_block_entropy(es, p, ell) for p in patterns])
-    assert np.abs(s_screen - s_full).max() <= err_s + err + 1e-12
-    assert np.abs(s_screen - exact).max() <= err_s + 1e-12
-    assert np.abs(s_screen - s_full).max() > 1e-6   # the screen does truncate
+    for tol in xy._SCREEN_TOL:
+        screen, err_s, kept, err, _ = xy.straddling_modes(es, ell, (tol, xy._TRUNC_TOL))
+        assert tol / 100 < err_s <= tol and screen.size < kept.size
+        s_screen = _entropies_on(es, ell, screen, patterns)
+        s_full = _entropies_on(es, ell, kept, patterns)
+        assert np.abs(s_screen - s_full).max() <= err_s + err + 1e-12
+        assert np.abs(s_screen - exact).max() <= err_s + 1e-12
+        assert np.abs(s_screen - s_full).max() > 1e-6   # the screen does truncate
 
 
 @pytest.mark.parametrize("outside", [-1e-9, 1 + 1e-9])
