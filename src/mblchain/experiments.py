@@ -265,12 +265,8 @@ def _metric_quench_entropy(config: ExperimentConfig, index: int):
         right = xy.diagonalize(w[ell:])
         occ_a = rng.integers(0, 2, size=ell) == 1
         occ_b = rng.integers(0, 2, size=n - ell) == 1
-        gamma0 = xy.quench_initial_gamma(left, occ_a, right, occ_b)
-        best = 0.0
-        for t in config.time_grid:
-            gamma_t = xy.evolve_correlation_matrix(gamma0, es_full, t)
-            best = max(best, xy.entanglement_entropy(gamma_t[:ell, :ell]))
-        out[ell] = best
+        blocks = xy.quench_blocks(es_full, left, occ_a, right, occ_b, config.time_grid)
+        out[ell] = max(xy.entanglement_entropy(block) for block in blocks)
     return out
 
 

@@ -26,12 +26,13 @@ of the anisotropic chain.  A dense solve at L (or 2L) above the memory rule
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import zip_longest
 
 import numpy as np
 
-from .errors import DegeneracyError, NumericalError, require_dense
+from .errors import DegeneracyError, NumericalError, require_dense, require_memory
 
 _GAP_TOL = 1e-12
 _EIG_CLAMP = 1e-10
@@ -225,28 +226,23 @@ def entanglement_entropy(block: np.ndarray) -> float:
     return float(binary_entropy(occupation_spectra(block)).sum())
 
 
-def evolve_correlation_matrix(gamma: np.ndarray, es: EigenSystem,
-                              t: float) -> np.ndarray:
-    """Heisenberg transport Gamma(t) = U Gamma U*, U = exp(-2 i M t)."""
-    phases = np.exp(-2j * t * es.eigenvalues)
-    u = (es.eigenvectors * phases) @ es.eigenvectors.T
-    return u @ gamma @ u.conj().T
-
-
-def quench_initial_gamma(es_a: EigenSystem, occupied_a: np.ndarray,
-                         es_b: EigenSystem, occupied_b: np.ndarray) -> np.ndarray:
-    """Block-diagonal Gamma of an eigenstate product across the cut.
-
-    The two factors are eigenstates of the decoupled left/right chains;
-    tensor products of quasi-free states are quasi-free, so the product
-    state is characterized by diag(Gamma_A, Gamma_B).
-    """
-    if es_a.size < 1 or es_b.size < 1:
-        raise ValueError("both subsystems must be nonempty")
-    full = np.zeros((es_a.size + es_b.size,) * 2)
-    full[:es_a.size, :es_a.size] = eigenstate_correlation_matrix(es_a, occupied_a)
-    full[es_a.size:, es_a.size:] = eigenstate_correlation_matrix(es_b, occupied_b)
-    return full
+def quench_blocks(es: EigenSystem, left: EigenSystem, occupied_a: np.ndarray,
+                  right: EigenSystem, occupied_b: np.ndarray, time_grid) -> Iterator[np.ndarray]:
+    """Gamma_A(t), A = [0, ell) with ell = left.size, at each grid time in turn for
+    the product of eigenstates of the decoupled left and right chains (a
+    quasi-free state) evolved under the whole chain es.  Gamma_0 = B B^T, B =
+    diag(O_left[:, empty_a], O_right[:, empty_b]), so Gamma_A(t) = W W*, W =
+    (O[:ell] exp(-2 i Lambda t)) C with C = O^T B formed once; no L x L
+    product, U = exp(-2 i M t) included, is formed."""
+    ell, o = left.size, es.eigenvectors
+    cols = []
+    for part, occupied, rows in ((left, occupied_a, o[:ell]), (right, occupied_b, o[ell:])):
+        empty = ~_occupation(part, occupied)
+        _require_simple(part)
+        cols.append(rows.T @ part.eigenvectors[:, empty])
+    c = np.hstack(cols)
+    phased = ((o[:ell] * np.exp(-2j * t * es.eigenvalues)) @ c for t in time_grid)
+    return (w @ w.conj().T for w in phased)   # lazily: one block held at a time
 
 
 def eigenstate_block_entropy(es: EigenSystem, occupied: np.ndarray,
@@ -368,6 +364,8 @@ def sample_eigenstate_entropy_sup(es: EigenSystem, block_sizes, samples: int = 2
     L = es.size
     ells = list(dict.fromkeys(block_sizes))
     cuts = [straddling_modes(es, ell, (*_SCREEN_TOL, _TRUNC_TOL)) for ell in ells]
+    kept = [c[-3].size for c in cuts]   # the full pass's stacked grams are the largest
+    require_memory(8 * sum(kept) * max(kept), f"the entropy sup over {len(ells)} cuts")
     chunk = max(1, _STACK_ENTRIES // L)   # patterns held at once
     if L <= _EXHAUSTIVE_LIMIT or 2 ** L <= samples:
         # all 2^L patterns restrict to all 2^k on the kept modes; each other

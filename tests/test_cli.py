@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from mblchain import cli, experiments, oracle, xxz
+from mblchain import cli, experiments, oracle, xxz, xy
 from mblchain.errors import ConfigurationError
 
 
@@ -321,6 +321,28 @@ def test_xy_cap_exits_config(tmp_path, capsys, memory_budget, command, ok, over)
     code = cli.main([*command, "--chain-length", str(ok),
                      "--out-dir", str(tmp_path / "ok")])
     assert code == cli.EXIT_OK
+
+
+def test_entropy_sup_cap_exits_config(tmp_path, capsys, monkeypatch, memory_budget):
+    # at L = 400 the dense solve takes 6.4 MB; at coupling 1 a cut every 10
+    # sites keeps about 13 000 modes, 350 at most, and the stacked grams
+    # 8 * 13 000 * 350 B = 37 MB: a budget of 16 MB refuses the sup, not the solve
+    memory_budget(2 ** 24)
+    calls, stacked = [], xy._stacked_entropies
+    monkeypatch.setattr(xy, "_stacked_entropies",
+                        lambda jobs: calls.append(len(jobs)) or stacked(jobs))
+    args = ["xy-entropy", "--chain-length", "400", "--realizations", "1", "--seed", "3"]
+    code = cli.main([*args, "--disorder-coupling", "1.0",
+                     "--block-sizes", ",".join(map(str, range(10, 400, 10))),
+                     "--out-dir", str(tmp_path / "over")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "the entropy sup over 39 cuts needs" in err[0]
+    assert not calls and not (tmp_path / "over").exists()
+    # c05's four cuts at coupling 4 keep a few hundred modes
+    code = cli.main([*args, "--disorder-coupling", "4.0", "--block-sizes", "25,50,100,200",
+                     "--out-dir", str(tmp_path / "ok")])
+    assert code == cli.EXIT_OK and calls
 
 
 def test_skeleton_cap_exits_config(tmp_path, capsys):

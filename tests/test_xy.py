@@ -178,27 +178,32 @@ def test_block_entropy_fast_path_matches():
         assert abs(slow - fast) < 1e-10
 
 
-def test_evolution_preserves_spectrum():
-    w, es = _es(9, 8)
-    gamma = xy.eigenstate_correlation_matrix(es, _occupied(37, 9))
-    evolved = xy.evolve_correlation_matrix(gamma, es, 2.3)
-    a = np.sort(xy.occupation_spectra(gamma))
-    b = np.sort(xy.occupation_spectra(evolved))
-    assert np.abs(a - b).max() < 1e-10
-    # t=0 is the identity map
-    frozen = xy.evolve_correlation_matrix(gamma, es, 0.0)
-    assert np.abs(frozen - gamma).max() < 1e-12
-
-
-def test_quench_initial_gamma_block_structure():
-    w = sample_field(DisorderSpec(), 8, PLAN, 9)
-    left = xy.diagonalize(w[:3])
-    right = xy.diagonalize(w[3:])
-    gamma = xy.quench_initial_gamma(left, np.zeros(3, dtype=bool),
-                                    right, np.zeros(5, dtype=bool))
-    assert np.abs(gamma - np.eye(8)).max() < 1e-12
-    # initial cut entropy of a product state is zero
-    assert xy.entanglement_entropy(gamma[:3, :3]) < 1e-12
+@pytest.mark.parametrize("n", [12, 40])   # both diagonalize branches
+def test_quench_blocks_match_dense_evolution(n):
+    # the naive reference: Gamma_0 = diag(Gamma_A, Gamma_B) on the whole
+    # chain, U = exp(-2 i M t) in full, and the block of U Gamma_0 U*
+    w, es = _es(n, 17)
+    times = (0.0, 0.3, 50.0)
+    for ell in (1, n // 2, n - 1):
+        left, right = xy.diagonalize(w[:ell]), xy.diagonalize(w[ell:])
+        occ_a, occ_b = _occupied(0x5A5A5A5A5A, ell), _occupied(0x36C9B36C9B, n - ell)
+        gamma0 = np.zeros((n, n))
+        gamma0[:ell, :ell] = xy.eigenstate_correlation_matrix(left, occ_a)
+        gamma0[ell:, ell:] = xy.eigenstate_correlation_matrix(right, occ_b)
+        blocks = list(xy.quench_blocks(es, left, occ_a, right, occ_b, times))
+        assert len(blocks) == len(times)
+        for t, block in zip(times, blocks):
+            u = (es.eigenvectors * np.exp(-2j * t * es.eigenvalues)) @ es.eigenvectors.T
+            assert block.shape == (ell, ell)
+            assert np.abs(block - (u @ gamma0 @ u.conj().T)[:ell, :ell]).max() < 1e-12
+        assert np.abs(blocks[0] - gamma0[:ell, :ell]).max() < 1e-12
+        # the all-empty product state is the vacuum, Gamma = I at every time;
+        # an eigenvalue 1 - 1e-15 adds -h = 1e-15 log 1e15 = 3.5e-14 nats
+        vacuum = xy.quench_blocks(es, left, np.zeros(ell, dtype=bool),
+                                  right, np.zeros(n - ell, dtype=bool), times)
+        for block in vacuum:
+            assert np.abs(block - np.eye(ell)).max() < 1e-12
+            assert xy.entanglement_entropy(block) < ell * 1e-13
 
 
 def test_anisotropic_block_antisymmetry():
@@ -535,12 +540,15 @@ def test_drop_bound_covers_entropy_change(ell):
 def test_occupation_must_be_boolean_of_chain_length(consumer, occupied):
     # checked, not cast: ~ on an int 0/1 vector would select wrong modes
     w, es = _es(6, 16)
+    w9, chain = _es(9, 16)
     call = {
         "energy": lambda o: xy.eigenstate_energy(es, o, -w.sum()),
         "correlation": lambda o: xy.eigenstate_correlation_matrix(es, o),
         "block_entropy": lambda o: xy.eigenstate_block_entropy(es, o, 3),
-        "quench": lambda o: xy.quench_initial_gamma(
-            es, o, es, np.zeros(6, dtype=bool)),
+        # the left factor of a 9-site chain cut at 6
+        "quench": lambda o: next(xy.quench_blocks(
+            chain, xy.diagonalize(w9[:6]), o, xy.diagonalize(w9[6:]),
+            np.zeros(3, dtype=bool), (1.0,))),
     }[consumer]
     with pytest.raises(ValueError, match="boolean vector of length 6"):
         call(occupied)
