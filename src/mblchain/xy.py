@@ -85,6 +85,34 @@ def check_eigenpairs(vecs: np.ndarray, resid: float, scale: float) -> None:
             f"diagonalization out of tolerance: resid={resid:.2e} ortho={ortho:.2e}")
 
 
+def check_tridiagonal_pairs(d: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """check_eigenpairs for M (diagonal d, -1 hopping) on its stencil residual;
+    returns the columns given Gram rows, all up to DENSE_LIMIT (the full Gram is
+    cheaper).  Above, rho_k = |M q_k - lambda_k q_k| / |q_k| puts an eigenvalue
+    within rho_k of lambda_k; if disjoint, these L intervals hold M's L eigenvalues one
+    each, the rest delta_k (lambda_k to the nearest other interval) or more away.  By
+    Davis-Kahan sin theta_k <= s_k = rho_k / delta_k to q_k's eigenvector, |q_i^T q_j| <=
+    |q_i| |q_j| (s_i + s_j + s_i s_j); clusters over budget (all if two meet) get Gram rows."""
+    resid = np.subtract.outer(d, vals, out=np.empty_like(vecs))  # M O - O Lambda, in place
+    resid *= vecs
+    resid[1:] -= vecs[:-1]  # -1 hopping both ways
+    resid[:-1] -= vecs[1:]
+    if vals.size <= DENSE_LIMIT:
+        check_eigenpairs(vecs, np.abs(resid, out=resid).max(), max(np.abs(d).max(), 1.0))
+        return np.arange(vals.size)
+    rho, norm2 = (np.einsum("ij,ij->j", a, a) for a in (resid, vecs))
+    resid, rho = np.sqrt(rho.max()), np.sqrt(rho / norm2)
+    gap = np.r_[np.inf, np.diff(vals) - rho[1:] - rho[:-1], np.inf]  # between intervals
+    s = rho / (rho + np.minimum(gap[:-1], gap[1:])) if gap.min() > 0 else rho + np.inf
+    rows = np.flatnonzero(~(norm2.max() * (2.0 * s + s * s) <= 1e-10))  # vs every smaller s
+    gram = vecs[:, rows].T @ vecs - (rows[:, None] == np.arange(vals.size))
+    ortho = np.maximum(np.abs(norm2 - 1.0).max(), np.abs(gram).max(initial=0.0))
+    if not (resid <= 1e-9 * max(np.abs(d).max(), 1.0) and ortho <= 1e-10):
+        raise NumericalError(
+            f"diagonalization out of tolerance: resid={resid:.2e} ortho={ortho:.2e}")
+    return rows
+
+
 def diagonalize(diagonal: np.ndarray) -> EigenSystem:
     """Diagonalize M = O Lambda O^T, the one-particle matrix with the given
     diagonal and -1 hopping: up to DENSE_LIMIT by numpy's eigh on the dense M
@@ -101,12 +129,7 @@ def diagonalize(diagonal: np.ndarray) -> EigenSystem:
             vals, vecs = eigh_tridiagonal(d, np.full(L - 1, -1.0))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError(f"tridiagonal eigensolver failed: {exc}")
-    resid = np.subtract.outer(d, vals)  # M O - O Lambda by the stencil, in place
-    resid *= vecs
-    resid[1:] -= vecs[:-1]  # -1 hopping both ways
-    resid[:-1] -= vecs[1:]
-    resid = np.abs(resid, out=resid).max()  # the array is freed before the Gram
-    check_eigenpairs(vecs, resid, max(np.abs(d).max(), 1.0))
+    check_tridiagonal_pairs(d, vals, vecs)
     return EigenSystem(vals, vecs)
 
 
@@ -267,7 +290,7 @@ def _drop_bound(masses: np.ndarray, sites: int) -> np.ndarray:
     return np.maximum.accumulate(bound)
 
 
-def straddling_modes(es: EigenSystem, ell: int, tol=_TRUNC_TOL) -> tuple:
+def straddling_modes(es: EigenSystem, ell: int, tol=_TRUNC_TOL, squares=None) -> tuple:
     """Modes kept for the [0, ell) block entropy of every eigenstate, a bound
     (<= tol) on the entropy error of dropping the others, and the left
     masses m_k of every mode; for a tuple of tolerances, the kept modes and
@@ -287,19 +310,19 @@ def straddling_modes(es: EigenSystem, ell: int, tol=_TRUNC_TOL) -> tuple:
     min(ell, |Z|).  Modes U of small right mass 1 - m_k drop the same way
     from the block [ell, L) of equal entropy: n_1 h(delta_1 / n_1), n_1 =
     min(L - ell, |U|).  K is the fewest modes, dropping the smallest left
-    masses into Z and the smallest right masses into U, with the sum of
-    both bounds within tol; an eigenstate then needs only the spectrum of
-    G_K[S cap K, S cap K], G_K = O_{A,K}^T O_{A,K}.  The bound holds for
-    every eigenstate at any tol, which the sup's screens rely on.
+    masses into Z and the smallest right masses into U, with the sum of both
+    bounds within tol; an eigenstate then needs only the spectrum of G_K[S cap
+    K, S cap K], G_K = O_{A,K}^T O_{A,K}.  The bound holds for every eigenstate
+    at any tol, which the sup's screens rely on.  squares: O ** 2, if held.
     """
-    L, o = es.size, es.eigenvectors
+    L, squares = es.size, es.eigenvectors ** 2 if squares is None else squares
     if not 1 <= ell < L:
         raise ValueError(f"block size {ell} out of range (1..{L - 1})")
     _require_simple(es)
-    left = (o[:ell] ** 2).sum(axis=0)
+    left = squares[:ell].sum(axis=0)
     order = np.argsort(left)
     low = _drop_bound(left[order], ell)
-    high = _drop_bound((o[ell:] ** 2).sum(axis=0)[order[::-1]], L - ell)
+    high = _drop_bound(squares[ell:].sum(axis=0)[order[::-1]], L - ell)
     cuts = []
     for t in np.atleast_1d(tol):
         # for each count dropped from the bottom, the most from the top
@@ -358,14 +381,17 @@ def sample_eigenstate_entropy_sup(es: EigenSystem, block_sizes, samples: int = 2
     of eigenstate_block_entropy (straddling_modes).  Screens on the fewer
     modes kept at each _SCREEN_TOL in turn pass on only the patterns within
     twice that level's and the final bound (and 2 _TRUNC_TOL of rounding) of
-    the level's running maximum, as no other can hold the sup.  Blocks of one
-    size, over all cuts, share one stacked eigvalsh per level.
+    the level's running maximum, as no other can hold the sup.  A screen takes
+    each pattern's empty modes S among its kept K, or K - S if fewer (I - Gamma
+    has Gamma's entropy).  Blocks of one size, over all cuts, share an eigvalsh per level.
     """
     L = es.size
     ells = list(dict.fromkeys(block_sizes))
-    cuts = [straddling_modes(es, ell, (*_SCREEN_TOL, _TRUNC_TOL)) for ell in ells]
+    require_memory(8 * L * L, "the squared eigenvectors")
+    squares = es.eigenvectors ** 2    # every cut's masses
+    cuts = [straddling_modes(es, ell, (*_SCREEN_TOL, _TRUNC_TOL), squares) for ell in ells]
     kept = [c[-3].size for c in cuts]   # the full pass's stacked grams are the largest
-    require_memory(8 * sum(kept) * max(kept), f"the entropy sup over {len(ells)} cuts")
+    require_memory(8 * (L * L + sum(kept) * max(kept)), f"the entropy sup over {len(ells)} cuts")
     chunk = max(1, _STACK_ENTRIES // L)   # patterns held at once
     if L <= _EXHAUSTIVE_LIMIT or 2 ** L <= samples:
         # all 2^L patterns restrict to all 2^k on the kept modes; each other
@@ -393,8 +419,11 @@ def sample_eigenstate_entropy_sup(es: EigenSystem, block_sizes, samples: int = 2
     top = np.zeros((len(levels), len(ells)))  # running maxima; the last row is the sup
     for empty in rounds:
         for k, level in enumerate(levels):
-            s = _stacked_entropies([(es.eigenvectors[:ell], modes, e[:, modes])
-                                    for ell, (modes, _), e in zip(ells, level, empty)])
+            jobs = [(es.eigenvectors[:ell], modes, e[:, modes])
+                    for ell, (modes, _), e in zip(ells, level, empty)]
+            for _, modes, e in jobs if k < len(levels) - 1 else ():   # a screen takes
+                e ^= 2 * e.sum(axis=1, keepdims=True) > modes.size   # the smaller half
+            s = _stacked_entropies(jobs)
             top[k] = np.maximum(top[k], [x.max(initial=0.0) for x in s])
             empty = [e[x >= t - margin] for e, x, t, (_, margin)
                      in zip(empty, s, top[k], level)]

@@ -151,6 +151,23 @@ def test_entropy_formula_all_cuts():
             assert abs(s_free - oracle.reduced_entropy(psi, ell)) < 1e-8
 
 
+@pytest.mark.parametrize("n", [8, 40])
+def test_block_entropy_is_particle_hole_symmetric(n):
+    # the complementary eigenstate has Gamma' = I - Gamma, so the same block
+    # entropy at every cut (the sup's screens rely on it), on both diagonalize
+    # branches; at n = 8 both equal the oracle's entropy of the 2^n eigenvector
+    w = sample_field(UNIFORM, n, PLAN, n)
+    es = xy.diagonalize(w)
+    full = oracle.diagonalize_full(oracle.build_full("xy", w)) if n == 8 else None
+    for occupied in np.random.default_rng(n).integers(0, 2, size=(6, n)) == 1:
+        for ell in range(1, n):
+            s = xy.eigenstate_block_entropy(es, occupied, ell)
+            assert abs(s - xy.eigenstate_block_entropy(es, ~occupied, ell)) <= 1e-12
+            for pattern in (occupied, ~occupied) if n == 8 else ():
+                psi = _match_eigenvector(full, xy.eigenstate_energy(es, pattern, -w.sum()))
+                assert abs(s - oracle.reduced_entropy(psi, ell)) < 1e-8
+
+
 def test_anisotropic_spectrum_against_oracle():
     n = 5
     w = sample_field(UNIFORM, n, PLAN, 8)

@@ -4,7 +4,7 @@ import scipy.linalg
 
 from mblchain import cli, xy
 from mblchain.disorder import DisorderSpec, SeedPlan, constant_field, sample_field
-from mblchain.errors import DegeneracyError, NumericalError
+from mblchain.errors import ConfigurationError, DegeneracyError, NumericalError
 
 PLAN = SeedPlan(271828)
 
@@ -35,6 +35,12 @@ def test_certificates_fail_on_nan(monkeypatch):
         xy.check_eigenpairs(np.eye(3), np.nan, 1.0)
     with pytest.raises(NumericalError, match="ortho=nan"):
         xy.check_eigenpairs(np.full((3, 3), np.nan), 0.0, 1.0)
+    n = xy.DENSE_LIMIT + 8
+    vals, vecs = np.arange(n, dtype=float), np.eye(n)
+    with pytest.raises(NumericalError, match="resid=nan"):
+        xy.check_tridiagonal_pairs(np.zeros(n), np.where(vals == 3, np.nan, vals), vecs)
+    with pytest.raises(NumericalError, match="resid=nan"):
+        xy.check_tridiagonal_pairs(np.zeros(n), vals, np.where(vecs == 1, np.nan, vecs))
     with pytest.raises(DegeneracyError, match="gap nan"):
         xy.eigenstate_block_entropy(xy.EigenSystem(np.array([0.0, np.nan]), np.eye(2)),
                                     np.zeros(2, dtype=bool), 1)
@@ -76,6 +82,49 @@ def test_diagonalize_rejects_swapped_eigenvectors(monkeypatch, capsys,
     else:
         with pytest.raises(NumericalError, match="resid"):
             _es(xy.DENSE_LIMIT + 1, 1)
+
+
+def _tridiagonal_pairs(w):
+    return scipy.linalg.eigh_tridiagonal(w, np.full(w.size - 1, -1.0))
+
+
+def test_tridiagonal_certificate_takes_gram_rows_for_close_pairs():
+    # the Davis-Kahan bound proves every column but a few of close eigenvalues
+    # (neighbours within 1e-4), and those get Gram rows: the clean chain's band
+    # edges at L = 1000, a disordered chain's near-degenerate pairs at L = 400
+    for w in (constant_field(0.5, 1000), sample_field(DisorderSpec(coupling=4.0), 400, PLAN, 0)):
+        vals, vecs = _tridiagonal_pairs(w)
+        gaps = np.diff(vals)
+        nearest = np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])
+        rows = xy.check_tridiagonal_pairs(w, vals, vecs)
+        assert 0 < rows.size <= 20 and (nearest[rows] < 1e-4).all()
+        assert rows.size < (nearest < 1e-4).sum()
+    # two mirror images behind a barrier have pairs of equal eigenvalues: the
+    # residual intervals meet, the count fails, and every column gets its row
+    half = sample_field(DisorderSpec(), 30, PLAN, 1)
+    w = np.r_[half, np.full(8, 100.0), half[::-1]]
+    vals, vecs = _tridiagonal_pairs(w)
+    assert np.diff(vals).min() < 1e-14
+    assert np.array_equal(xy.check_tridiagonal_pairs(w, vals, vecs), np.arange(w.size))
+    # up to DENSE_LIMIT, check_eigenpairs' full Gram
+    w = constant_field(0.5, xy.DENSE_LIMIT)
+    assert np.array_equal(xy.check_tridiagonal_pairs(w, *_tridiagonal_pairs(w)),
+                          np.arange(w.size))
+
+
+@pytest.mark.parametrize("k", [0, 200, 398])
+def test_tridiagonal_certificate_rejects_mixed_columns(k):
+    # 1e-8 of the next column mixed into column k keeps its residual far below
+    # 1e-9 of the scale: only the orthogonality proof can reject the pair
+    w = sample_field(DisorderSpec(coupling=4.0), 400, PLAN, 12)
+    vals, vecs = _tridiagonal_pairs(w)
+    xy.check_tridiagonal_pairs(w, vals, vecs)
+    vecs[:, k] += 1e-8 * vecs[:, k + 1]
+    vecs[:, k] /= np.linalg.norm(vecs[:, k])
+    resid = (w - vals[k]) * vecs[:, k] - np.r_[0.0, vecs[:-1, k]] - np.r_[vecs[1:, k], 0.0]
+    assert np.linalg.norm(resid) < 1e-9 * np.abs(w).max()
+    with pytest.raises(NumericalError, match=r"ortho=1\.00e-08"):
+        xy.check_tridiagonal_pairs(w, vals, vecs)
 
 
 @pytest.mark.parametrize("coupling", [0.0, 1.0, 4.0])
@@ -271,6 +320,15 @@ def _entropies_on(es, ell, modes, occupied):
     return out
 
 
+def _smaller_halves(occupied, modes):
+    # each pattern with its empty and occupied modes swapped on the given modes
+    # where more than half are empty: a screen's particle-hole half
+    occupied = np.array(occupied)
+    flip = 2 * (~occupied[:, modes]).sum(axis=1) > modes.size
+    occupied[np.ix_(flip, modes)] ^= True
+    return occupied
+
+
 def _sup_per_pattern(es, ell, samples=200, rng=None):
     # the former loop, one eigvalsh per pattern and no screen: the
     # bit-identity reference for the stacked, screened sup
@@ -430,8 +488,10 @@ def test_one_call_pattern_draw_matches_row_draws(seed):
 def test_stacked_sup_calls_eigvalsh_once_per_empty_count(monkeypatch):
     # one pass per level: the screens at each _SCREEN_TOL over the patterns
     # the level before passed on (the first over all), then the full solve;
-    # each pass makes one stacked eigvalsh per distinct block size
-    # min(count, ell) over all cuts, in ascending size
+    # each pass makes one stacked eigvalsh per distinct block size over all
+    # cuts, in ascending size: min(count, ell) for the full solve, and
+    # min(count, |K| - count, ell) for a screen, which takes each pattern's
+    # smaller particle-hole half on its modes K
     es = _es(400, 12, coupling=4.0)[1]
     ells, tols = (25, 50, 100, 200), (*xy._SCREEN_TOL, xy._TRUNC_TOL)
     cuts = [xy.straddling_modes(es, ell, tols) for ell in ells]
@@ -440,9 +500,12 @@ def test_stacked_sup_calls_eigvalsh_once_per_empty_count(monkeypatch):
     for k in range(0, 2 * len(tols), 2):
         sizes = []
         for i, (ell, c) in enumerate(zip(ells, cuts)):
-            counts = (~rows[i][:, c[k]]).sum(axis=1)
+            seen = rows[i] if k == 2 * len(xy._SCREEN_TOL) else _smaller_halves(rows[i], c[k])
+            counts = (~seen[:, c[k]]).sum(axis=1)
+            if k < 2 * len(xy._SCREEN_TOL):
+                assert np.array_equal(counts, np.minimum(counts, c[k].size - counts))
             sizes += list(np.minimum(counts, ell)[counts > 0])
-            s = _entropies_on(es, ell, c[k], rows[i])
+            s = _entropies_on(es, ell, c[k], seen)
             rows[i] = rows[i][s >= s.max() - 2 * (c[k + 1] + c[-2] + xy._TRUNC_TOL)]
         n, depth = np.unique(sizes, return_counts=True)
         expected += [(d, m, m) for m, d in zip(n, depth)]
@@ -462,25 +525,71 @@ def test_stacked_sup_calls_eigvalsh_once_per_empty_count(monkeypatch):
     assert shapes == expected
 
 
+class _WatchedSquares(np.ndarray):
+    # eigenvectors that log each squaring
+    log = []
+
+    def __pow__(self, power):
+        self.log.append("squared")
+        return np.asarray(self) ** power
+
+
+def test_sup_checks_squared_eigenvectors_before_squaring(monkeypatch, memory_budget):
+    # the 8 L^2 bytes of the squared eigenvectors, which every cut's masses
+    # read, are checked before they are allocated, then counted with the
+    # stacked grams
+    es, ells = _es(400, 12, coupling=4.0)[1], (25, 200)
+    kept = [xy.straddling_modes(es, ell)[0].size for ell in ells]
+    grams = 8 * (400 * 400 + sum(kept) * max(kept))
+    watched = xy.EigenSystem(es.eigenvalues, es.eigenvectors.view(_WatchedSquares))
+    log = _WatchedSquares.log = []
+    monkeypatch.setattr(xy, "require_memory", lambda nbytes, what: log.append(nbytes))
+    sups = xy.sample_eigenstate_entropy_sup(watched, ells, rng=np.random.default_rng(1))
+    assert log == [8 * 400 * 400, "squared", grams]
+    assert sups == xy.sample_eigenstate_entropy_sup(es, ells, rng=np.random.default_rng(1))
+    monkeypatch.undo()
+    for budget, what in ((8 * 400 * 400 - 1, "the squared eigenvectors"),
+                         (grams - 1, "the entropy sup over 2 cuts")):
+        memory_budget(budget)
+        with pytest.raises(ConfigurationError, match=f"{what} needs"):
+            xy.sample_eigenstate_entropy_sup(es, ells, rng=np.random.default_rng(1))
+
+
 @pytest.mark.parametrize("field", ["strong", "weak", "clean", "exhaustive"])
 def test_screen_never_moves_the_sup(monkeypatch, field):
     # the screens only prune patterns that cannot hold the maximum, for any
-    # ladder of screening tolerances, also when the running maxima cross chunks
+    # ladder of screening tolerances, also when the running maxima cross chunks;
+    # they take each pattern's smaller particle-hole half, the full solve (the
+    # unscreened reference) the pattern itself
     if field == "exhaustive":        # rng and samples unused: all 2^10
         es, ells = _es(10, 13, coupling=4.0)[1], range(1, 10)
+        patterns = {ell: [_occupied(c, 10) for c in range(2 ** 10)] for ell in ells}
     else:
         es = (xy.diagonalize(constant_field(0.5, 400)) if field == "clean"
               else _es(400, 12, coupling=4.0 if field == "strong" else 1.0)[1])
         ells = (25, 200)
+        patterns = {ell: _sampled_patterns(es, ell, 200, 6) for ell in ells}
     exact = {ell: _sup_per_pattern(es, ell, 200, np.random.default_rng(6)) for ell in ells}
+    stacked = xy._stacked_entropies
     for ladder in ((0.3, 1e-2), (1e-2,), (1e-6,), (1e-1, 1e-2)):
         for stack in (None, 20 * es.size):  # chunks of 20 patterns
             monkeypatch.setattr(xy, "_SCREEN_TOL", ladder)
             if stack:
                 monkeypatch.setattr(xy, "_STACK_ENTRIES", stack)
+            calls = []
+            monkeypatch.setattr(xy, "_stacked_entropies",
+                                lambda jobs: calls.append(jobs) or stacked(jobs))
             assert xy.sample_eigenstate_entropy_sup(
                 es, ells, 200, np.random.default_rng(6)) == exact
             monkeypatch.undo()
+            levels = len(ladder) + 1     # one call per level and round, the full solve last
+            assert all((2 * e.sum(axis=1) <= modes.size).all()
+                       for i, jobs in enumerate(calls) if i % levels < len(ladder)
+                       for _, modes, e in jobs)
+        # the first screen sees every pattern, and some of them it takes flipped
+        first = [xy.straddling_modes(es, ell, ladder[0])[0] for ell in ells]
+        assert any((2 * (~np.array(patterns[ell])[:, modes]).sum(axis=1) > modes.size).any()
+                   for ell, modes in zip(ells, first))
 
 
 def test_screen_certificate_at_loose_tolerance():
