@@ -20,7 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, require_dense, require_memory
+from .errors import ConfigurationError, NumericalError, certify, require_dense, require_memory
 
 # largest particle-number variance of an eigenvector read as sharp
 _SHARP_NUMBER_TOL = 1e-9
@@ -157,8 +157,7 @@ def build_full(model: str, w: np.ndarray,
     # h is real: one temporary for |h - h^T|
     d = h - h.T
     np.abs(d, out=d)
-    if d.max() > 1e-12:
-        raise NumericalError("assembled Hamiltonian is not Hermitian")
+    certify("Hermiticity defect", d.max(), 1e-12)
     return FullHamiltonian(h)
 
 
@@ -209,12 +208,8 @@ def diagonalize_full(h: FullHamiltonian) -> ManyBodyEigenSystem:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense eigensolver failed: {exc}")
     scale = max(np.abs(vals).max(), 1.0)
-    residual = np.abs(h.matrix @ vecs - vecs * vals).max()
-    if residual > 1e-9 * scale:
-        raise NumericalError(f"reconstruction residual {residual:.2e}")
-    ortho = np.abs(vecs.conj().T @ vecs - np.eye(vals.size)).max()
-    if ortho > 1e-10:
-        raise NumericalError(f"orthonormality defect {ortho:.2e}")
+    certify("reconstruction residual", np.abs(h.matrix @ vecs - vecs * vals).max(), 1e-9 * scale)
+    certify("orthonormality defect", np.abs(vecs.conj().T @ vecs - np.eye(vals.size)).max(), 1e-10)
     return ManyBodyEigenSystem(vals, vecs)
 
 
@@ -225,10 +220,10 @@ def full_energies(h: FullHamiltonian) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense eigensolver failed: {exc}")
     scale = max(np.abs(vals).max(), 1.0)
-    misses = (abs(vals.sum() - np.trace(h.matrix).real) / scale,
-              abs(vals @ vals - np.vdot(h.matrix, h.matrix).real) / scale ** 2)
-    if max(misses) > 1e-12 * vals.size:
-        raise NumericalError(f"energies miss the trace invariants by {misses}")
+    certify("energies' miss of tr H", abs(vals.sum() - np.trace(h.matrix).real) / scale,
+            1e-12 * vals.size)
+    certify("energies' miss of ||H||_F^2",
+            abs(vals @ vals - np.vdot(h.matrix, h.matrix).real) / scale ** 2, 1e-12 * vals.size)
     return vals
 
 
@@ -250,9 +245,8 @@ def heisenberg(es: ManyBodyEigenSystem, op: np.ndarray, t: float) -> np.ndarray:
     before = np.linalg.norm(op, 2)
     out = es.vectors @ ((phases[:, None] * inner) * phases.conj()[None, :]) \
         @ es.vectors.conj().T
-    after = np.linalg.norm(out, 2)
-    if abs(after - before) > 1e-10 * max(before, 1.0):
-        raise NumericalError("Heisenberg evolution failed to preserve the norm")
+    certify("Heisenberg norm drift", abs(np.linalg.norm(out, 2) - before),
+            1e-10 * max(before, 1.0))
     return out
 
 
@@ -451,9 +445,7 @@ def eigenstate_particle_numbers(es: ManyBodyEigenSystem, n: int) -> np.ndarray:
     means = counts @ weights
     spread = (counts[:, None] - means[None, :]) ** 2
     variance = np.einsum("ij,ij->j", spread, weights)
-    if variance.max() > _SHARP_NUMBER_TOL:
-        raise NumericalError(
-            f"eigenvector without sharp particle number (var {variance.max():.2e})")
+    certify("eigenvector particle-number variance", variance.max(), _SHARP_NUMBER_TOL)
     return np.rint(means).astype(int)
 
 

@@ -42,10 +42,9 @@ from math import acosh, comb, sinh, tanh, cosh
 
 import numpy as np
 
-from .errors import (ConfigurationError, DegeneracyError, NumericalError,
-                     require_dense, require_memory)
+from .errors import (ConfigurationError, NumericalError, certify, require_dense,
+                     require_memory, require_simple)
 
-_GAP_TOL = 1e-12
 _CT_TOL = 1e-12  # largest certified error of a Combes-Thomas block
 
 
@@ -369,9 +368,7 @@ def _certified_cg(op, rhs: np.ndarray, floor: float):
     """_cg on each row of rhs, and the bound |rhs - X op|_F / floor on
     |X - rhs op^-1|_2 if min spec op >= floor > 0."""
     sol, failed = _cg(op, rhs)
-    if failed:
-        raise NumericalError(f"conjugate gradients did not converge"
-                             f" ({failed} of {len(rhs)} right-hand sides)")
+    certify("right-hand sides on which conjugate gradients did not converge", failed, 1)
     return sol, float(np.linalg.norm(rhs - (op @ sol.T).T)) / floor
 
 
@@ -426,8 +423,7 @@ def eigenpairs_in_window(h: SectorHamiltonian, window: EnergyWindow):
         # each eigenvalue of C is off by at most |A_ST|_F error, and every
         # entry of A_ST is a hop -1/(2 Delta)
         bound = np.sqrt(a_st.nnz) / (2.0 * h.anisotropy) * error
-        if not np.abs(c).min() > bound:
-            raise NumericalError(f"window count undecided at error {bound:.2e}")
+        certify("window count error", bound, np.abs(c).min())
         k = int((c < 0).sum())
         if k == 0:
             return np.zeros(0), np.zeros((h.dim, 0))
@@ -439,17 +435,13 @@ def eigenpairs_in_window(h: SectorHamiltonian, window: EnergyWindow):
             raise NumericalError(f"windowed eigensolver failed: {exc}")
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-        below = int((vals <= upper).sum())
+        certify("Lanczos count miss", abs((vals <= upper).sum() - k), 1)
         resid = np.linalg.norm(h.matrix @ vecs - vecs * vals, axis=0)[:k]
-        if below != k or not np.all(resid < upper - vals[:k]):
-            raise NumericalError(f"Lanczos pairs not certified: {below} of {k}"
-                                 f" counted, residuals up to {resid.max():.2e}")
+        certify("Lanczos resid - margin", np.max(resid - (upper - vals[:k])), 0.0)
     keep = window.contains(vals)
     vals, vecs = vals[keep], vecs[:, keep]
     if vals.size:
-        ortho = np.abs(vecs.T @ vecs - np.eye(vals.size)).max()
-        if not ortho <= 1e-9:
-            raise NumericalError(f"window eigenvectors not orthonormal: {ortho:.2e}")
+        certify("window ortho", np.abs(vecs.T @ vecs - np.eye(vals.size)).max(), 1e-9)
     return vals, vecs
 
 
@@ -466,10 +458,8 @@ def window_site_masses(blocks, n_sites: int) -> np.ndarray:
     one row per state, from per-sector blocks (basis, energies, vectors).
     A degenerate window raises DegeneracyError: its per-state masses
     depend on the eigenbasis."""
-    energies = np.sort(np.concatenate([np.zeros(0)] + [e for _, e, _ in blocks]))
-    gap = np.diff(energies).min(initial=np.inf)
-    if not gap > _GAP_TOL:
-        raise DegeneracyError(f"window spectrum has gap {gap:.2e} <= {_GAP_TOL}")
+    require_simple(np.sort(np.concatenate([np.zeros(0)] + [e for _, e, _ in blocks])),
+                   "window spectrum")
     return np.concatenate([np.zeros((0, n_sites))]
                           + [np.sqrt((v ** 2).T @ b.occupancy) for b, _, v in blocks])
 
@@ -495,7 +485,7 @@ def ct_check(h: SectorHamiltonian, energy: float, safety: float,
     _certified_cg solves K x = e_y for each y in B (working precision keeps
     the exponentially small entries accurate), and the block norm is off by
     at most its certified error.  NumericalError if a solve does not
-    converge, that error exceeds _CT_TOL, or the bound lies within it.
+    converge, that error is not below _CT_TOL, or the bound lies within it.
     """
     delta_aniso = h.anisotropy
     gap = 1.0 - 1.0 / delta_aniso
@@ -514,16 +504,13 @@ def ct_check(h: SectorHamiltonian, energy: float, safety: float,
     rhs = np.zeros((idx_b.size, h.dim))
     rhs[np.arange(idx_b.size), idx_b] = 1.0
     sol, error = _certified_cg(basis.csr(data), rhs, safety * gap)
-    if not error <= _CT_TOL:
-        raise NumericalError(f"certified resolvent error {error:.2e} > {_CT_TOL}")
+    certify("certified resolvent error", error, _CT_TOL)
     measured = float(np.linalg.norm(sol[:, idx_a].T, 2))
     d = set_distance(basis.positions[idx_a], basis.positions[idx_b])
     rate_base = 1.0 + safety * (delta_aniso - 1.0) / 8.0
     prefactor = 16.0 * delta_aniso / (safety * (delta_aniso - 1.0))
     bound = prefactor * rate_base ** (-d)
-    if not abs(bound - measured) > error:
-        raise NumericalError(f"bound {bound:.3e} within the certified error"
-                             f" {error:.1e} of the measured norm")
+    certify("certified resolvent error vs |bound - measured|", error, abs(bound - measured))
     return measured, bound
 
 

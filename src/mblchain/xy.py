@@ -32,9 +32,8 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .errors import DegeneracyError, NumericalError, require_dense, require_memory
+from .errors import NumericalError, certify, require_dense, require_memory, require_simple
 
-_GAP_TOL = 1e-12
 _EIG_CLAMP = 1e-10
 # entropy error allowed for dropping the modes that do not straddle the cut
 _TRUNC_TOL = 1e-10
@@ -74,15 +73,17 @@ class EigenSystem:
         return self.eigenvalues.size
 
 
-def check_eigenpairs(vecs: np.ndarray, resid: float, scale: float) -> None:
-    """Raise NumericalError unless the residual |A O - O Lambda| is within
-    1e-9 of the matrix scale and the columns of O are orthonormal (NaN fails)."""
-    gram = vecs.T @ vecs
-    gram.flat[::gram.shape[0] + 1] -= 1.0  # O^T O - I in place
-    ortho = np.abs(gram, out=gram).max()
-    if not (resid <= 1e-9 * scale and ortho <= 1e-10):
-        raise NumericalError(
-            f"diagonalization out of tolerance: resid={resid:.2e} ortho={ortho:.2e}")
+def check_eigenpairs(vecs: np.ndarray, resid: float, scale: float,
+                     ortho: float | None = None) -> None:
+    """Certify that the residual |A O - O Lambda| is below 1e-9 of the matrix
+    scale and the orthonormality defect of O (|O^T O - I| unless given) below
+    1e-10; NumericalError otherwise."""
+    certify("diagonalization out of tolerance: resid", resid, 1e-9 * scale)
+    if ortho is None:
+        gram = vecs.T @ vecs
+        gram.flat[::gram.shape[0] + 1] -= 1.0  # O^T O - I in place
+        ortho = np.abs(gram, out=gram).max()
+    certify("diagonalization out of tolerance: ortho", ortho, 1e-10)
 
 
 def check_tridiagonal_pairs(d: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -97,8 +98,9 @@ def check_tridiagonal_pairs(d: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -
     resid *= vecs
     resid[1:] -= vecs[:-1]  # -1 hopping both ways
     resid[:-1] -= vecs[1:]
+    scale = max(np.abs(d).max(), 1.0)
     if vals.size <= DENSE_LIMIT:
-        check_eigenpairs(vecs, np.abs(resid, out=resid).max(), max(np.abs(d).max(), 1.0))
+        check_eigenpairs(vecs, np.abs(resid, out=resid).max(), scale)
         return np.arange(vals.size)
     rho, norm2 = (np.einsum("ij,ij->j", a, a) for a in (resid, vecs))
     resid, rho = np.sqrt(rho.max()), np.sqrt(rho / norm2)
@@ -106,10 +108,8 @@ def check_tridiagonal_pairs(d: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -
     s = rho / (rho + np.minimum(gap[:-1], gap[1:])) if gap.min() > 0 else rho + np.inf
     rows = np.flatnonzero(~(norm2.max() * (2.0 * s + s * s) <= 1e-10))  # vs every smaller s
     gram = vecs[:, rows].T @ vecs - (rows[:, None] == np.arange(vals.size))
-    ortho = np.maximum(np.abs(norm2 - 1.0).max(), np.abs(gram).max(initial=0.0))
-    if not (resid <= 1e-9 * max(np.abs(d).max(), 1.0) and ortho <= 1e-10):
-        raise NumericalError(
-            f"diagonalization out of tolerance: resid={resid:.2e} ortho={ortho:.2e}")
+    check_eigenpairs(vecs, resid, scale,
+                     np.maximum(np.abs(norm2 - 1.0).max(), np.abs(gram).max(initial=0.0)))
     return rows
 
 
@@ -194,16 +194,9 @@ def eigenstate_energy(es: EigenSystem, occupied: np.ndarray,
 def occupation_spectra(gammas: np.ndarray) -> np.ndarray:
     """Spectra of a (..., n, n) stack of Gammas, checked and clipped to [0, 1]."""
     vals = np.linalg.eigvalsh(gammas)
-    if not (vals.min() >= -_EIG_CLAMP and vals.max() <= 1 + _EIG_CLAMP):
-        raise NumericalError(
-            f"correlation spectrum outside [0,1]: [{vals.min()}, {vals.max()}]")
+    certify("correlation spectrum -min", -vals.min(), _EIG_CLAMP)
+    certify("correlation spectrum max", vals.max(), 1 + _EIG_CLAMP)
     return np.clip(vals, 0.0, 1.0)
-
-
-def _require_simple(es: EigenSystem) -> None:
-    gap = np.diff(es.eigenvalues).min(initial=np.inf)
-    if not gap > _GAP_TOL:
-        raise DegeneracyError(f"one-particle spectrum has gap {gap:.2e} <= {_GAP_TOL}")
 
 
 def eigenstate_correlation_matrix(es: EigenSystem,
@@ -216,7 +209,7 @@ def eigenstate_correlation_matrix(es: EigenSystem,
     simple one-particle spectrum so the projection is well defined.
     """
     empty = ~_occupation(es, occupied)
-    _require_simple(es)
+    require_simple(es.eigenvalues, "one-particle spectrum")
     o = es.eigenvectors[:, empty]
     return o @ o.T
 
@@ -261,7 +254,7 @@ def quench_blocks(es: EigenSystem, left: EigenSystem, occupied_a: np.ndarray,
     cols = []
     for part, occupied, rows in ((left, occupied_a, o[:ell]), (right, occupied_b, o[ell:])):
         empty = ~_occupation(part, occupied)
-        _require_simple(part)
+        require_simple(part.eigenvalues, "one-particle spectrum")
         cols.append(rows.T @ part.eigenvectors[:, empty])
     c = np.hstack(cols)
     phased = ((o[:ell] * np.exp(-2j * t * es.eigenvalues)) @ c for t in time_grid)
@@ -275,7 +268,7 @@ def eigenstate_block_entropy(es: EigenSystem, occupied: np.ndarray,
     empty = ~_occupation(es, occupied)
     if not 1 <= ell < es.size:
         raise ValueError(f"block size {ell} out of range (1..{es.size - 1})")
-    _require_simple(es)
+    require_simple(es.eigenvalues, "one-particle spectrum")
     o_a = es.eigenvectors[:ell, empty]
     return entanglement_entropy(o_a @ o_a.T)
 
@@ -318,7 +311,7 @@ def straddling_modes(es: EigenSystem, ell: int, tol=_TRUNC_TOL, squares=None) ->
     L, squares = es.size, es.eigenvectors ** 2 if squares is None else squares
     if not 1 <= ell < L:
         raise ValueError(f"block size {ell} out of range (1..{L - 1})")
-    _require_simple(es)
+    require_simple(es.eigenvalues, "one-particle spectrum")
     left = squares[:ell].sum(axis=0)
     order = np.argsort(left)
     low = _drop_bound(left[order], ell)

@@ -57,8 +57,40 @@ def test_build_full_rejects_non_symmetric_bond(monkeypatch):
         return out
 
     monkeypatch.setattr(oracle, "_bond", skewed)
-    with pytest.raises(NumericalError, match="not Hermitian"):
+    with pytest.raises(NumericalError, match="Hermiticity defect"):
         oracle.build_full("xy", sample_field(UNIFORM, 4, PLAN, 1))
+
+
+def test_certificates_fail_on_nan(monkeypatch):
+    # every certificate comparison is written so that NaN fails it
+    w = sample_field(UNIFORM, 3, PLAN, 2)
+    h = oracle.build_full("xy", w)
+    bond = oracle._bond
+    monkeypatch.setattr(oracle, "_bond", lambda *args: bond(*args) * np.nan)
+    with pytest.raises(NumericalError, match="Hermiticity defect=nan"):
+        oracle.build_full("xy", w)
+    monkeypatch.undo()
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0], np.full(a.shape, np.nan)))
+    with pytest.raises(NumericalError, match="reconstruction residual=nan"):
+        oracle.diagonalize_full(h)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(np, "eye", lambda n: np.full((n, n), np.nan))  # the Gram's I
+    with pytest.raises(NumericalError, match="orthonormality defect=nan"):
+        oracle.diagonalize_full(h)
+    monkeypatch.undo()
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.r_[np.nan, eigvalsh(a)[1:]])
+    with pytest.raises(NumericalError, match="miss of tr H=nan"):
+        oracle.full_energies(h)
+    monkeypatch.undo()
+    es = oracle.diagonalize_full(h)
+    monkeypatch.setattr(np.linalg, "norm", lambda *args: np.nan)
+    with pytest.raises(NumericalError, match="Heisenberg norm drift=nan"):
+        oracle.heisenberg(es, oracle.embed_site(oracle.SIGMA_X, 0, 3), 1.0)
+    monkeypatch.undo()
+    with pytest.raises(NumericalError, match="particle-number variance=nan"):
+        oracle.eigenstate_particle_numbers(
+            oracle.ManyBodyEigenSystem(es.energies, np.full_like(es.vectors, np.nan)), 3)
 
 
 def test_xxz_vacuum_is_ground_state():

@@ -45,7 +45,7 @@ def test_certificates_fail_on_nan(monkeypatch):
         xy.eigenstate_block_entropy(xy.EigenSystem(np.array([0.0, np.nan]), np.eye(2)),
                                     np.zeros(2, dtype=bool), 1)
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.array([0.5, np.nan]))
-    with pytest.raises(NumericalError, match="outside"):
+    with pytest.raises(NumericalError, match="correlation spectrum -min=nan"):
         xy.occupation_spectra(np.eye(2) / 2)
 
 
