@@ -308,7 +308,7 @@ def cmd_ising(settings):
     w = sample_field(_disorder(settings), n, SeedPlan(settings["seed"]), 0)
     meta = {}
     if n <= 12:
-        formula, _ = oracle.ising_exact(w)
+        formula = oracle.ising_exact(w)
         energies = oracle.full_energies(oracle.build_full("ising", w))
         meta["spectrum_max_deviation"] = float(
             np.abs(np.sort(formula) - energies).max())
@@ -422,7 +422,7 @@ def _validate_checks():
     def ising_formula():
         n = 8
         w = sample_field(DisorderSpec(), n, plan, 3)
-        formula, _ = oracle.ising_exact(w)
+        formula = oracle.ising_exact(w)
         energies = oracle.full_energies(oracle.build_full("ising", w))
         return float(np.abs(np.sort(formula) - energies).max()), 1e-10
 

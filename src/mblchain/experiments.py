@@ -2,10 +2,12 @@
 
 A single realization of any experiment is a pure function of the
 configuration and the realization index (fields and auxiliary random
-choices come from per-index streams of the seed plan).  run_ensemble
-executes R of them, collects per-key statistics, and the fit helpers
-turn distance or block-size profiles into exponential rates or
-log-slopes with standard regression confidence intervals.
+choices come from per-index streams of the seed plan) and returns the same
+keys for every index.  run_ensemble executes R of them and reduces the
+R x K table to per-key mean, stderr and max; the fit helpers turn distance
+or block-size profiles into exponential rates or log-slopes with standard
+regression confidence intervals.  ct_pass is a configuration kind without
+an ensemble metric: xxz-ct tabulates ct_sample per realization.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ class ExperimentConfig:
     sup_samples: int = 200
 
     def __post_init__(self):
-        if self.kind not in METRICS:
+        if self.kind not in READS:
             raise ConfigurationError(f"unknown experiment kind {self.kind!r}")
         if self.realizations < 1:
             raise ConfigurationError("need at least one realization")
@@ -130,14 +132,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class EnsembleSummary:
-    kind: str
     keys: np.ndarray
     mean: np.ndarray
     stderr: np.ndarray
     max_value: np.ndarray
-    realizations: int
     substituted: tuple[tuple[int, int], ...]
-    config: ExperimentConfig
 
     def as_rows(self):
         return list(zip(self.keys.tolist(), self.mean.tolist(),
@@ -352,12 +351,6 @@ def ct_sample(config: ExperimentConfig, index: int):
     return xxz.set_distance([x], [y]), measured, bound
 
 
-def _metric_ct_pass(config: ExperimentConfig, index: int):
-    """One random Combes-Thomas check: value 1.0 if measured <= bound."""
-    d, measured, bound = ct_sample(config, index)
-    return {d: 1.0 if measured <= bound else 0.0}
-
-
 def _xy_commutator_profiles(config: ExperimentConfig, index: int, times):
     """Per distance d, the norms of [tau_t(sX_j), sX_{j+d}] at the given
     times: closed form for the chain end j = 0, else in the eigenbasis of the
@@ -416,7 +409,7 @@ READS = {kind: frozenset(names.split()) for kind, names in {
     "droplet_profile": _XXZ_WINDOW + "n_particles distances",
     "quasi_locality": _XXZ_WINDOW + "probe_site block_sizes time_grid",
     "xxz_commutator": _XXZ_WINDOW + "probe_site distances time_grid",
-    # a resolvent at energies sampled below (2 - safety) * gap: no window
+    # ct_sample's resolvent at energies below (2 - safety) * gap: no window
     "ct_pass": "half_length anisotropy boundary_weight safety n_particles",
 }.items()}
 
@@ -444,7 +437,6 @@ METRICS = {
     "quasi_locality": _metric_quasi_locality,
     "xxz_commutator": _metric_xxz_commutator,
     "droplet_profile": _metric_droplet_profile,
-    "ct_pass": _metric_ct_pass,
     "xy_commutator": _metric_xy_commutator,
 }
 
@@ -455,22 +447,22 @@ METRICS = {
 def run_ensemble(config: ExperimentConfig) -> EnsembleSummary:
     """Execute R realizations and collect per-key mean / stderr / max.
 
-    Realizations hitting a degenerate spectrum are resampled with a
-    substitute index far outside the normal range (recorded in the
-    summary).  A solver failure or a non-finite value aborts as
-    NumericalError with the realization index attached; any other exception
-    propagates unchanged.
+    Every metric returns the same keys in every realization, so the values
+    form one R x K table over the sorted keys.  Realizations hitting a
+    degenerate spectrum are resampled with a substitute index far outside
+    the normal range (recorded in the summary).  A solver failure or a
+    non-finite value aborts as NumericalError with the realization index
+    attached; any other exception propagates unchanged.
     """
-    metric = METRICS[config.kind]
-    results: dict[int, dict] = {}
+    results: list[dict] = []
     substituted: list[tuple[int, int]] = []
     for index in range(config.realizations):
         attempt = index
         for retry in range(MAX_RESAMPLES + 1):
             try:
                 with realization_failures(index):
-                    results[index] = metric(config, attempt)
-                    for key, value in results[index].items():
+                    result = METRICS[config.kind](config, attempt)
+                    for key, value in result.items():
                         if not np.isfinite(value):
                             raise NumericalError(f"key {key} has value {value}")
                 break
@@ -479,20 +471,13 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleSummary:
                     raise
                 attempt = index + SUBSTITUTE_OFFSET * (retry + 1)
                 substituted.append((index, attempt))
-    # one row per realization, NaN where a key is missing (each is in some row)
-    keys = sorted({k for r in results.values() for k in r})
-    table = np.array([[r.get(k, np.nan) for k in keys] for r in results.values()],
-                     dtype=float)
-    valid = ~np.isnan(table)
-    counts = valid.sum(axis=0)
-    mean = np.where(valid, table, 0.0).sum(axis=0) / counts
-    centered = np.where(valid, table - mean, 0.0)
-    std = np.sqrt((centered ** 2).sum(axis=0) / np.maximum(counts - 1, 1))
-    stderr = std / np.sqrt(counts)
-    maxima = np.where(valid, table, -np.inf).max(axis=0)
-    return EnsembleSummary(config.kind, np.asarray(keys, dtype=float), mean,
-                           stderr, maxima, config.realizations,
-                           tuple(substituted), config)
+        results.append(result)
+    keys = sorted(results[0])
+    table = np.array([[r[k] for k in keys] for r in results], dtype=float)
+    mean = table.sum(axis=0) / len(results)
+    std = np.sqrt(((table - mean) ** 2).sum(axis=0) / max(len(results) - 1, 1))
+    return EnsembleSummary(np.asarray(keys, dtype=float), mean, std / np.sqrt(len(results)),
+                           table.max(axis=0), tuple(substituted))
 
 
 def clean_ground_state_entropy(chain_length: int, field_value: float,

@@ -245,6 +245,7 @@ def heisenberg(es: ManyBodyEigenSystem, op: np.ndarray, t: float) -> np.ndarray:
     before = np.linalg.norm(op, 2)
     out = es.vectors @ ((phases[:, None] * inner) * phases.conj()[None, :]) \
         @ es.vectors.conj().T
+    certify("Heisenberg non-finite entries", np.count_nonzero(~np.isfinite(out)), 1)
     certify("Heisenberg norm drift", abs(np.linalg.norm(out, 2) - before),
             1e-10 * max(before, 1.0))
     return out
@@ -380,7 +381,8 @@ def ising_exact(w: np.ndarray):
     Each subset X of down spins is an eigenstate with energy equal to the
     number of down-spin clusters (boundary edges counted on the infinite
     chain, i.e. |boundary| / 2 per cluster pair) plus the summed field.
-    Returns (energies, labels) with labels the subsets as bit masks.
+    energies[x] belongs to the subset with bit mask x, site 0 the most
+    significant bit (as in embed_site).
     """
     w = np.asarray(w, dtype=float)
     n = w.size
@@ -393,7 +395,7 @@ def ising_exact(w: np.ndarray):
         runs += occ[:, j] > occ[:, j - 1] if j else occ[:, 0]
         energies += w[j] * occ[:, j]
     energies += runs
-    return energies, np.arange(2 ** n, dtype=np.uint64)
+    return energies
 
 
 def droplet_state(block: tuple[int, int], n: int) -> np.ndarray:

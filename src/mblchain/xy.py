@@ -283,11 +283,10 @@ def _drop_bound(masses: np.ndarray, sites: int) -> np.ndarray:
     return np.maximum.accumulate(bound)
 
 
-def straddling_modes(es: EigenSystem, ell: int, tol=_TRUNC_TOL, squares=None) -> tuple:
-    """Modes kept for the [0, ell) block entropy of every eigenstate, a bound
-    (<= tol) on the entropy error of dropping the others, and the left
-    masses m_k of every mode; for a tuple of tolerances, the kept modes and
-    the bound at each in turn, then the masses, computed once.
+def straddling_modes(es: EigenSystem, ell: int, tol=_TRUNC_TOL, squares=None) -> tuple | list:
+    """(modes, bound): the modes kept for the [0, ell) block entropy of every
+    eigenstate and a bound (<= tol) on the entropy error of dropping the
+    others; for a tuple of tolerances, a list of these pairs, one per tol.
 
     Gamma_A = O_{A,S} O_{A,S}^T for the empty modes S, O_A the first ell rows
     of the eigenvectors.  Dropping modes Z from S is a PSD change of rank
@@ -323,8 +322,8 @@ def straddling_modes(es: EigenSystem, ell: int, tol=_TRUNC_TOL, squares=None) ->
         # <= 1/2 and each top one right mass <= 1/2
         top = np.searchsorted(high, t - low, side="right") - 1
         bottom = int(np.argmax(np.where(top >= 0, np.arange(L + 1) + top, -1)))
-        cuts += [order[bottom:L - top[bottom]], float(low[bottom] + high[top[bottom]])]
-    return *cuts, left
+        cuts.append((order[bottom:L - top[bottom]], float(low[bottom] + high[top[bottom]])))
+    return cuts if np.ndim(tol) else cuts[0]
 
 
 def _stacked_entropies(jobs) -> list:
@@ -367,23 +366,22 @@ def sample_eigenstate_entropy_sup(es: EigenSystem, block_sizes, samples: int = 2
     entropy} for each block size ell.
 
     Exhaustive over all 2^L patterns when L <= _EXHAUSTIVE_LIMIT or 2^L <=
-    samples; otherwise `samples` random patterns, drawn once for all cuts, and
-    per cut the straddling pattern, occupying the modes of left mass in (0.05,
-    0.95): seldom the maximum, it is one more candidate.  A pattern's entropy
-    is taken on the modes that straddle the cut, within a certified _TRUNC_TOL
-    of eigenstate_block_entropy (straddling_modes).  Screens on the fewer
-    modes kept at each _SCREEN_TOL in turn pass on only the patterns within
-    twice that level's and the final bound (and 2 _TRUNC_TOL of rounding) of
-    the level's running maximum, as no other can hold the sup.  A screen takes
-    each pattern's empty modes S among its kept K, or K - S if fewer (I - Gamma
-    has Gamma's entropy).  Blocks of one size, over all cuts, share an eigvalsh per level.
+    samples; otherwise `samples` random patterns, drawn once for all cuts.  A
+    pattern's entropy is taken on the modes that straddle the cut, within a
+    certified _TRUNC_TOL of eigenstate_block_entropy (straddling_modes).
+    Screens on the fewer modes kept at each _SCREEN_TOL in turn pass on only
+    the patterns within twice that level's and the final bound (and 2
+    _TRUNC_TOL of rounding) of the level's running maximum, as no other can
+    hold the sup.  A screen takes each pattern's empty modes S among its kept
+    K, or K - S if fewer (I - Gamma has Gamma's entropy).  Blocks of one size,
+    over all cuts, share an eigvalsh per level.
     """
     L = es.size
     ells = list(dict.fromkeys(block_sizes))
     require_memory(8 * L * L, "the squared eigenvectors")
     squares = es.eigenvectors ** 2    # every cut's masses
     cuts = [straddling_modes(es, ell, (*_SCREEN_TOL, _TRUNC_TOL), squares) for ell in ells]
-    kept = [c[-3].size for c in cuts]   # the full pass's stacked grams are the largest
+    kept = [c[-1][0].size for c in cuts]   # the full pass's stacked grams are the largest
     require_memory(8 * (L * L + sum(kept) * max(kept)), f"the entropy sup over {len(ells)} cuts")
     chunk = max(1, _STACK_ENTRIES // L)   # patterns held at once
     if L <= _EXHAUSTIVE_LIMIT or 2 ** L <= samples:
@@ -394,21 +392,16 @@ def sample_eigenstate_entropy_sup(es: EigenSystem, block_sizes, samples: int = 2
             bit[kept] = np.arange(k)
             return (((((np.arange(start, min(start + chunk, 2 ** k)) | 2 ** k)[:, None]
                        >> bit) & 1) == 0) for start in range(0, 2 ** k, chunk))
-        rounds = zip_longest(*(codes(c[-3]) for c in cuts),
+        rounds = zip_longest(*(codes(c[-1][0]) for c in cuts),
                              fillvalue=np.zeros((0, L), dtype=bool))
     else:
         rng = np.random.default_rng(0) if rng is None else rng
-        straddling = [~((c[-1] > 0.05) & (c[-1] < 0.95)) for c in cuts]
-
-        def draws():    # consecutive draws: the same stream as one call
-            for start in range(0, max(samples, 1), chunk):
-                empty = rng.integers(0, 2, size=(min(chunk, samples - start), L)) == 0
-                yield [np.vstack([empty, s]) if start + chunk >= samples else empty
-                       for s in straddling]
-        rounds = draws()
+        # consecutive draws: the same stream as one call; one array for every cut
+        rounds = ([rng.integers(0, 2, size=(min(chunk, samples - start), L)) == 0] * len(cuts)
+                  for start in range(0, samples, chunk))
     # per level, per cut: the level's modes and its margin
-    levels = [[(c[k], 2.0 * (c[k + 1] + c[-2] + _TRUNC_TOL)) for c in cuts]
-              for k in range(0, 2 * len(_SCREEN_TOL) + 1, 2)]
+    levels = [[(c[k][0], 2.0 * (c[k][1] + c[-1][1] + _TRUNC_TOL)) for c in cuts]
+              for k in range(len(_SCREEN_TOL) + 1)]
     top = np.zeros((len(levels), len(ells)))  # running maxima; the last row is the sup
     for empty in rounds:
         for k, level in enumerate(levels):

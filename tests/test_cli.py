@@ -416,7 +416,7 @@ def test_ising_peak_memory():
     probe = ("import resource\n"
              "import numpy as np\n"
              "from mblchain import oracle\n"
-             "assert oracle.ising_exact(np.zeros(22))[0].size == 2 ** 22\n"
+             "assert oracle.ising_exact(np.zeros(22)).size == 2 ** 22\n"
              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -681,16 +681,17 @@ def test_ising_subcommand(tmp_path):
 
 # a fresh interpreter per command, since the test session imports scipy:
 # the command runs with every realization wrapped, as the bench's tracer
-# does, and reports the modules first imported inside one and the scipy
-# modules loaded by the end
+# does, and reports the wrapped calls, the modules first imported inside one
+# and the scipy modules loaded by the end
 _IMPORT_PROBE = """\
 import json, sys
 from mblchain import cli, experiments
 
-inside = []
+inside, calls = [], []
 
 def watched(fn):
     def realization(*args, **kwargs):
+        calls.append(fn.__name__)
         before = set(sys.modules)
         try:
             return fn(*args, **kwargs)
@@ -702,7 +703,7 @@ for kind, fn in list(experiments.METRICS.items()):
     experiments.METRICS[kind] = watched(fn)
 experiments.ct_sample = watched(experiments.ct_sample)
 assert cli.main(json.loads(sys.argv[1])) == cli.EXIT_OK
-print(json.dumps({"inside": inside,
+print(json.dumps({"inside": inside, "calls": len(calls),
                   "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
 """
 
@@ -713,7 +714,8 @@ def test_bench_commands_never_import_scipy_special(tmp_path):
     # scipy.special (about 4 MB and 50-70 ms of import) stays out of every run.
     # An XY chain up to xy.DENSE_LIMIT sites loads no scipy at all, whether
     # through the closed form (probe site 0), the oracle (an interior probe)
-    # or validate's 6-site checks
+    # or validate's 6-site checks.  Each ensemble command makes one wrapped
+    # call per realization, so the check is not passed by unwrapped calls
     ensemble = ["--realizations", "2"]
     runs = {
         "xy-entropy": (["xy-entropy", "--chain-length", "40", "--block-sizes",
@@ -741,6 +743,7 @@ def test_bench_commands_never_import_scipy_special(tmp_path):
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         report = json.loads(done.stdout.splitlines()[-1])
+        assert report["calls"] == (0 if name == "validate" else 2), name
         assert report["inside"] == [], name
         loaded = report["scipy"]
         assert "scipy.special" not in loaded, name

@@ -333,26 +333,19 @@ def _sup_per_pattern(es, ell, samples=200, rng=None):
     # the former loop, one eigvalsh per pattern and no screen: the
     # bit-identity reference for the stacked, screened sup
     L = es.size
-    kept, _, _ = xy.straddling_modes(es, ell)
+    kept, _ = xy.straddling_modes(es, ell)
     if L <= xy._EXHAUSTIVE_LIMIT or 2 ** L <= samples:
         occupied = ((np.arange(2 ** L)[:, None] >> np.arange(L)) & 1).astype(bool)
     else:
         rng = np.random.default_rng(0) if rng is None else rng
-        left = (es.eigenvectors[:ell] ** 2).sum(axis=0)
-        occupied = np.array([rng.integers(0, 2, size=L) == 1
-                             for _ in range(samples)]
-                            + [(left > 0.05) & (left < 0.95)])
+        occupied = np.array([rng.integers(0, 2, size=L) == 1 for _ in range(samples)])
     return max(0.0, float(_entropies_on(es, ell, kept, occupied).max()))
 
 
-def _sampled_patterns(es, ell, samples, seed):
-    # the patterns the sup visits at the cut: the random ones, drawn once for
-    # every cut, then the cut's straddling one
+def _sampled_patterns(es, samples, seed):
+    # the patterns the sup visits at every cut: the random ones, drawn once
     rng = np.random.default_rng(seed)
-    rows = [rng.integers(0, 2, size=es.size) == 1 for _ in range(samples)]
-    left = (es.eigenvectors[:ell] ** 2).sum(axis=0)
-    rows.append((left > 0.05) & (left < 0.95))
-    return rows
+    return [rng.integers(0, 2, size=es.size) == 1 for _ in range(samples)]
 
 
 @pytest.mark.parametrize("field, ells, kept_range", [
@@ -370,18 +363,19 @@ def test_sup_on_straddling_modes_matches_exact(field, ells, kept_range):
     assert list(fast) == list(ells)
     tols = (*xy._SCREEN_TOL, xy._TRUNC_TOL)
     for ell in ells:
-        kept, bound, left = xy.straddling_modes(es, ell)
-        assert np.array_equal(left, (es.eigenvectors[:ell] ** 2).sum(axis=0))
+        kept, bound = xy.straddling_modes(es, ell)
         assert kept_range[0] <= kept.size <= kept_range[1]
         assert bound <= xy._TRUNC_TOL
-        # the same kept modes, bounds and masses as from a gathered copy
+        # the same kept modes and bounds as from a gathered copy
         ladder = xy.straddling_modes(es, ell, tols)
         reference = _straddling_reference(es, ell, tols)
-        assert len(ladder) == len(reference) == 2 * len(tols) + 1
+        assert len(ladder) == len(reference) == len(tols)
         for got, want in zip(ladder, reference):
-            assert np.array_equal(got, want) and type(got) is type(want)
+            assert len(got) == len(want) == 2
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b) and type(a) is type(b)
         exact = max(xy.eigenstate_block_entropy(es, p, ell)
-                    for p in _sampled_patterns(es, ell, 40, 7))
+                    for p in _sampled_patterns(es, 40, 7))
         assert abs(fast[ell] - exact) <= bound + 1e-11
 
 
@@ -397,8 +391,8 @@ def _straddling_reference(es, ell, tols):
     for t in tols:
         top = np.searchsorted(high, t - low, side="right") - 1
         bottom = int(np.argmax(np.where(top >= 0, np.arange(L + 1) + top, -1)))
-        out += [order[bottom:L - top[bottom]], float(low[bottom] + high[top[bottom]])]
-    return *out, left
+        out.append((order[bottom:L - top[bottom]], float(low[bottom] + high[top[bottom]])))
+    return out
 
 
 def test_sup_exhaustive_matches_exact(monkeypatch):
@@ -408,7 +402,7 @@ def test_sup_exhaustive_matches_exact(monkeypatch):
     sups = xy.sample_eigenstate_entropy_sup(es, range(1, n))
     assert list(sups) == list(range(1, n))
     for ell in range(1, n):
-        _, bound, _ = xy.straddling_modes(es, ell)
+        _, bound = xy.straddling_modes(es, ell)
         assert bound <= xy._TRUNC_TOL
         assert sups[ell] == _sup_per_pattern(es, ell)
         exact = max(xy.eigenstate_block_entropy(es, p, ell) for p in patterns)
@@ -420,9 +414,8 @@ def test_sup_exhaustive_matches_exact(monkeypatch):
 
 
 def _empty_counts(es, ell, samples, seed):
-    kept, _, _ = xy.straddling_modes(es, ell)
-    return np.array([(~p[kept]).sum()
-                     for p in _sampled_patterns(es, ell, samples, seed)])
+    kept, _ = xy.straddling_modes(es, ell)
+    return np.array([(~p[kept]).sum() for p in _sampled_patterns(es, samples, seed)])
 
 
 class _RecordingRng:
@@ -495,23 +488,24 @@ def test_stacked_sup_calls_eigvalsh_once_per_empty_count(monkeypatch):
     es = _es(400, 12, coupling=4.0)[1]
     ells, tols = (25, 50, 100, 200), (*xy._SCREEN_TOL, xy._TRUNC_TOL)
     cuts = [xy.straddling_modes(es, ell, tols) for ell in ells]
-    rows = [np.array(_sampled_patterns(es, ell, 200, 4)) for ell in ells]
+    rows = [np.array(_sampled_patterns(es, 200, 4)) for _ in ells]
     expected = []
-    for k in range(0, 2 * len(tols), 2):
+    for k in range(len(tols)):
         sizes = []
         for i, (ell, c) in enumerate(zip(ells, cuts)):
-            seen = rows[i] if k == 2 * len(xy._SCREEN_TOL) else _smaller_halves(rows[i], c[k])
-            counts = (~seen[:, c[k]]).sum(axis=1)
-            if k < 2 * len(xy._SCREEN_TOL):
-                assert np.array_equal(counts, np.minimum(counts, c[k].size - counts))
+            modes, bound = c[k]
+            seen = rows[i] if k == len(xy._SCREEN_TOL) else _smaller_halves(rows[i], modes)
+            counts = (~seen[:, modes]).sum(axis=1)
+            if k < len(xy._SCREEN_TOL):
+                assert np.array_equal(counts, np.minimum(counts, modes.size - counts))
             sizes += list(np.minimum(counts, ell)[counts > 0])
-            s = _entropies_on(es, ell, c[k], seen)
-            rows[i] = rows[i][s >= s.max() - 2 * (c[k + 1] + c[-2] + xy._TRUNC_TOL)]
+            s = _entropies_on(es, ell, modes, seen)
+            rows[i] = rows[i][s >= s.max() - 2 * (bound + c[-1][1] + xy._TRUNC_TOL)]
         n, depth = np.unique(sizes, return_counts=True)
         expected += [(d, m, m) for m, d in zip(n, depth)]
     # the screens pass on fewer and fewer patterns, the full solve 1-5 per cut
     assert all(1 <= len(r) <= 5 for r in rows)
-    assert all(c[0].size < c[2].size < c[4].size for c in cuts)
+    assert all(c[0][0].size < c[1][0].size < c[2][0].size for c in cuts)
     shapes = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -568,7 +562,7 @@ def test_screen_never_moves_the_sup(monkeypatch, field):
         es = (xy.diagonalize(constant_field(0.5, 400)) if field == "clean"
               else _es(400, 12, coupling=4.0 if field == "strong" else 1.0)[1])
         ells = (25, 200)
-        patterns = {ell: _sampled_patterns(es, ell, 200, 6) for ell in ells}
+        patterns = {ell: _sampled_patterns(es, 200, 6) for ell in ells}
     exact = {ell: _sup_per_pattern(es, ell, 200, np.random.default_rng(6)) for ell in ells}
     stacked = xy._stacked_entropies
     for ladder in ((0.3, 1e-2), (1e-2,), (1e-6,), (1e-1, 1e-2)):
@@ -597,10 +591,10 @@ def test_screen_certificate_at_loose_tolerance():
     # full-precision one, and within the screen's bound of the exact one
     es = _es(400, 12, coupling=4.0)[1]
     ell = 25
-    patterns = np.array(_sampled_patterns(es, ell, 200, ell))
+    patterns = np.array(_sampled_patterns(es, 200, ell))
     exact = np.array([xy.eigenstate_block_entropy(es, p, ell) for p in patterns])
     for tol in xy._SCREEN_TOL:
-        screen, err_s, kept, err, _ = xy.straddling_modes(es, ell, (tol, xy._TRUNC_TOL))
+        (screen, err_s), (kept, err) = xy.straddling_modes(es, ell, (tol, xy._TRUNC_TOL))
         assert tol / 100 < err_s <= tol and screen.size < kept.size
         s_screen = _entropies_on(es, ell, screen, patterns)
         s_full = _entropies_on(es, ell, kept, patterns)
