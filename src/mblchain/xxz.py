@@ -12,7 +12,9 @@ bounds), D_N twice the number of down-spin clusters (box independent),
 V_w the summed random field, and chi^(L) counting boundary touches.  The
 droplet boundary weight beta >= (1 - 1/Delta)/2 keeps every term
 nonnegative, so min spec H_N^L >= 1 - 1/Delta for N >= 1.  The vacuum
-N = 0 is the sector of one empty configuration with H_0 = 0.
+N = 0 is the sector of one empty configuration with H_0 = 0.  As w >= 0,
+min spec H_N^L >= 1 - 1/Delta + (sum of the N smallest w) (Weyl), so
+field_admits proves a sector empty in a window before any solve.
 
 The test suite validates everything here entrywise against the brute-force
 2^n spin Hamiltonian.  Only V_w depends on the field; the rest is the sector
@@ -226,6 +228,7 @@ class SectorHamiltonian:
     # values on the basis's pattern (build_h_sector); the dense solves, the
     # window count and ct_check read them slot by slot
     data: np.ndarray = field(repr=False)
+    field_floor: float = -np.inf  # min of V_w over the configurations; -inf bounds nothing
 
     @property
     def dim(self) -> int:
@@ -260,12 +263,13 @@ def build_h_sector(n_particles: int, half_length: int, anisotropy: float,
 
     basis = enumerate_basis(n_particles, L)
     cluster_weight = min_boundary_weight(anisotropy)
+    potential = w[basis.positions].sum(axis=1)
     data = np.full(basis.indices.size, -1.0 / (2.0 * anisotropy))
     data[basis.diagonal] = (basis.graph_degree / (2.0 * anisotropy)
                             + cluster_weight * basis.cluster_degree
-                            + w[basis.positions].sum(axis=1)
+                            + potential
                             + (boundary_weight - cluster_weight) * basis.wall_touches)
-    return SectorHamiltonian(basis, anisotropy, data)
+    return SectorHamiltonian(basis, anisotropy, data, float(potential.min()))
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +318,13 @@ def spectral_window(anisotropy: float, safety: float = 0.0,
     if kind == "I_0_delta":
         return EnergyWindow(0.0, (2.0 - safety) * gap)
     raise ConfigurationError(f"unknown window kind {kind!r}")
+
+
+def field_admits(h: SectorHamiltonian, window: EnergyWindow) -> bool:
+    """False only if min spec H_N >= 1 - 1/Delta + floor (N >= 1; H_0 = 0) lies
+    above window.upper by more than a margin far above any solver's error."""
+    bound = (1.0 - 1.0 / h.anisotropy if h.basis.n_particles else 0.0) + h.field_floor
+    return bound <= window.upper + 1e-9 * max(1.0, abs(window.upper))
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +406,8 @@ def eigenpairs_in_window(h: SectorHamiltonian, window: EnergyWindow):
     """The window energies of the sector, ascending, and their eigenvectors
     as the columns of a matrix.
 
+    A sector that field_admits rejects comes back empty with no solve (a
+    dense one after the dense memory rule, which reads only its size).
     A = H - upper I is >= floor = 2 (1 - 1/Delta) - upper on the set T of
     non-droplets.  If floor > 0 (I_delta, I_0_delta), the k eigenvalues <=
     upper are the negative ones of the Schur complement of A_TT (Haynsworth
@@ -406,7 +419,12 @@ def eigenpairs_in_window(h: SectorHamiltonian, window: EnergyWindow):
     upper = window.upper
     floor = 2.0 * (1.0 - 1.0 / h.anisotropy) - upper
     t = h.basis.droplet_distance > 0
-    if floor <= 0 or t.sum() <= 1:
+    dense = floor <= 0 or t.sum() <= 1
+    if dense:  # the dense rule binds whatever the field, like every size limit
+        require_dense(h.dim)
+    if not field_admits(h, window):
+        return np.zeros(0), np.zeros((h.dim, 0))
+    if dense:
         vals, vecs = _dense_eigh(h)
     else:
         from scipy.sparse import csr_matrix
@@ -520,9 +538,9 @@ def ct_check(h: SectorHamiltonian, energy: float, safety: float,
 class ChainSpectrum:
     """Full finite-volume XXZ chain, the direct sum of the magnon sectors
     N = 0 .. 2L+1 (particle number is conserved).  Nothing is solved up
-    front: a sector's full spectrum is solved dense on first request and
-    kept, and a window block is cut from a kept spectrum or else comes from
-    eigenpairs_in_window.  The tests check both against the brute force."""
+    front: a full spectrum is solved dense on first request and kept, and a
+    window block is cut from it or comes from eigenpairs_in_window, which
+    solves no sector field_admits rejects.  Tests check both by brute force."""
 
     def __init__(self, half_length: int, anisotropy: float,
                  boundary_weight: float, w: np.ndarray):
@@ -681,19 +699,24 @@ class QuasiLocalityProbe:
     .. min(n, n_inner) only, so the blocks of every other weight never meet
     the window and are not built, which changes no number.  On the window,
     tau_t(X) is the window number operator conjugated by the window phases.
+    Only the sectors field_admits are solved up front and kept, and the window
+    is cut from them; errors_profile solves each other one dense, folds it into
+    every time's partial traces and frees it, or solves none for an empty window.
     """
 
     def __init__(self, chain: ChainSpectrum, site: int, window: EnergyWindow):
         _check_site(site, chain.half_length)
-        # all sectors' eigenvectors, C(2n, n) doubles, are kept; on top come the
+        # the kept sectors' eigenvectors, sum d_N^2 doubles; on top come the
         # largest sector's dense solve (5 dim^2 doubles) and evolution (a real
         # product and the complex C, 2 dim C(n - 1, L) doubles each)
+        kept = [n for n, h in chain.sectors.items() if field_admits(h, window)]
         n, dim = chain.n_sites, comb(chain.n_sites, chain.half_length)
-        require_memory(8 * (comb(2 * n, n) + 5 * dim ** 2 + 4 * dim * comb(n - 1, n // 2)),
+        require_memory(8 * (sum(chain.sectors[k].dim ** 2 for k in kept) + 5 * dim ** 2
+                            + 4 * dim * comb(n - 1, n // 2)),
                        f"the quasi-locality probe of the {n}-site chain")
         self.chain, self.site = chain, site
-        # full spectra first, so the window blocks are cut from them
-        self._spectra = {n: chain.spectrum(n) for n in chain.sectors}
+        # the kept spectra first, so the window blocks are cut from them
+        self._spectra = {k: chain.spectrum(k) for k in kept}
         self.energies, self._number = chain.window_number_operator(window, site)
         self._blocks = chain.window_blocks(window)[1]
 
@@ -709,21 +732,26 @@ class QuasiLocalityProbe:
             n_inner, tables = _trace_classes(chain.half_length, self.site, ell)
             if n_inner < chain.n_sites:
                 cuts[ell] = n_inner, tables, {k for n in self._blocks for k in tables[n]}
-        if not (cuts and w):
+        times = np.asarray(time_grid, dtype=float)
+        if not (cuts and w and times.size):
             return out
-        for t in np.asarray(time_grid, dtype=float):
-            # per radius and inner weight k read, the partial trace of tau_t(X)
-            # over the outer sites, summed over all sectors (window states or not)
-            # in ascending order, on the ascending inner patterns of weight k
-            m_a = {ell: {} for ell in cuts}
-            for n, (energies, vectors) in self._spectra.items():
-                # one real product V [cos(Et) W^T | sin(Et) W^T], W = V[occ, :]
-                wt = vectors[chain.sectors[n].basis.occupancy[:, col]].T
+        # per time, radius and inner weight k read, the partial trace of tau_t(X)
+        # over the outer sites (C(n_inner, k)^2 complex numbers), summed over all
+        # sectors in ascending order, on the ascending inner patterns of weight k
+        require_memory(16 * times.size * sum(comb(m, k) ** 2 for m, _, read in cuts.values()
+                                             for k in read),
+                       f"the partial traces at {times.size} times")
+        traces = [{ell: {} for ell in cuts} for _ in times]
+        for n, h in chain.sectors.items():
+            energies, vectors = self._spectra.get(n) or _dense_eigh(h)
+            wt = vectors[h.basis.occupancy[:, col]].T  # W^T, W = V[occ, :]
+            for t, m_a in zip(times, traces):
+                # one real product V [cos(Et) W^T | sin(Et) W^T]
                 et = energies[:, None] * t
                 re_im = vectors @ np.hstack([np.cos(et) * wt, np.sin(et) * wt])
                 c = np.empty(wt.shape, dtype=complex)
                 c.real, c.imag = np.hsplit(re_im, 2)
-                del wt, re_im
+                del re_im
                 for ell, (n_inner, tables, read) in cuts.items():
                     for k, members in tables[n].items():
                         if k in read:
@@ -731,8 +759,10 @@ class QuasiLocalityProbe:
                             ck = c[members].reshape(members.size // na, na, -1)
                             ck = ck.swapaxes(0, 1).reshape(na, -1)
                             m_a[ell][k] = m_a[ell].get(k, 0) + ck @ ck.conj().T
-                c = ck = None  # released before the next sector's factor
+                c = ck = None  # released before the next time's factor
+            energies = vectors = wt = None  # released before the next solve
 
+        for t, m_a in zip(times, traces):
             # the approximant on the window: m_a acts on the inner index of
             # every class
             exact = evolve_window_observable(self.energies, self._number, t)

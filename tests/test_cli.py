@@ -287,9 +287,10 @@ def test_dense_cap_exits_config(tmp_path, capsys, monkeypatch, memory_budget):
 
 def test_quasi_locality_counts_every_sector(tmp_path, capsys, monkeypatch,
                                             memory_budget):
-    # at L = 3 the largest dense solve (dim 35) takes 49 000 B, and the kept
-    # eigenvectors of all sectors C(14, 7) doubles, 27 456 B more: a budget
-    # between the two is refused before any sector is solved
+    # at L = 3 the largest dense solve (dim 35) takes 49 000 B, its evolution
+    # 4 * 35 * C(6, 3) doubles, 22 400 B more, and the kept sectors' eigenvectors
+    # more again: a budget between the solve and the sum is refused before any
+    # sector is solved
     memory_budget(60_000)
     calls, eigh = [], np.linalg.eigh
 

@@ -418,6 +418,45 @@ def test_window_certificate_at_the_upper_edge(monkeypatch, offset):
     assert energies.size == 0 and vectors.shape == (h.dim, 0) and not calls
 
 
+@pytest.mark.parametrize("half_length", [1, 2, 3, 4])
+@pytest.mark.parametrize("delta", [1.5, 3.0, 6.0])
+def test_field_bound_rejects_only_sectors_without_window_states(monkeypatch, half_length,
+                                                                delta):
+    # min spec H_N >= (1 - 1/Delta) + (sum of the N smallest w) for N >= 1, and a
+    # sector field_admits rejects has no eigenvalue at or below the window's top
+    import scipy.sparse.linalg as spla
+    n_sites, gap = 2 * half_length + 1, 1.0 - 1.0 / delta
+    fields = [constant_field(0.0, n_sites)] + [
+        sample_field(DisorderSpec(coupling=c), n_sites, PLAN, 3) for c in (0.1, 1.0, 4.0)]
+    windows = [xxz.spectral_window(delta, kind="I")] + [
+        xxz.spectral_window(delta, 0.5, kind) for kind in ("I_delta", "I_0_delta")]
+    rejected = []
+    for beta in (xxz.min_boundary_weight(delta), xxz.min_boundary_weight(delta) + 0.3):
+        for w in fields:
+            vacuum = xxz.build_h_sector(0, half_length, delta, beta, w)
+            assert all(xxz.field_admits(vacuum, window) for window in windows)
+            for n in range(1, n_sites + 1):
+                h = xxz.build_h_sector(n, half_length, delta, beta, w)
+                assert abs(h.field_floor - np.sort(w)[:n].sum()) < 1e-12
+                lowest = np.linalg.eigvalsh(h.basis.dense(h.data))[0]
+                assert lowest >= gap + h.field_floor - 1e-12
+                for window in windows:
+                    if not xxz.field_admits(h, window):
+                        assert lowest > window.upper
+                        rejected.append((h, window))
+    assert rejected
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rejected sector was solved")
+
+    for name in ("_dense_eigh", "_certified_cg"):
+        monkeypatch.setattr(xxz, name, refuse)
+    monkeypatch.setattr(spla, "eigsh", refuse)
+    for h, window in rejected:
+        energies, vectors = xxz.eigenpairs_in_window(h, window)
+        assert energies.shape == (0,) and vectors.shape == (h.dim, 0)
+
+
 def test_droplet_profile_mass_conservation():
     delta = 3.0
     # weak field, so the three-particle droplet states fall in the window
@@ -763,6 +802,89 @@ def test_quasi_locality_streams_the_sector_factors(half_length):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 16 * comb(2 * n - 1, n), f"traced peak {peak} B"
+
+
+def test_quasi_locality_keeps_only_the_sectors_the_field_admits(monkeypatch):
+    # only the admitted sectors' eigenvectors are kept, every other sector is
+    # solved, folded into the partial traces and released: the traced peak stays
+    # below 1.5 times every sector's eigenvectors, C(2n, n) doubles
+    half_length, delta = 5, 6.0
+    n = 2 * half_length + 1
+    w = sample_field(UNIFORM, n, PLAN, 5)
+    beta, window = xxz.min_boundary_weight(delta), xxz.spectral_window(delta, 0.5)
+    tracemalloc.start()
+    try:
+        chain = xxz.ChainSpectrum(half_length, delta, beta, w)
+        probe = xxz.QuasiLocalityProbe(chain, 0, window)
+        probe.errors_profile(range(half_length), (0.5, 5.0, 50.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * comb(2 * n, n), f"traced peak {peak} B"
+    admitted = {k for k, h in chain.sectors.items() if xxz.field_admits(h, window)}
+    assert set(chain._spectra) == admitted and 0 < len(admitted) < n + 1
+
+    # a window above the one-particle field bound but below every sector's
+    # ground state: admitted sectors, no window state, and no solve after
+    # the probe is built
+    gap = 1.0 - 1.0 / delta
+    sectors = [xxz.build_h_sector(k, half_length, delta, beta, w) for k in range(1, n + 1)]
+    lowest = min(np.linalg.eigvalsh(h.basis.dense(h.data))[0] for h in sectors)
+    empty = xxz.EnergyWindow(gap, (gap + sectors[0].field_floor + lowest) / 2)
+    chain = xxz.ChainSpectrum(half_length, delta, beta, w)
+    probe = xxz.QuasiLocalityProbe(chain, 0, empty)
+    assert 1 in chain._spectra and probe.energies.size == 0
+    solves = []
+    monkeypatch.setattr(xxz, "_dense_eigh", solves.append)
+    assert probe.errors_profile(range(half_length), (0.5, 5.0)) == dict.fromkeys(
+        range(half_length), 0.0)
+    assert not solves
+
+
+def test_quasi_locality_memory_rule_counts_only_kept_sectors(monkeypatch, memory_budget):
+    # 8 (sum of the kept d_N^2 + 5 d^2 + 4 d C(n - 1, L)) bytes, d = C(n, L), where
+    # every sector's eigenvectors, C(2n, n) doubles, were counted before
+    half_length, delta = 4, 6.0
+    n = 2 * half_length + 1
+    w = sample_field(UNIFORM, n, PLAN, 5)
+    window = xxz.spectral_window(delta, 0.5)
+    args = half_length, delta, xxz.min_boundary_weight(delta), w
+    chain = xxz.ChainSpectrum(*args)
+    kept = [k for k, h in chain.sectors.items() if xxz.field_admits(h, window)]
+    d = comb(n, half_length)
+    rest = 5 * d ** 2 + 4 * d * comb(n - 1, half_length)
+    model = 8 * (sum(comb(n, k) ** 2 for k in kept) + rest)
+    assert model < 8 * (comb(2 * n, n) + rest)
+    want = xxz.QuasiLocalityProbe(xxz.ChainSpectrum(*args), 0, window).errors_profile(
+        range(half_length), (0.5, 5.0))
+
+    memory_budget(model - 1)
+    solve = xxz._dense_eigh
+
+    def refuse(h):
+        raise AssertionError("solved before the memory rule")
+
+    monkeypatch.setattr(xxz, "_dense_eigh", refuse)
+    with pytest.raises(ConfigurationError, match="quasi-locality probe of the 9-site chain"):
+        xxz.QuasiLocalityProbe(chain, 0, window)
+    assert not chain._spectra
+    monkeypatch.setattr(xxz, "_dense_eigh", solve)
+    # a budget the former model exceeded runs, and gives the same errors
+    memory_budget(model)
+    probe = xxz.QuasiLocalityProbe(chain, 0, window)
+    assert probe.errors_profile(range(half_length), (0.5, 5.0)) == want
+    # each time keeps its partial traces, C(m, k)^2 complex numbers per radius
+    # with m inner sites and inner weight k the window reads: a long time grid
+    # is refused before any solve
+    per_time = 0
+    for ell in range(half_length):
+        m, tables = xxz._trace_classes(half_length, 0, ell)
+        read = {k for n in probe._blocks for k in tables[n]}
+        per_time += 16 * sum(comb(m, k) ** 2 for k in read)
+    monkeypatch.setattr(xxz, "_dense_eigh", refuse)
+    times = np.linspace(0.1, 2.0, model // per_time + 1)
+    with pytest.raises(ConfigurationError, match=f"partial traces at {times.size} times"):
+        probe.errors_profile(range(half_length), times)
 
 
 @pytest.mark.parametrize("half_length", [2, 3])
