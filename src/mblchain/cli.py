@@ -5,8 +5,9 @@ command line.  Each subcommand accepts only the settings it reads
 (SETTINGS; lr-lightcone those of the chosen --model), as flags and as
 config keys.  Every run writes a
 comma-separated table with a '#' metadata preamble, a whitespace-separated
-.dat twin for plotting tools, and a manifest with the echoed settings and
-sha256 checksums of the data files.  Data files are byte-identical under
+.dat twin for plotting tools, and a manifest with the echoed settings, the
+tridiagonal solver and numpy/LAPACK that ran, and sha256 checksums of the
+data files.  Data files are byte-identical under
 a fixed seed.
 
 Exit codes: 0 success, 2 configuration error (parse errors included, one
@@ -187,6 +188,11 @@ def write_outputs(out_dir: str, name: str, columns, rows, meta: dict,
         fh.write(f"artifact_version = {ARTIFACT_VERSION}\n")
         fh.write(f"command = {name}\n")
         fh.write(f"written = {started}\n")
+        fh.write(f"tridiagonal_solver = {xy.TRIDIAGONAL_SOLVER}\n")
+        fh.write(f"numpy_version = {np.__version__}\n")
+        lapack = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("lapack")
+        if lapack:  # numpy >= 1.26 names the LAPACK it was built with
+            fh.write(f"numpy_lapack = {lapack.get('name')} {lapack.get('version')}\n")
         for key in echoed:
             fh.write(f"config.{key} = {_format_value(settings[key])}\n")
         for path in (csv_path, dat_path):

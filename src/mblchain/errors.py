@@ -56,5 +56,6 @@ def require_memory(nbytes: int, what: str) -> None:
 
 def require_dense(dim: int, what: str | None = None) -> None:
     # a dense eigh holds 5 dim^2 doubles: the matrix, LAPACK's copy, 2 dim^2
-    # of syevd workspace and the eigenvectors
+    # of syevd workspace and the eigenvectors; xy's dstevd, inside that, the
+    # eigenvectors and dim^2 + 4 dim + 1 of workspace
     require_memory(5 * 8 * dim * dim, what or f"dense diagonalization at dim {dim}")

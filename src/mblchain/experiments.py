@@ -118,7 +118,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"{self.kind} needs a nonempty time_grid")
         if "sup_samples" in reads and self.sup_samples < 1:
             raise ConfigurationError(f"{self.kind} needs sup_samples >= 1")
-        if SCIPY[self.kind] and ("half_length" in reads or self.chain_length > xy.DENSE_LIMIT):
+        if self.kind in SCIPY:
             importlib.import_module(SCIPY[self.kind])
 
     def effective_boundary_weight(self) -> float:
@@ -414,14 +414,12 @@ READS = {kind: frozenset(names.split()) for kind, names in {
 }.items()}
 
 # per kind, the scipy subpackage its realizations call, imported when a config
-# is validated (never inside a realization); XY kinds only above xy.DENSE_LIMIT
+# is validated (never inside a realization); the XY kinds and quasi_locality
+# load no scipy
 SCIPY = {
-    **dict.fromkeys(("eigencorrelator", "dynamical_kernel", "entropy_sup",
-                     "quench_entropy", "xy_commutator"), "scipy.linalg"),
     **dict.fromkeys(("droplet_localization", "sector_correlator",
                      "droplet_profile", "xxz_commutator"), "scipy.sparse.linalg"),
     "ct_pass": "scipy.sparse",
-    "quasi_locality": None,
 }
 
 # kinds averaging over every site pair (j, j + d) of the chain

@@ -26,6 +26,7 @@ of the anisotropic chain.  A dense solve at L (or 2L) above the memory rule
 
 from __future__ import annotations
 
+import ctypes
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -40,8 +41,21 @@ _TRUNC_TOL = 1e-10
 _SCREEN_TOL = (1e-1, 1e-2)  # the sup's screens, loosest first
 _STACK_ENTRIES = 2 ** 22  # matrix entries of one stacked eigvalsh (32 MB)
 _EXHAUSTIVE_LIMIT = 14  # the sup visits all 2^L patterns up to this L
-# diagonalize's numpy eigh vs eigh_tridiagonal at 1 BLAS thread (2-core x86-64):
-DENSE_LIMIT = 32  # 0.075 vs 0.074 ms at L = 32, 0.108 vs 0.086 ms at L = 33
+# check_tridiagonal_pairs takes the full Gram up to here, the stencil and
+# Davis-Kahan certificate above
+DENSE_LIMIT = 32
+
+# LAPACK dstevd from the library numpy's own linalg extension loaded: the ILP64
+# symbol of numpy's wheels (numpy >= 2, then 1.2x); None where none resolves
+_LAPACK = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+_DSTEVD = getattr(_LAPACK, "scipy_dstevd_64_", None) or getattr(_LAPACK, "dstevd_64_", None)
+if _DSTEVD is not None:  # jobz, n, d, e, z, ldz, work, lwork, iwork, liwork, info, len(jobz)
+    _NUM, _BUF = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    _DSTEVD.argtypes = [ctypes.c_char_p, _NUM, _BUF, _BUF, _BUF, _NUM, _BUF, _NUM, _BUF, _NUM,
+                        _NUM, ctypes.c_size_t]
+    _DSTEVD.restype = None
+TRIDIAGONAL_SOLVER = (f"dstevd via {_DSTEVD.__name__}" if _DSTEVD is not None
+                      else "numpy eigh (dense fallback)")
 
 
 def block_m(w: np.ndarray, gamma: float) -> np.ndarray:
@@ -113,20 +127,29 @@ def check_tridiagonal_pairs(d: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -
     return rows
 
 
+def _dstevd(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # M's eigenpairs by LAPACK: a copy of d becomes the eigenvalues, e scratch
+    n, num = d.size, ctypes.c_int64
+    vals, e, vecs = d.copy(), np.full(max(n - 1, 1), -1.0), np.empty((n, n), order="F")
+    work, iwork, info = np.empty(1 + 4 * n + n * n), np.empty(3 + 5 * n, dtype=np.int64), num()
+    _DSTEVD(b"V", num(n), vals.ctypes.data, e.ctypes.data, vecs.ctypes.data, num(max(n, 1)),
+            work.ctypes.data, num(work.size), iwork.ctypes.data, num(iwork.size), info, 1)
+    certify("tridiagonal eigensolver dstevd: |info|", abs(info.value), 1)
+    return vals, vecs
+
+
 def diagonalize(diagonal: np.ndarray) -> EigenSystem:
     """Diagonalize M = O Lambda O^T, the one-particle matrix with the given
-    diagonal and -1 hopping: up to DENSE_LIMIT by numpy's eigh on the dense M
-    (no scipy import; dsyevd's reflectors are trivial on a tridiagonal M and it
-    runs dstevd's dstedc, so the pairs agree), above it by eigh_tridiagonal."""
+    diagonal and -1 hopping, by LAPACK dstevd bound from numpy's own library
+    (TRIDIAGONAL_SOLVER names it; no scipy import).  Where no such symbol
+    resolves, numpy's eigh on the dense M: dsyevd's reflectors are trivial on
+    a tridiagonal M and it runs dstevd's dstedc, so the pairs agree."""
     d = np.asarray(diagonal, dtype=float)
     L = d.size
     require_dense(L)
     try:
-        if L <= DENSE_LIMIT:
-            vals, vecs = np.linalg.eigh(np.diag(d) - np.eye(L, k=1) - np.eye(L, k=-1))
-        else:
-            from scipy.linalg import eigh_tridiagonal
-            vals, vecs = eigh_tridiagonal(d, np.full(L - 1, -1.0))
+        vals, vecs = (_dstevd(d) if _DSTEVD is not None else
+                      np.linalg.eigh(np.diag(d) - np.eye(L, k=1) - np.eye(L, k=-1)))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError(f"tridiagonal eigensolver failed: {exc}")
     check_tridiagonal_pairs(d, vals, vecs)
@@ -345,7 +368,7 @@ def _stacked_entropies(jobs) -> list:
     row, col = np.concatenate([a + c for a, c in zip(lead, col)]), np.concatenate(col)
     first = np.cumsum(counts) - counts   # each row's first entry
     out = np.zeros(size.size)
-    for n in np.unique(size[size > 0]):
+    for n in sorted(set(size[size > 0].tolist())):  # np.unique would import numpy.ma
         at = np.flatnonzero(size == n)
         step = max(1, _STACK_ENTRIES // n ** 2)
         for part in np.split(at, range(step, at.size, step)):

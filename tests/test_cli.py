@@ -628,6 +628,25 @@ def test_bands_outputs_and_reproducibility(tmp_path):
     assert (csv.read_bytes(), dat.read_bytes()) == first
 
 
+def test_manifest_names_the_solver_and_numpy_stack(tmp_path):
+    # which tridiagonal path ran, and numpy with the LAPACK it was built with
+    # (named from numpy's own build record: nothing imports scipy to name it)
+    assert cli.main(["xy-entropy", "--chain-length", "40", "--block-sizes", "5",
+                     "--sup-samples", "4", "--realizations", "1",
+                     "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+    lines = (tmp_path / "xy-entropy.manifest").read_text().splitlines()
+    entries = dict(line.split(" = ", 1) for line in lines if " = " in line)
+    assert entries["tridiagonal_solver"] == xy.TRIDIAGONAL_SOLVER
+    assert xy.TRIDIAGONAL_SOLVER in ("numpy eigh (dense fallback)",
+                                     f"dstevd via {getattr(xy._DSTEVD, '__name__', None)}")
+    assert entries["numpy_version"] == np.__version__
+    lapack = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("lapack")
+    if lapack:
+        assert entries["numpy_lapack"] == f"{lapack['name']} {lapack['version']}"
+    else:
+        assert "numpy_lapack" not in entries
+
+
 def test_bands_values(tmp_path):
     cli.main(["xxz-bands", "--anisotropy", "2.0", "--n-max", "2",
               "--out-dir", str(tmp_path)])
@@ -713,14 +732,17 @@ def test_bench_commands_never_import_scipy_special(tmp_path):
     # each bench command loads only the scipy subpackage its realizations
     # call, in setup: an import inside a realization would be timed with it.
     # scipy.special (about 4 MB and 50-70 ms of import) stays out of every run.
-    # An XY chain up to xy.DENSE_LIMIT sites loads no scipy at all, whether
-    # through the closed form (probe site 0), the oracle (an interior probe)
-    # or validate's 6-site checks.  Each ensemble command makes one wrapped
-    # call per realization, so the check is not passed by unwrapped calls
+    # No XY chain loads scipy at all, whatever its length, whether through
+    # xy.diagonalize's dstevd (bound from numpy's LAPACK), the closed form
+    # (probe site 0), the oracle (an interior probe) or validate's 6-site
+    # checks.  Each ensemble command makes one wrapped call per realization,
+    # so the check is not passed by unwrapped calls
     ensemble = ["--realizations", "2"]
     runs = {
         "xy-entropy": (["xy-entropy", "--chain-length", "40", "--block-sizes",
-                        "5,10", "--sup-samples", "20", *ensemble], "scipy.sparse"),
+                        "5,10", "--sup-samples", "20", *ensemble], "scipy"),
+        "xy-quench": (["xy-quench", "--chain-length", "40", "--block-sizes",
+                       "5,10", "--time-grid", "1.0,10.0", *ensemble], "scipy"),
         "xxz-ct": (["xxz-ct", "--half-length", "5", "--n-particles", "2",
                     *ensemble], "scipy.linalg"),
         "quasi-locality": (["quasi-locality", "--half-length", "3",

@@ -229,6 +229,25 @@ def test_ising_exact_matches_the_table_formula():
             assert np.array_equal(oracle.ising_exact(w), runs.astype(float) + field_sum)
 
 
+def test_full_energies_read_a_diagonal_matrix_without_eigvalsh(monkeypatch):
+    # the Ising matrix has no nonzero off-diagonal entry: its spectrum is the
+    # sorted diagonal, bit for bit eigvalsh's; one off-diagonal entry anywhere
+    # sends the matrix to eigvalsh, and the certificates run on either path
+    eigvalsh = np.linalg.eigvalsh
+    for n in (1, 4, 8):
+        h = oracle.build_full("ising", sample_field(UNIFORM, n, PLAN, n))
+        expected = eigvalsh(h.matrix)
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)   # never called
+        assert np.array_equal(oracle.full_energies(h), expected), n
+        monkeypatch.undo()
+    h.matrix[0, -1] = h.matrix[-1, 0] = 1e-300
+    assert np.array_equal(oracle.full_energies(h), eigvalsh(h.matrix))
+    h.matrix[0, -1] = h.matrix[-1, 0] = 0.0
+    h.matrix[3, 3] = np.nan
+    with pytest.raises(NumericalError, match="miss of tr H=nan"):
+        oracle.full_energies(h)
+
+
 def test_droplet_superposition_paths_and_growth():
     for ell in (1, 2, 4, 6):
         closed = oracle.droplet_superposition_entropy(ell, max(2 * ell, 2), "closed")

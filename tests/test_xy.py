@@ -55,15 +55,16 @@ def test_diagonalize_matches_dense():
     assert np.abs(es.eigenvalues - dense_vals).max() < 1e-10
 
 
-@pytest.mark.parametrize("dense", [False, True])
+_BOUND = pytest.mark.skipif(xy._DSTEVD is None, reason="no dstevd symbol in numpy's LAPACK")
+
+
+@pytest.mark.parametrize("dense", [pytest.param(False, marks=_BOUND), True])
 def test_diagonalize_rejects_swapped_eigenvectors(monkeypatch, capsys,
                                                   tmp_path, dense):
     # swapping two eigenvector columns keeps O orthogonal, so only the
     # residual (the tridiagonal stencil, or xy-aniso's dense check) can
-    # catch it
-    # diagonalize imports eigh_tridiagonal at call time, so patching the
-    # module attribute reaches it
-    module, name = (np.linalg, "eigh") if dense else (scipy.linalg, "eigh_tridiagonal")
+    # catch it, from the bound dstevd or from numpy's eigh, its fallback
+    module, name = (np.linalg, "eigh") if dense else (xy, "_dstevd")
     solver = getattr(module, name)
 
     def swapped(*args):
@@ -76,12 +77,10 @@ def test_diagonalize_rejects_swapped_eigenvectors(monkeypatch, capsys,
                          "--out-dir", str(tmp_path)])
         assert code == cli.EXIT_NUMERICAL
         assert "resid" in capsys.readouterr().err
-        # numpy's eigh also solves every chain up to DENSE_LIMIT
+        monkeypatch.setattr(xy, "_DSTEVD", None)   # no symbol: the dense fallback
+    for n in (xy.DENSE_LIMIT - 1, xy.DENSE_LIMIT + 1):   # both certificates
         with pytest.raises(NumericalError, match="resid"):
-            _es(xy.DENSE_LIMIT - 1, 1)
-    else:
-        with pytest.raises(NumericalError, match="resid"):
-            _es(xy.DENSE_LIMIT + 1, 1)
+            _es(n, 1)
 
 
 def _tridiagonal_pairs(w):
@@ -127,19 +126,66 @@ def test_tridiagonal_certificate_rejects_mixed_columns(k):
         xy.check_tridiagonal_pairs(w, vals, vecs)
 
 
+_SIZES = (1, 2, xy.DENSE_LIMIT, xy.DENSE_LIMIT + 1, 400, 1000)
+
+
+def _fields(coupling):
+    return [sample_field(DisorderSpec(coupling=coupling), n, PLAN, n) if coupling
+            else constant_field(0.0, n) for n in _SIZES]
+
+
+@pytest.mark.parametrize("coupling", [0.0, 1.0, 4.0])
+def test_diagonalize_bits_equal_dense_eigh(coupling):
+    # the bound dstevd and numpy's eigh on the dense M run one LAPACK build's
+    # dstedc, so their pairs agree bit for bit
+    for w in _fields(coupling):
+        es = xy.diagonalize(w)
+        vals, vecs = np.linalg.eigh(np.diag(w) - np.eye(w.size, k=1) - np.eye(w.size, k=-1))
+        assert np.array_equal(es.eigenvalues, vals), w.size
+        assert np.array_equal(es.eigenvectors, vecs), w.size
+
+
+def test_diagonalize_falls_back_to_dense_eigh_with_the_same_bits(monkeypatch):
+    # with no dstevd symbol, diagonalize takes numpy's eigh on the dense M
+    fields = _fields(4.0)
+    bound = [xy.diagonalize(w) for w in fields]
+    monkeypatch.setattr(xy, "_DSTEVD", None)
+    monkeypatch.setattr(xy, "_dstevd", None)   # never called
+    for w, es in zip(fields, bound):
+        fallback = xy.diagonalize(w)
+        assert np.array_equal(fallback.eigenvalues, es.eigenvalues), w.size
+        assert np.array_equal(fallback.eigenvectors, es.eigenvectors), w.size
+
+
+@_BOUND
+def test_diagonalize_reports_a_lapack_failure(monkeypatch, capsys, tmp_path):
+    # a nonzero dstevd info (dstedc failed to converge) is a NumericalError,
+    # CLI exit 3, whatever the pairs hold
+    bound = xy._DSTEVD
+
+    def failing(*args):
+        bound(*args)
+        args[10].value = 5   # info
+
+    monkeypatch.setattr(xy, "_DSTEVD", failing)
+    with pytest.raises(NumericalError, match=r"\|info\|=5\.00e\+00"):
+        _es(40, 1)
+    code = cli.main(["xy-entropy", "--chain-length", "40", "--block-sizes", "5",
+                     "--sup-samples", "4", "--realizations", "1", "--out-dir", str(tmp_path)])
+    assert code == cli.EXIT_NUMERICAL
+    assert "|info|" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("coupling", [0.0, 1.0, 4.0])
 def test_diagonalize_paths_match_eigh_tridiagonal(coupling):
-    # numpy's dense eigh up to DENSE_LIMIT, eigh_tridiagonal above: the same
-    # eigenpairs to rounding (bit equality would pin numpy and scipy to one
-    # LAPACK build), each eigenvector up to its sign
-    for n in (1, 2, xy.DENSE_LIMIT, xy.DENSE_LIMIT + 1):
-        w = (sample_field(DisorderSpec(coupling=coupling), n, PLAN, n) if coupling
-             else constant_field(0.0, n))
+    # scipy's eigenpairs to rounding (bit equality would pin numpy and scipy
+    # to one LAPACK build), each eigenvector up to its sign
+    for w in _fields(coupling):
         es = xy.diagonalize(w)
-        vals, vecs = scipy.linalg.eigh_tridiagonal(w, np.full(n - 1, -1.0))
-        assert np.abs(es.eigenvalues - vals).max() <= 1e-12, n
+        vals, vecs = scipy.linalg.eigh_tridiagonal(w, np.full(w.size - 1, -1.0))
+        assert np.abs(es.eigenvalues - vals).max() <= 1e-12, w.size
         signs = np.sign(np.sum(es.eigenvectors * vecs, axis=0))
-        assert np.abs(es.eigenvectors - vecs * signs).max() <= 1e-12, n
+        assert np.abs(es.eigenvectors - vecs * signs).max() <= 1e-12, w.size
 
 
 def test_eigencorrelator_bounds_functions():
