@@ -10,8 +10,10 @@ tridiagonal solver and numpy/LAPACK that ran, and sha256 checksums of the
 data files.  Data files are byte-identical under
 a fixed seed.
 
-Exit codes: 0 success, 2 configuration error (parse errors included, one
-stderr line), 3 numerical failure, 4 validation-suite failure.
+Exit codes, set in main alone with one stderr line: 0 success, 2 configuration
+error (parse errors, or an OSError naming a config or output path), 3 numerical
+failure (a failed certificate, or numpy's LinAlgError: no engine wraps LAPACK's
+errors), 4 validation-suite failure.
 """
 
 from __future__ import annotations
@@ -83,19 +85,23 @@ def _convert(key: str, raw: str):
 
 def load_config_file(path: str) -> dict:
     values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected key=value, got {stripped!r}")
-            key, _, raw = stripped.partition("=")
-            key = key.strip()
-            if key not in _SCHEMA:
-                raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _convert(key, raw.strip())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigurationError(
+                f"{path}:{lineno}: expected key=value, got {stripped!r}")
+        key, _, raw = stripped.partition("=")
+        key = key.strip()
+        if key not in _SCHEMA:
+            raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = _convert(key, raw.strip())
     return values
 
 
@@ -121,9 +127,6 @@ def merge_settings(args: argparse.Namespace) -> dict:
 
 def _disorder(settings: dict) -> DisorderSpec:
     kind = settings["disorder_kind"]
-    if kind == "table":
-        raise ConfigurationError("disorder kind 'table' is library-only: the"
-                                 " command line cannot pass its bin masses")
     lo, hi = settings["disorder_min"], settings["disorder_max"]
     if kind == "constant":
         hi = lo
@@ -244,10 +247,7 @@ def cmd_xy_aniso(settings):
         raise ConfigurationError("chain_length >= 2 required")
     w = sample_field(_disorder(settings), n, SeedPlan(settings["seed"]), 0)
     block = xy.block_m(w, settings["gamma"])
-    try:
-        vals, vecs = np.linalg.eigh(block)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed on {block.shape}: {exc}")
+    vals, vecs = np.linalg.eigh(block)
     xy.check_eigenpairs(vecs, np.abs(block - (vecs * vals) @ vecs.T).max(),
                         max(np.abs(block).max(), 1.0))
     symmetry = float(np.abs(np.sort(vals) + np.sort(-vals)[::-1]).max())
@@ -546,12 +546,12 @@ def main(argv=None) -> int:
         return EXIT_OK
     except SystemExit as exc:  # --help
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    except ConfigurationError as exc:
+    except (ConfigurationError, OSError) as exc:  # an OSError names its path
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _ValidationFailure:
         return EXIT_VALIDATION
-    except (NumericalError, DegeneracyError) as exc:
+    except (NumericalError, DegeneracyError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

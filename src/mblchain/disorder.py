@@ -9,14 +9,14 @@ bit-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.random  # lazy in numpy; loaded here, not in the first draw
 
 from .errors import ConfigurationError
 
-KINDS = ("uniform", "constant", "table")
+KINDS = ("uniform", "constant")
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,6 @@ class DisorderSpec:
     kind:
         "uniform"  -- uniform density on [support_min, support_max]
         "constant" -- deterministic field, value support_min
-        "table"    -- piecewise-constant density on equal-width bins over
-                      [support_min, support_max] with the given bin masses
     coupling:
         nonnegative multiplier applied to every sampled value.
     """
@@ -36,7 +34,6 @@ class DisorderSpec:
     support_min: float = 0.0
     support_max: float = 1.0
     coupling: float = 1.0
-    table: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -53,14 +50,6 @@ class DisorderSpec:
         else:
             if not self.support_max > self.support_min:
                 raise ConfigurationError("empty support")
-        if self.kind == "table":
-            masses = np.asarray(self.table, dtype=float)
-            if masses.size == 0:
-                raise ConfigurationError("empty density table")
-            if np.any(masses < 0):
-                raise ConfigurationError("density table entries must be nonnegative")
-            if abs(masses.sum() - 1.0) > 1e-12:
-                raise ConfigurationError("density table masses must sum to 1")
 
     def require_nonnegative(self):
         """Raise unless the scaled support is contained in [0, inf)."""
@@ -112,11 +101,6 @@ def sample_field(spec: DisorderSpec, length: int, plan: SeedPlan,
     rng = plan.generator(index)
     if spec.kind == "constant":
         values = np.full(length, spec.support_min)
-    elif spec.kind == "uniform":
-        values = rng.uniform(spec.support_min, spec.support_max, size=length)
     else:
-        masses = np.asarray(spec.table, dtype=float)
-        edges = np.linspace(spec.support_min, spec.support_max, masses.size + 1)
-        bins = rng.choice(masses.size, size=length, p=masses / masses.sum())
-        values = rng.uniform(edges[bins], edges[bins + 1])
+        values = rng.uniform(spec.support_min, spec.support_max, size=length)
     return np.asarray(spec.coupling * values, dtype=float)

@@ -34,8 +34,9 @@ ARRIVAL_THRESHOLD = 0.1  # commutator norm marking the light-cone arrival
 
 @contextmanager
 def realization_failures(index: int):
-    """Report a solver failure of realization ``index`` as NumericalError
-    carrying the index, chained from the original."""
+    """Report a solver failure of realization ``index`` (a failed certificate,
+    or numpy's LinAlgError, which only this and cli.main catch) as
+    NumericalError carrying the index, chained from the original."""
     try:
         yield
     except (NumericalError, np.linalg.LinAlgError) as exc:

@@ -20,7 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, certify, require_dense, require_memory
+from .errors import ConfigurationError, certify, require_dense, require_memory
 
 # largest particle-number variance of an eigenvector read as sharp
 _SHARP_NUMBER_TOL = 1e-9
@@ -203,10 +203,7 @@ class ManyBodyEigenSystem:
 
 
 def diagonalize_full(h: FullHamiltonian) -> ManyBodyEigenSystem:
-    try:
-        vals, vecs = np.linalg.eigh(h.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"dense eigensolver failed: {exc}")
+    vals, vecs = np.linalg.eigh(h.matrix)
     scale = max(np.abs(vals).max(), 1.0)
     certify("reconstruction residual", np.abs(h.matrix @ vecs - vecs * vals).max(), 1e-9 * scale)
     certify("orthonormality defect", np.abs(vecs.conj().T @ vecs - np.eye(vals.size)).max(), 1e-10)
@@ -218,11 +215,8 @@ def full_energies(h: FullHamiltonian) -> np.ndarray:
     with no nonzero off-diagonal entry (checked exactly) has its sorted
     diagonal as spectrum."""
     diag = np.diagonal(h.matrix)
-    try:
-        vals = (np.sort(diag.real) if np.count_nonzero(h.matrix) == np.count_nonzero(diag)
-                else np.linalg.eigvalsh(h.matrix))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"dense eigensolver failed: {exc}")
+    vals = (np.sort(diag.real) if np.count_nonzero(h.matrix) == np.count_nonzero(diag)
+            else np.linalg.eigvalsh(h.matrix))
     scale = max(np.abs(vals).max(), 1.0)
     certify("energies' miss of tr H", abs(vals.sum() - np.trace(h.matrix).real) / scale,
             1e-12 * vals.size)

@@ -332,10 +332,7 @@ def field_admits(h: SectorHamiltonian, window: EnergyWindow) -> bool:
 
 def _dense_eigh(h: SectorHamiltonian):
     require_dense(h.dim)
-    try:
-        return np.linalg.eigh(h.basis.dense(h.data))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"dense eigensolver failed: {exc}")
+    return np.linalg.eigh(h.basis.dense(h.data))
 
 
 def _cg(op, rhs: np.ndarray):

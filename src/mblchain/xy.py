@@ -33,7 +33,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .errors import NumericalError, certify, require_dense, require_memory, require_simple
+from .errors import certify, require_dense, require_memory, require_simple
 
 _EIG_CLAMP = 1e-10
 # entropy error allowed for dropping the modes that do not straddle the cut
@@ -147,11 +147,8 @@ def diagonalize(diagonal: np.ndarray) -> EigenSystem:
     d = np.asarray(diagonal, dtype=float)
     L = d.size
     require_dense(L)
-    try:
-        vals, vecs = (_dstevd(d) if _DSTEVD is not None else
-                      np.linalg.eigh(np.diag(d) - np.eye(L, k=1) - np.eye(L, k=-1)))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalError(f"tridiagonal eigensolver failed: {exc}")
+    vals, vecs = (_dstevd(d) if _DSTEVD is not None else
+                  np.linalg.eigh(np.diag(d) - np.eye(L, k=1) - np.eye(L, k=-1)))
     check_tridiagonal_pairs(d, vals, vecs)
     return EigenSystem(vals, vecs)
 
@@ -261,7 +258,7 @@ def binary_entropy(x: np.ndarray) -> np.ndarray:
 def entanglement_entropy(block: np.ndarray) -> float:
     """Entropy -tr h(Gamma_A) in nats of the quasi-free reduced state whose
     correlation matrix is the principal block Gamma_A (a slice of Gamma);
-    a non-square block raises ValueError (numpy's LinAlgError)."""
+    a non-square block or a LAPACK failure raises numpy's LinAlgError as is."""
     return float(binary_entropy(occupation_spectra(block)).sum())
 
 

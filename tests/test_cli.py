@@ -117,7 +117,7 @@ def test_probed_site_outside_chain_exits_config(tmp_path, capsys, args):
      "sector_correlator needs n_particles >= 1"),
     (["xy-ecorr", "--chain-length", "10", "--distances", "1",
       "--disorder-kind", "table"],
-     "disorder kind 'table' is library-only"),
+     "unknown disorder kind 'table'"),
     (["quasi-locality", "--half-length", "3", "--anisotropy", "6.0",
       "--block-sizes=-2,-1,0,1,2", "--time-grid", "0.5,5", "--realizations", "2"],
      "block sizes [-2, -1] outside 0..inf"),
@@ -474,6 +474,96 @@ def test_non_finite_results_exit_numerical(tmp_path, capsys, args, message):
     assert cli.main([*args, "--out-dir", str(tmp_path)]) == cli.EXIT_NUMERICAL
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and message in err[0]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("solver, command, names", [
+    # validate's reduced-state entropies
+    ("svd", ["validate"], "svd did not converge"),
+    ("eigh", ["xy-aniso", "--chain-length", "6", "--gamma", "0.3"],
+     "eigh did not converge"),
+    # xxz's dense sector solves, inside the ensemble
+    ("eigh", ["quasi-locality", "--half-length", "3", "--anisotropy", "6.0",
+              "--block-sizes", "0,1", "--time-grid", "0.5", "--realizations", "1"],
+     "realization 0: eigh did not converge"),
+])
+def test_lapack_failure_exits_numerical(tmp_path, capsys, monkeypatch, solver,
+                                        command, names):
+    def fails(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{solver} did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, fails)
+    assert cli.main([*command, "--out-dir", str(tmp_path)]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ") and names in err[0]
+    assert not list(tmp_path.iterdir())
+
+
+def _bad_paths(tmp_path):
+    """(flags, environment, the path the message names) of configs that
+    cannot be read and output directories that cannot be made."""
+    plain, text, folder = tmp_path / "plain", tmp_path / "latin1.cfg", tmp_path / "folder"
+    plain.write_text("")
+    folder.mkdir()
+    text.write_bytes("n_max = 2\n# caf\u00e9\n".encode("latin-1"))
+    out = ["--out-dir", str(tmp_path / "out")]
+    return [
+        (["--config", str(tmp_path / "missing.cfg"), *out], {}, tmp_path / "missing.cfg"),
+        (["--config", str(folder), *out], {}, folder),
+        (["--config", str(text), *out], {}, text),
+        (["--out-dir", str(plain)], {}, plain),
+        (["--out-dir", str(plain / "sub")], {}, plain / "sub"),
+        (["--out-dir", str(tmp_path / ("x" * 300))], {}, tmp_path / ("x" * 300)),
+        ([], {"MBLCHAIN_OUT": str(plain)}, plain),
+    ]
+
+
+def test_bad_paths_exit_config(tmp_path, capsys, monkeypatch):
+    for flags, env, named in _bad_paths(tmp_path):
+        with monkeypatch.context() as patch:
+            for key, value in env.items():
+                patch.setenv(key, value)
+            code = cli.main(["xxz-bands", "--n-max", "2", *flags])
+        assert code == cli.EXIT_CONFIG, flags
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(named) in err[0], (flags, err)
+        assert err[0].startswith("configuration error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["folder", "latin1.cfg", "plain"]
+        assert (tmp_path / "plain").read_text() == "" and not list((tmp_path / "folder").iterdir())
+
+
+_FAILING_SVD = """\
+import sys
+import numpy as np
+from mblchain import cli
+
+def fails(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+np.linalg.svd = fails
+sys.argv[1:] = ["validate"]
+cli.entry_point()
+"""
+
+
+def test_process_exit_status(tmp_path):
+    # the status the shell sees, which no in-process test can: an exception
+    # escaping main would end the process with status 1 and a traceback
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = [([sys.executable, "-m", "mblchain.cli", "xxz-bands", "--config",
+              str(tmp_path / "missing.cfg"), "--out-dir", str(tmp_path)],
+             cli.EXIT_CONFIG, "missing.cfg"),
+            ([sys.executable, "-c", _FAILING_SVD], cli.EXIT_NUMERICAL,
+             "SVD did not converge")]
+    for argv, status, message in runs:
+        done = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == status, done.stderr
+        assert "Traceback" not in done.stderr
+        err = done.stderr.strip().splitlines()
+        assert len(err) == 1 and message in err[0]
     assert not list(tmp_path.iterdir())
 
 

@@ -48,16 +48,6 @@ def test_constant_field():
     assert field.dtype == np.float64 and np.array_equal(field, [2.0, 2.0, 2.0])
 
 
-def test_table_distribution():
-    spec = DisorderSpec(kind="table", support_min=0.0, support_max=1.0,
-                        table=(0.5, 0.0, 0.5))
-    field = sample_field(spec, 3000, SeedPlan(9), 0)
-    # middle bin has zero mass
-    in_middle = ((field > 1 / 3) & (field < 2 / 3)).mean()
-    assert in_middle == 0.0
-    assert abs((field < 1 / 3).mean() - 0.5) < 0.05
-
-
 def test_validation_errors():
     with pytest.raises(ConfigurationError):
         DisorderSpec(kind="weird")
@@ -65,8 +55,6 @@ def test_validation_errors():
         DisorderSpec(support_min=2.0, support_max=1.0)
     with pytest.raises(ConfigurationError):
         DisorderSpec(coupling=-1.0)
-    with pytest.raises(ConfigurationError):
-        DisorderSpec(kind="table", table=(0.4, 0.4))
     with pytest.raises(ConfigurationError):
         DisorderSpec(support_min=-1.0).require_nonnegative()
     with pytest.raises(ConfigurationError):

@@ -49,8 +49,9 @@ def _raised(tree: ast.AST):
 
 def test_solver_checks_go_through_the_certificate_rule():
     # a NumericalError of xy, xxz or the oracle comes from certify, or translates
-    # a solver's own exception in an except handler; a DegeneracyError comes
-    # from require_simple; and GAP_TOL is defined in errors.py alone
+    # scipy's ArpackError in xxz's except handler (numpy's LinAlgError passes
+    # through, see below); a DegeneracyError comes from require_simple; and
+    # GAP_TOL is defined in errors.py alone
     for module in ("xy", "xxz", "oracle"):
         raised = set(_raised(ast.parse((SRC / f"{module}.py").read_text())))
         assert ("NumericalError", False) not in raised, module
@@ -59,3 +60,22 @@ def test_solver_checks_go_through_the_certificate_rule():
         stored = {node.id for node in ast.walk(ast.parse(path.read_text()))
                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
         assert path.name == "errors.py" or not {"GAP_TOL", "_GAP_TOL"} & stored, path.name
+
+
+def test_lapack_errors_are_translated_at_one_boundary():
+    # numpy's LinAlgError leaves the engines as it is; cli.main maps it to exit 3
+    # and experiments.realization_failures names the realization it hit
+    boundary = {("cli", "main"), ("experiments", "realization_failures")}
+    translated = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        handlers = {id(node) for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)
+                    and node.type is not None and "LinAlgError" in ast.unparse(node.type)}
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and (path.stem, func.name) in boundary:
+                inside = handlers & {id(node) for node in ast.walk(func)}
+                if inside:
+                    translated.add((path.stem, func.name))
+                handlers -= inside
+        assert not handlers, f"{path.name} translates LinAlgError outside {boundary}"
+    assert translated == boundary
