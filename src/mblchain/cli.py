@@ -6,9 +6,9 @@ command line.  Each subcommand accepts only the settings it reads
 config keys.  Every run writes a
 comma-separated table with a '#' metadata preamble, a whitespace-separated
 .dat twin for plotting tools, and a manifest with the echoed settings, the
-tridiagonal solver and numpy/LAPACK that ran, and sha256 checksums of the
-data files.  Data files are byte-identical under
-a fixed seed.
+tridiagonal and dense solvers, numpy/LAPACK, BLAS threads and platform that
+ran, and sha256 checksums of the data files.  Data files are byte-identical
+under a fixed seed.
 
 Exit codes, set in main alone with one stderr line: 0 success, 2 configuration
 error (parse errors, or an OSError naming a config or output path), 3 numerical
@@ -19,8 +19,10 @@ errors), 4 validation-suite failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import os
+import platform
 import sys
 import time
 from functools import partial
@@ -30,6 +32,7 @@ import numpy as np
 from . import experiments, oracle, xxz, xy
 from .disorder import DisorderSpec, SeedPlan, sample_field
 from .errors import ConfigurationError, DegeneracyError, NumericalError, require_memory
+from .lapack import bind
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -192,10 +195,17 @@ def write_outputs(out_dir: str, name: str, columns, rows, meta: dict,
         fh.write(f"command = {name}\n")
         fh.write(f"written = {started}\n")
         fh.write(f"tridiagonal_solver = {xy.TRIDIAGONAL_SOLVER}\n")
+        fh.write(f"dense_solver = {xxz.DENSE_SOLVER}\n")
         fh.write(f"numpy_version = {np.__version__}\n")
         lapack = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("lapack")
         if lapack:  # numpy >= 1.26 names the LAPACK it was built with
             fh.write(f"numpy_lapack = {lapack.get('name')} {lapack.get('version')}\n")
+        threads = bind(("scipy_openblas_get_num_threads64_",), [], ctypes.c_int)
+        if threads is not None:  # what numpy's OpenBLAS runs on
+            fh.write(f"blas_threads = {threads()}\n")
+        if "scipy" in sys.modules:  # named only when loaded: no import for it
+            fh.write(f"scipy_version = {sys.modules['scipy'].__version__}\n")
+        fh.write(f"platform = {platform.platform()}\n")
         for key in echoed:
             fh.write(f"config.{key} = {_format_value(settings[key])}\n")
         for path in (csv_path, dat_path):

@@ -38,6 +38,7 @@ Full spectra and windows ending at 2 (1 - 1/Delta) are solved dense.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import acosh, comb, sinh, tanh, cosh
@@ -46,8 +47,16 @@ import numpy as np
 
 from .errors import (ConfigurationError, NumericalError, certify, require_dense,
                      require_memory, require_simple)
+from .lapack import BUF, INT, bind
 
 _CT_TOL = 1e-12  # largest certified error of a Combes-Thomas block
+# LAPACK dsyevd, the routine numpy's eigh runs, from numpy's own library; None
+# where no symbol resolves.  jobz, uplo, n, a, lda, w, work, lwork, iwork,
+# liwork, info, len(jobz), len(uplo)
+_DSYEVD = bind(("scipy_dsyevd_64_", "dsyevd_64_"),
+               [ctypes.c_char_p, ctypes.c_char_p, INT, BUF, INT, BUF, BUF, INT, BUF, INT, INT,
+                ctypes.c_size_t, ctypes.c_size_t])
+DENSE_SOLVER = f"dsyevd via {_DSYEVD.__name__}" if _DSYEVD is not None else "numpy eigh (fallback)"
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +340,23 @@ def field_admits(h: SectorHamiltonian, window: EnergyWindow) -> bool:
 # spectra and correlators
 
 def _dense_eigh(h: SectorHamiltonian):
+    """All eigenvalues of the sector, ascending, and C-contiguous eigenvector
+    columns, numpy's eigh bit for bit: dsyevd overwrites the freshly built
+    matrix, exactly symmetric, so its C buffer is its own Fortran layout, and
+    holds 3 dim^2 doubles with its minimal workspace, which fits a full block
+    of its reductions.  numpy's eigh where no symbol resolves."""
     require_dense(h.dim)
-    return np.linalg.eigh(h.basis.dense(h.data))
+    a = h.basis.dense(h.data)
+    if _DSYEVD is None:
+        return np.linalg.eigh(a)
+    n, num = h.dim, ctypes.c_int64
+    vals, info = np.empty(n), num()
+    work, iwork = np.empty(1 + 6 * n + 2 * n * n), np.empty(3 + 5 * n, dtype=np.int64)
+    _DSYEVD(b"V", b"L", num(n), a.ctypes.data, num(n), vals.ctypes.data, work.ctypes.data,
+            num(work.size), iwork.ctypes.data, num(iwork.size), info, 1, 1)
+    certify("dense eigensolver dsyevd: |info|", abs(info.value), 1)
+    del work  # before the C-order copy of the Fortran-order eigenvectors
+    return vals, np.ascontiguousarray(a.T)
 
 
 def _cg(op, rhs: np.ndarray):
@@ -655,14 +679,14 @@ def windowed_commutator_norms(energies, x_mat, y_mat, time_grid):
 def _trace_classes(half_length: int, site: int, ell: int):
     """Number of inner sites of S = [site - ell, site + ell] and, per
     sector n, its configurations split by inner weight k: {k: members}, the
-    members ordered by (outer, inner) pattern.  Every weight k from
+    members ordered by (inner, outer) pattern.  Every weight k from
     max(0, n - n_outer) to min(n, n_inner) occurs."""
     L = half_length
     lo = max(-L, site - ell) + L
     n_inner = min(L, site + ell) + L + 1 - lo
     n_outer = 2 * L + 1 - n_inner
-    # sort keys, least significant first: inner sites, then outer ones
-    keys = np.r_[lo:lo + n_inner, :lo, lo + n_inner:2 * L + 1]
+    # sort keys, least significant first: outer sites, then inner ones
+    keys = np.r_[:lo, lo + n_inner:2 * L + 1, lo:lo + n_inner]
     tables = {}
     for n in range(2 * L + 2):
         basis = enumerate_basis(n, L)
@@ -684,13 +708,16 @@ class QuasiLocalityProbe:
 
     X = N_site is a projector, so in each sector tau_t(X) = C C^dagger with
     C = V e^{iEt} V[occ, :]^T, the columns of e^{iHt} at the configurations
-    that occupy the site, not a dim x dim evolved operator: one real product
-    per sector and time, added at once to the partial traces of every radius
-    and released before the next sector's.  A class
-    of configurations with fixed inner weight is ordered by (outer pattern
-    o, inner pattern a), so C on it is c[o, a, k], and the partial trace
-    over the outer sites, sum_{o, k} c[o, a, k] conj(c[o, b, k]), is one
-    product c c^dagger with (o, k) merged into the column index.  tau_t(X)
+    that occupy the site, not a dim x dim evolved operator; where the empty
+    configurations are fewer (N > L), tau_t(X) = 1 - C C^dagger with C on
+    those, and the partial trace of 1 on inner weight k is C(n_outer, N - k)
+    times the identity.  C = A + iB is two real products per sector and time
+    into one buffer, added at once to the partial traces of every radius and
+    released before the next sector's.  A class of configurations with fixed
+    inner weight is ordered by (inner pattern a, outer pattern o), so its
+    rows of A are one (a, (o, k)) matrix with no second copy, and the partial
+    trace over the outer sites, sum_{o, k} c[a, o, k] conj(c[b, o, k]), is
+    A A^T + B B^T + i (X - X^T) with X = B A^T, in real arithmetic.  tau_t(X)
     conserves particle number, so this trace is block diagonal in the inner
     weight; a window state of sector n has inner weights max(0, n - n_outer)
     .. min(n, n_inner) only, so the blocks of every other weight never meet
@@ -704,12 +731,13 @@ class QuasiLocalityProbe:
     def __init__(self, chain: ChainSpectrum, site: int, window: EnergyWindow):
         _check_site(site, chain.half_length)
         # the kept sectors' eigenvectors, sum d_N^2 doubles; on top come the
-        # largest sector's dense solve (5 dim^2 doubles) and evolution (a real
-        # product and the complex C, 2 dim C(n - 1, L) doubles each)
+        # largest sector's in-place dense solve (3 dim^2 doubles) and evolution:
+        # its W (at most C(n - 1, L + 1) columns), one of the cos and sin factors,
+        # A and B, and one class's rows of A and B, 5 dim C(n - 1, L + 1) doubles
         kept = [n for n, h in chain.sectors.items() if field_admits(h, window)]
         n, dim = chain.n_sites, comb(chain.n_sites, chain.half_length)
-        require_memory(8 * (sum(chain.sectors[k].dim ** 2 for k in kept) + 5 * dim ** 2
-                            + 4 * dim * comb(n - 1, n // 2)),
+        require_memory(8 * (sum(chain.sectors[k].dim ** 2 for k in kept) + 3 * dim ** 2
+                            + 5 * dim * comb(n - 1, n // 2 + 1)),
                        f"the quasi-locality probe of the {n}-site chain")
         self.chain, self.site = chain, site
         # the kept spectra first, so the window blocks are cut from them
@@ -738,26 +766,36 @@ class QuasiLocalityProbe:
         require_memory(16 * times.size * sum(comb(m, k) ** 2 for m, _, read in cuts.values()
                                              for k in read),
                        f"the partial traces at {times.size} times")
-        traces = [{ell: {} for ell in cuts} for _ in times]
+        traces = [{ell: {k: np.zeros((comb(m, k),) * 2, dtype=complex) for k in read}
+                    for ell, (m, _, read) in cuts.items()} for _ in times]
         for n, h in chain.sectors.items():
             energies, vectors = self._spectra.get(n) or _dense_eigh(h)
-            wt = vectors[h.basis.occupancy[:, col]].T  # W^T, W = V[occ, :]
+            # the smaller half of the columns: tau_t(X) = C C^dagger on the
+            # occupied ones, or 1 - C C^dagger on the empty ones
+            occupied = h.basis.occupancy[:, col]
+            complement = 2 * occupied.sum() > h.dim
+            fold = np.subtract if complement else np.add
+            wt = vectors[occupied != complement].T  # W^T, W = V[columns, :]
+            ab = np.empty((2, *wt.shape))  # C = A + i B
             for t, m_a in zip(times, traces):
-                # one real product V [cos(Et) W^T | sin(Et) W^T]
                 et = energies[:, None] * t
-                re_im = vectors @ np.hstack([np.cos(et) * wt, np.sin(et) * wt])
-                c = np.empty(wt.shape, dtype=complex)
-                c.real, c.imag = np.hsplit(re_im, 2)
-                del re_im
+                np.matmul(vectors, np.cos(et) * wt, out=ab[0])
+                np.matmul(vectors, np.sin(et) * wt, out=ab[1])
                 for ell, (n_inner, tables, read) in cuts.items():
                     for k, members in tables[n].items():
                         if k in read:
-                            na = comb(n_inner, k)
-                            ck = c[members].reshape(members.size // na, na, -1)
-                            ck = ck.swapaxes(0, 1).reshape(na, -1)
-                            m_a[ell][k] = m_a[ell].get(k, 0) + ck @ ck.conj().T
-                c = ck = None  # released before the next time's factor
-            energies = vectors = wt = None  # released before the next solve
+                            # the rows of the class, inner pattern major: C C^dagger
+                            # summed over (outer, column) = A A^T + B B^T + i (X - X^T)
+                            a, b = ab.take(members, axis=1).reshape(2, comb(n_inner, k), -1)
+                            x, m = b @ a.T, m_a[ell][k]
+                            fold(m.real, a @ a.T, out=m.real)
+                            fold(m.real, b @ b.T, out=m.real)
+                            fold(m.imag, x - x.T, out=m.imag)
+                            if complement:  # the partial trace of 1
+                                m.real[np.diag_indices(a.shape[0])] += comb(
+                                    chain.n_sites - n_inner, n - k)
+                a = b = x = None  # released before the next time's products
+            energies = vectors = wt = ab = None  # released before the next solve
 
         for t, m_a in zip(times, traces):
             # the approximant on the window: m_a acts on the inner index of
@@ -768,7 +806,7 @@ class QuasiLocalityProbe:
                 for n, (rows, vecs) in self._blocks.items():
                     for k, members in tables[n].items():
                         v, m = vecs[members], m_a[ell][k]
-                        mv = m @ v.reshape(-1, m.shape[0], v.shape[1])
+                        mv = m @ v.reshape(m.shape[0], -1)
                         approx[rows, rows] += v.T @ mv.reshape(members.size, -1)
                 approx /= 2.0 ** (chain.n_sites - n_inner)
                 out[ell] = max(out[ell], float(np.linalg.norm(approx - exact, 2)))

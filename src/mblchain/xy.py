@@ -34,6 +34,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .errors import certify, require_dense, require_memory, require_simple
+from .lapack import BUF, INT, bind
 
 _EIG_CLAMP = 1e-10
 # entropy error allowed for dropping the modes that do not straddle the cut
@@ -45,15 +46,10 @@ _EXHAUSTIVE_LIMIT = 14  # the sup visits all 2^L patterns up to this L
 # Davis-Kahan certificate above
 DENSE_LIMIT = 32
 
-# LAPACK dstevd from the library numpy's own linalg extension loaded: the ILP64
-# symbol of numpy's wheels (numpy >= 2, then 1.2x); None where none resolves
-_LAPACK = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-_DSTEVD = getattr(_LAPACK, "scipy_dstevd_64_", None) or getattr(_LAPACK, "dstevd_64_", None)
-if _DSTEVD is not None:  # jobz, n, d, e, z, ldz, work, lwork, iwork, liwork, info, len(jobz)
-    _NUM, _BUF = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
-    _DSTEVD.argtypes = [ctypes.c_char_p, _NUM, _BUF, _BUF, _BUF, _NUM, _BUF, _NUM, _BUF, _NUM,
-                        _NUM, ctypes.c_size_t]
-    _DSTEVD.restype = None
+# LAPACK dstevd from numpy's own library (numpy >= 2, then 1.2x); None where
+# none resolves.  jobz, n, d, e, z, ldz, work, lwork, iwork, liwork, info, len(jobz)
+_DSTEVD = bind(("scipy_dstevd_64_", "dstevd_64_"),
+               [ctypes.c_char_p, INT, BUF, BUF, BUF, INT, BUF, INT, BUF, INT, INT, ctypes.c_size_t])
 TRIDIAGONAL_SOLVER = (f"dstevd via {_DSTEVD.__name__}" if _DSTEVD is not None
                       else "numpy eigh (dense fallback)")
 

@@ -1,15 +1,19 @@
+import ctypes
 import json
 import os
+import platform
 import subprocess
 import sys
 import time
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse.linalg as spla
 
 from mblchain import cli, experiments, oracle, xxz, xy
 from mblchain.errors import ConfigurationError
+from mblchain.lapack import bind
 
 
 def test_load_config_file(tmp_path):
@@ -287,18 +291,18 @@ def test_dense_cap_exits_config(tmp_path, capsys, monkeypatch, memory_budget):
 
 def test_quasi_locality_counts_every_sector(tmp_path, capsys, monkeypatch,
                                             memory_budget):
-    # at L = 3 the largest dense solve (dim 35) takes 49 000 B, its evolution
-    # 4 * 35 * C(6, 3) doubles, 22 400 B more, and the kept sectors' eigenvectors
-    # more again: a budget between the solve and the sum is refused before any
-    # sector is solved
-    memory_budget(60_000)
-    calls, eigh = [], np.linalg.eigh
+    # at L = 3 the largest dense solve (dim 35) takes 29 400 B in place (49 000 B
+    # under the dense rule), its evolution 5 * 35 * C(6, 4) doubles, 21 000 B
+    # more, and the kept sectors' eigenvectors more again: a budget between the
+    # dense rule and the sum is refused before any sector is solved
+    memory_budget(50_000)
+    calls, solve = [], xxz._dense_eigh
 
-    def recorded(a, *args, **kwargs):
-        calls.append(a.shape)
-        return eigh(a, *args, **kwargs)
+    def recorded(h):
+        calls.append(h.dim)
+        return solve(h)
 
-    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    monkeypatch.setattr(xxz, "_dense_eigh", recorded)
     code = cli.main(["quasi-locality", "--half-length", "3", "--anisotropy", "6.0",
                      "--block-sizes", "0,1", "--out-dir", str(tmp_path)])
     assert code == cli.EXIT_CONFIG
@@ -482,17 +486,24 @@ def test_non_finite_results_exit_numerical(tmp_path, capsys, args, message):
     ("svd", ["validate"], "svd did not converge"),
     ("eigh", ["xy-aniso", "--chain-length", "6", "--gamma", "0.3"],
      "eigh did not converge"),
-    # xxz's dense sector solves, inside the ensemble
-    ("eigh", ["quasi-locality", "--half-length", "3", "--anisotropy", "6.0",
-              "--block-sizes", "0,1", "--time-grid", "0.5", "--realizations", "1"],
-     "realization 0: eigh did not converge"),
+    # xxz's dense sector solves, inside the ensemble: dsyevd reports that it
+    # did not converge (info = 5), a NumericalError
+    ("dsyevd", ["quasi-locality", "--half-length", "3", "--anisotropy", "6.0",
+                "--block-sizes", "0,1", "--time-grid", "0.5", "--realizations", "1"],
+     "realization 0: dense eigensolver dsyevd: |info|=5.00e+00"),
 ])
 def test_lapack_failure_exits_numerical(tmp_path, capsys, monkeypatch, solver,
                                         command, names):
     def fails(*args, **kwargs):
         raise np.linalg.LinAlgError(f"{solver} did not converge")
 
-    monkeypatch.setattr(np.linalg, solver, fails)
+    def no_convergence(*args):
+        args[10].value = 5  # info
+
+    if solver == "dsyevd":
+        monkeypatch.setattr(xxz, "_DSYEVD", no_convergence)
+    else:
+        monkeypatch.setattr(np.linalg, solver, fails)
     assert cli.main([*command, "--out-dir", str(tmp_path)]) == cli.EXIT_NUMERICAL
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("numerical failure: ") and names in err[0]
@@ -718,23 +729,39 @@ def test_bands_outputs_and_reproducibility(tmp_path):
     assert (csv.read_bytes(), dat.read_bytes()) == first
 
 
-def test_manifest_names_the_solver_and_numpy_stack(tmp_path):
-    # which tridiagonal path ran, and numpy with the LAPACK it was built with
-    # (named from numpy's own build record: nothing imports scipy to name it)
-    assert cli.main(["xy-entropy", "--chain-length", "40", "--block-sizes", "5",
-                     "--sup-samples", "4", "--realizations", "1",
-                     "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+def test_manifest_names_the_solver_and_numpy_stack(tmp_path, monkeypatch):
+    # which tridiagonal and dense paths ran, numpy with the LAPACK it was built
+    # with (named from numpy's own build record: nothing imports scipy to name
+    # it), the threads its OpenBLAS reports, the platform, and scipy's version
+    # only where scipy is loaded
+    args = ["xy-entropy", "--chain-length", "40", "--block-sizes", "5",
+            "--sup-samples", "4", "--realizations", "1", "--out-dir", str(tmp_path)]
+    assert cli.main(args) == cli.EXIT_OK
     lines = (tmp_path / "xy-entropy.manifest").read_text().splitlines()
     entries = dict(line.split(" = ", 1) for line in lines if " = " in line)
     assert entries["tridiagonal_solver"] == xy.TRIDIAGONAL_SOLVER
     assert xy.TRIDIAGONAL_SOLVER in ("numpy eigh (dense fallback)",
                                      f"dstevd via {getattr(xy._DSTEVD, '__name__', None)}")
+    assert entries["dense_solver"] == xxz.DENSE_SOLVER
+    assert xxz.DENSE_SOLVER in ("numpy eigh (fallback)",
+                                f"dsyevd via {getattr(xxz._DSYEVD, '__name__', None)}")
     assert entries["numpy_version"] == np.__version__
     lapack = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("lapack")
     if lapack:
         assert entries["numpy_lapack"] == f"{lapack['name']} {lapack['version']}"
     else:
         assert "numpy_lapack" not in entries
+    threads = bind(("scipy_openblas_get_num_threads64_",), [], ctypes.c_int)
+    if threads is not None:
+        assert entries["blas_threads"] == str(threads()) and threads() >= 1
+    else:
+        assert "blas_threads" not in entries
+    assert entries["platform"] == platform.platform()
+    assert entries["scipy_version"] == scipy.__version__  # this session loaded it
+    monkeypatch.delitem(sys.modules, "scipy")
+    assert cli.main(args) == cli.EXIT_OK
+    lines = (tmp_path / "xy-entropy.manifest").read_text().splitlines()
+    assert not [line for line in lines if line.startswith("scipy_version")]
 
 
 def test_bands_values(tmp_path):

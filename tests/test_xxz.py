@@ -1,3 +1,4 @@
+import ctypes
 import re
 import tracemalloc
 from collections import deque
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mblchain import errors, oracle, xxz
+from mblchain import cli, errors, oracle, xxz
 from mblchain.disorder import (DisorderSpec, SeedPlan, constant_field,
                                sample_field)
 from mblchain.errors import ConfigurationError, DegeneracyError, NumericalError
@@ -571,7 +572,18 @@ def test_certificates_fail_on_nan(monkeypatch):
     monkeypatch.setattr(spla, "eigsh", nan_vectors(spla.eigsh))
     with pytest.raises(NumericalError, match="Lanczos resid - margin=nan"):
         xxz.eigenpairs_in_window(h, window)
-    monkeypatch.setattr(np.linalg, "eigh", nan_vectors(np.linalg.eigh))
+    bound = xxz._DSYEVD
+
+    def nan_dsyevd(*args):  # the bound dsyevd, then NaN in its eigenvectors
+        bound(*args)
+        n = args[2].value
+        np.ctypeslib.as_array(ctypes.cast(args[3], ctypes.POINTER(ctypes.c_double)),
+                              (n, n))[:] = np.nan
+
+    if bound is None:  # the numpy fallback
+        monkeypatch.setattr(np.linalg, "eigh", nan_vectors(np.linalg.eigh))
+    else:
+        monkeypatch.setattr(xxz, "_DSYEVD", nan_dsyevd)
     with pytest.raises(NumericalError, match="window ortho=nan"):
         xxz.eigenpairs_in_window(h, xxz.spectral_window(delta, kind="I"))
     monkeypatch.setattr(xxz, "_cg", cg_off_by(np.nan))
@@ -584,6 +596,65 @@ def test_certificates_fail_on_nan(monkeypatch):
     with pytest.raises(DegeneracyError, match="gap nan"):
         xxz.window_site_masses(
             [(h.basis, np.array([0.5, np.nan]), np.zeros((h.dim, 2)))], 13)
+
+
+_BOUND = pytest.mark.skipif(xxz._DSYEVD is None, reason="no dsyevd symbol in numpy's LAPACK")
+
+
+def _every_sector(clean):
+    """Every sector at L = 2 .. 5 on the clean field 0 or a disordered one."""
+    delta = 6.0
+    for L in range(2, 6):
+        w = constant_field(0.0, 2 * L + 1) if clean else sample_field(UNIFORM, 2 * L + 1, PLAN, L)
+        for n in range(2 * L + 2):
+            yield xxz.build_h_sector(n, L, delta, xxz.min_boundary_weight(delta), w)
+
+
+@pytest.mark.parametrize("clean", [False, True])
+def test_dense_eigh_bits_equal_numpy_eigh(clean):
+    # the bound dsyevd is the routine numpy's eigh runs, on the same symmetric
+    # matrix and with a workspace that holds the same blocks
+    for h in _every_sector(clean):
+        vals, vecs = xxz._dense_eigh(h)
+        want_vals, want_vecs = np.linalg.eigh(h.basis.dense(h.data))
+        assert np.array_equal(vals, want_vals) and np.array_equal(vecs, want_vecs), h.dim
+        assert vecs.flags.c_contiguous, h.dim
+
+
+def test_dense_eigh_falls_back_to_numpy_eigh_with_the_same_bits(monkeypatch):
+    # with no dsyevd symbol, _dense_eigh takes numpy's eigh on the sector matrix
+    sectors = list(_every_sector(False))
+    bound = [xxz._dense_eigh(h) for h in sectors]
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(xxz, "_DSYEVD", None)
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    for h, (vals, vecs) in zip(sectors, bound):
+        fallback = xxz._dense_eigh(h)
+        assert np.array_equal(fallback[0], vals) and np.array_equal(fallback[1], vecs), h.dim
+        assert fallback[1].flags.c_contiguous, h.dim
+    assert calls == [(h.dim, h.dim) for h in sectors]
+
+
+@_BOUND
+def test_dense_eigh_reports_a_lapack_failure(monkeypatch, capsys, tmp_path):
+    # a nonzero dsyevd info (it did not converge) is a NumericalError, and the
+    # quasi-locality ensemble exits 3 naming the realization, whatever the
+    # pairs hold
+    bound = xxz._DSYEVD
+
+    def failing(*args):
+        bound(*args)
+        args[10].value = 5  # info
+
+    monkeypatch.setattr(xxz, "_DSYEVD", failing)
+    with pytest.raises(NumericalError, match=r"\|info\|=5\.00e\+00"):
+        xxz._dense_eigh(next(_every_sector(False)))
+    code = cli.main(["quasi-locality", "--half-length", "3", "--anisotropy", "6.0",
+                     "--block-sizes", "0,1", "--time-grid", "0.5", "--realizations", "1",
+                     "--out-dir", str(tmp_path)])
+    assert code == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "realization 0: " in err[0] and "|info|" in err[0], err
 
 
 @pytest.mark.parametrize("n_particles", [3, 4])
@@ -842,8 +913,8 @@ def test_quasi_locality_keeps_only_the_sectors_the_field_admits(monkeypatch):
 
 
 def test_quasi_locality_memory_rule_counts_only_kept_sectors(monkeypatch, memory_budget):
-    # 8 (sum of the kept d_N^2 + 5 d^2 + 4 d C(n - 1, L)) bytes, d = C(n, L), where
-    # every sector's eigenvectors, C(2n, n) doubles, were counted before
+    # 8 (sum of the kept d_N^2 + 3 d^2 + 5 d C(n - 1, L + 1)) bytes, d = C(n, L),
+    # where every sector's eigenvectors, C(2n, n) doubles, were counted before
     half_length, delta = 4, 6.0
     n = 2 * half_length + 1
     w = sample_field(UNIFORM, n, PLAN, 5)
@@ -852,7 +923,7 @@ def test_quasi_locality_memory_rule_counts_only_kept_sectors(monkeypatch, memory
     chain = xxz.ChainSpectrum(*args)
     kept = [k for k, h in chain.sectors.items() if xxz.field_admits(h, window)]
     d = comb(n, half_length)
-    rest = 5 * d ** 2 + 4 * d * comb(n - 1, half_length)
+    rest = 3 * d ** 2 + 5 * d * comb(n - 1, half_length + 1)
     model = 8 * (sum(comb(n, k) ** 2 for k in kept) + rest)
     assert model < 8 * (comb(2 * n, n) + rest)
     want = xxz.QuasiLocalityProbe(xxz.ChainSpectrum(*args), 0, window).errors_profile(
@@ -885,6 +956,61 @@ def test_quasi_locality_memory_rule_counts_only_kept_sectors(monkeypatch, memory
     times = np.linspace(0.1, 2.0, model // per_time + 1)
     with pytest.raises(ConfigurationError, match=f"partial traces at {times.size} times"):
         probe.errors_profile(range(half_length), times)
+
+
+def _complex_errors_profile(probe, ells, times):
+    """errors_profile by its former formulation: numpy's eigh on every sector,
+    the complex factor C of tau_t(N_site) = C C^dagger on the occupied
+    columns, and per class the complex product c c^dagger, tensored with the
+    identity on the outer patterns (the members are inner pattern major)."""
+    chain, L = probe.chain, probe.chain.half_length
+    out = {}
+    for ell in ells:
+        n_inner, tables = xxz._trace_classes(L, probe.site, ell)
+        out[ell] = 0.0
+        for t in times:
+            traces = {}
+            for n, h in chain.sectors.items():
+                energies, vectors = np.linalg.eigh(h.basis.dense(h.data))
+                occupied = h.basis.occupancy[:, probe.site + L]
+                c = vectors @ (np.exp(1j * energies * t)[:, None] * vectors[occupied].T)
+                for k, members in tables[n].items():
+                    ck = c[members].reshape(comb(n_inner, k), -1)
+                    traces[k] = traces.get(k, 0) + ck @ ck.conj().T
+            approx = np.zeros((probe.energies.size,) * 2, dtype=complex)
+            for n, (rows, vecs) in probe._blocks.items():
+                for k, members in tables[n].items():
+                    outer = np.eye(members.size // comb(n_inner, k))
+                    v = vecs[members]
+                    approx[rows, rows] += v.T @ np.kron(traces[k], outer) @ v
+            approx /= 2.0 ** (chain.n_sites - n_inner)
+            exact = xxz.evolve_window_observable(probe.energies, probe._number, t)
+            out[ell] = max(out[ell], float(np.linalg.norm(approx - exact, 2)))
+    return out
+
+
+@pytest.mark.parametrize("half_length", [3, 4])
+@pytest.mark.parametrize("kind", ["I_delta", "I"])
+def test_real_partial_traces_match_the_complex_formulation(half_length, kind):
+    # the partial traces in real arithmetic, each sector on the smaller of its
+    # occupied and empty columns (1 - tau_t(1 - N) on the empty ones), equal
+    # the complex C C^dagger on the occupied columns at the centre and the end
+    delta, n = 3.0, 2 * half_length + 1
+    w = sample_field(DisorderSpec(coupling=0.1) if kind == "I" else UNIFORM, n, PLAN, 11)
+    chain = xxz.ChainSpectrum(half_length, delta, xxz.min_boundary_weight(delta), w)
+    window = xxz.spectral_window(delta, 0.5, kind)
+    times = (0.5, 5.0, 50.0)
+    for site in (0, -half_length):
+        probe = xxz.QuasiLocalityProbe(chain, site, window)
+        ells = [ell for ell in range(n) if xxz._trace_classes(half_length, site, ell)[0] < n]
+        got = probe.errors_profile(ells, times)
+        want = _complex_errors_profile(probe, ells, times)
+        assert max(abs(got[ell] - want[ell]) for ell in ells) < 1e-13
+        assert max(want.values()) > 1e-3
+        if kind == "I":
+            # window states in a sector whose occupied columns are the larger
+            # half: its classes are read, so the complement's traces count
+            assert max(probe._blocks) > half_length
 
 
 @pytest.mark.parametrize("half_length", [2, 3])
